@@ -26,6 +26,15 @@ import "sync"
 // relaxation and CSR edge order this makes dist/prev bitwise identical
 // to the reference binary-heap Dijkstra with the same (dist, v) ordering
 // — the property the differential tests in csr_test.go pin.
+//
+// DistancesInto is the same sweep for callers that never read prev. A
+// head whose relaxation leaves the key unchanged (du+w == du) is final
+// the moment it is labelled, so it skips the bucket heap and settles
+// from a LIFO plateau stack instead. That changes the settle order
+// inside a plateau, which predecessors depend on and distances do not:
+// fl(d+w) is monotone in d and never below d, so each label is the
+// minimum over in-edges of fl(dist[u]+w) in every order that settles
+// keys non-decreasingly.
 
 // nBuckets is the circular bucket count. The window of live keys spans
 // at most MaxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
@@ -44,17 +53,19 @@ func bqLess(a, b bqEntry) bool {
 	return a.d < b.d || (a.d == b.d && a.v < b.v)
 }
 
-// DijkstraScratch holds the bucket storage and operation counters for
-// ShortestPathsInto. One scratch serves one Dijkstra at a time; parallel
-// sweeps take one per worker from the package pool (GetScratch). The
-// counters accumulate across runs until the owner flushes them to its
-// metrics recorder.
+// DijkstraScratch holds the queue storage and operation counters for
+// ShortestPathsInto and DistancesInto. One scratch serves one Dijkstra
+// at a time; parallel sweeps take one per worker from the package pool
+// (GetScratch). The counters accumulate across runs until the owner
+// flushes them to its metrics recorder.
 type DijkstraScratch struct {
 	buckets [nBuckets][]bqEntry
+	plateau []int32 // DistancesInto's settle stack; at most N entries
 
-	// Pushes/Pops/Stale/Scanned count queue operations: entries
-	// inserted, live entries settled, superseded entries discarded, and
-	// entries examined by heap sifts.
+	// Pushes counts bucket inserts; Pops counts vertices settled, off a
+	// bucket or off the plateau stack; Stale counts superseded bucket
+	// entries discarded; Scanned counts heap sift-down levels in bucket
+	// pops.
 	Pushes, Pops, Stale, Scanned int64
 }
 
@@ -190,6 +201,85 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 				sc.Pushes++
 			}
 		}
+	}
+}
+
+// DistancesInto runs Dijkstra from src writing only distances into dist
+// (len N, fully overwritten): the distance-only sweep described at the
+// top of this file. dist is bitwise identical to ShortestPathsInto's and
+// Pops counts the same settled vertices; Pushes, Stale and Scanned count
+// bucket traffic only, which plateau vertices skip. sc is required.
+//
+//tmedbvet:hotpath
+func (g *CSR) DistancesInto(src int, dist []float64, sc *DijkstraScratch) {
+	n := g.N()
+	for i := 0; i < n; i++ {
+		dist[i] = Inf
+	}
+	for i := range sc.buckets {
+		sc.buckets[i] = sc.buckets[i][:0]
+	}
+	// Every vertex enters the plateau at most once (its label is final
+	// when it does), so capacity N means the appends never reallocate.
+	if cap(sc.plateau) < n {
+		sc.plateau = make([]int32, 0, n)
+	}
+	width := g.maxW / float64(nBuckets-4)
+	if width <= 0 {
+		width = 1 // all weights zero: every key is 0, one bucket suffices
+	}
+	inv := 1 / width
+
+	dist[src] = 0
+	plateau := append(sc.plateau[:0], int32(src))
+	count := 0
+	for vb := int64(0); ; {
+		// Settle the plateau: every vertex on it carries the current
+		// minimum key, which no pending relaxation can undercut.
+		for len(plateau) > 0 {
+			u := plateau[len(plateau)-1]
+			plateau = plateau[:len(plateau)-1]
+			sc.Pops++
+			du := dist[u]
+			for ei := g.Off[u]; ei < g.Off[u+1]; ei++ {
+				v := g.To[ei]
+				nd := du + g.W[ei]
+				if nd >= dist[v] {
+					continue
+				}
+				dist[v] = nd
+				// nd >= du always, so nd <= du means the relaxation left
+				// the key unchanged: v is final at du.
+				if nd <= du {
+					plateau = append(plateau, v)
+					continue
+				}
+				tb := int64(nd*inv) % nBuckets
+				sc.buckets[tb] = bqPush(sc.buckets[tb], bqEntry{nd, v})
+				count++
+				sc.Pushes++
+			}
+		}
+		if count == 0 {
+			break
+		}
+		slot := vb % nBuckets
+		b := sc.buckets[slot]
+		if len(b) == 0 {
+			vb++
+			continue
+		}
+		var e bqEntry
+		e, b = bqPop(b, &sc.Scanned)
+		sc.buckets[slot] = b
+		count--
+		// Labels only fall, so an entry above its vertex's label was
+		// superseded; the one live entry per vertex equals it.
+		if e.d > dist[e.v] {
+			sc.Stale++
+			continue
+		}
+		plateau = append(plateau, e.v)
 	}
 }
 

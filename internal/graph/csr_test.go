@@ -46,16 +46,31 @@ func TestCSRMatchesDigraph(t *testing.T) {
 	}
 }
 
-// TestBucketDijkstraMatchesHeap is the differential test the ISSUE asks
-// for: on randomized graphs (including zero-weight-heavy, disconnected,
-// and duplicate-edge instances), the CSR bucket-queue Dijkstra must
-// produce bitwise-identical distances AND predecessors to the retained
-// reference heap implementation. Both use the canonical (dist, vertex)
-// tie-break, so this is exact equality, not tolerance comparison.
+// sameDistances reports the first vertex whose distance differs bit for
+// bit between got and want, or -1.
+func sameDistances(got, want []float64) int {
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			return v
+		}
+	}
+	return -1
+}
+
+// TestBucketDijkstraMatchesHeap is the differential test for the bucket
+// queue: on randomized graphs (including zero-weight-heavy,
+// disconnected, and duplicate-edge instances), the CSR bucket-queue
+// Dijkstra must produce bitwise-identical distances AND predecessors to
+// the retained reference heap implementation. Both use the canonical
+// (dist, vertex) tie-break, so this is exact equality, not tolerance
+// comparison. The distance-only sweep must produce the same distances
+// bit for bit and settle the same number of vertices.
 func TestBucketDijkstraMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := GetScratch()
 	defer PutScratch(sc)
+	sd := GetScratch()
+	defer PutScratch(sd)
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(60)
 		d := randomLevelDigraph(rng, n, rng.Intn(8*n))
@@ -65,7 +80,20 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 		wantDist, wantPrev := d.ShortestPaths(src)
 		gotDist := make([]float64, n)
 		gotPrev := make([]int32, n)
+		pops := sc.Pops
 		c.ShortestPathsInto(src, gotDist, gotPrev, sc)
+		pops = sc.Pops - pops
+
+		onlyDist := make([]float64, n)
+		distPops := sd.Pops
+		c.DistancesInto(src, onlyDist, sd)
+		distPops = sd.Pops - distPops
+		if v := sameDistances(onlyDist, wantDist); v >= 0 {
+			t.Fatalf("trial %d: DistancesInto dist[%d] = %v, want %v", trial, v, onlyDist[v], wantDist[v])
+		}
+		if distPops != pops {
+			t.Fatalf("trial %d: DistancesInto settled %d vertices, ShortestPathsInto %d", trial, distPops, pops)
+		}
 
 		for v := 0; v < n; v++ {
 			//tmedbvet:ignore floateq differential test requires bitwise-identical distances, not tolerant agreement
@@ -95,11 +123,25 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 	if sc.Pops == 0 || sc.Pushes == 0 {
 		t.Fatalf("scratch counters not accumulating: %+v", sc)
 	}
+	if sd.Pushes >= sc.Pushes || sd.Scanned >= sc.Scanned {
+		t.Fatalf("plateau stack took no work off the buckets: distance-only %+v, full %+v", sd, sc)
+	}
+
+	// A warmed scratch runs the distance-only sweep allocation-free.
+	c := FromDigraph(randomLevelDigraph(rng, 200, 1600))
+	dist := make([]float64, c.N())
+	c.DistancesInto(0, dist, sd)
+	if allocs := testing.AllocsPerRun(100, func() { c.DistancesInto(0, dist, sd) }); allocs != 0 {
+		t.Fatalf("DistancesInto on a warmed scratch: %v allocs/run, want 0", allocs)
+	}
 }
 
 // TestBucketDijkstraZeroWeightPlateau exercises the all-zero-weight
 // corner (bucket width degenerates): every reachable vertex sits at
-// distance 0 and the tie-break settles vertices in index order.
+// distance 0 and the tie-break settles vertices in index order. A
+// second instance builds a plateau out of positive weights absorbed by
+// rounding: at d = 1e3, fl(d + 1e-18) == d. Both sweeps must match the
+// reference heap's distances bit for bit on each.
 func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 	n := 30
 	d := New(n)
@@ -107,16 +149,47 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 		d.AddEdge(0, u, 0)
 		d.AddEdge(u, u-1, 0)
 	}
-	c := FromDigraph(d)
-	wantDist, wantPrev := d.ShortestPaths(0)
-	gotDist := make([]float64, n)
-	gotPrev := make([]int32, n)
-	c.ShortestPathsInto(0, gotDist, gotPrev, nil)
-	for v := 0; v < n; v++ {
-		//tmedbvet:ignore floateq differential test requires bitwise-identical distances, not tolerant agreement
-		if gotDist[v] != wantDist[v] || int(gotPrev[v]) != wantPrev[v] {
-			t.Fatalf("v%d: got (%g,%d) want (%g,%d)", v, gotDist[v], gotPrev[v], wantDist[v], wantPrev[v])
+	absorbed := New(n)
+	absorbed.AddEdge(0, 1, 1e3)
+	for u := 1; u+1 < n; u++ {
+		absorbed.AddEdge(u, u+1, 1e-18)
+		absorbed.AddEdge(1, u+1, 1e-18)
+	}
+	absorbed.AddEdge(n-1, 1, 2.5)
+	for _, tc := range []struct {
+		name string
+		d    *Digraph
+		want float64 // distance of vertex n-1
+	}{{"zero", d, 0}, {"absorbed", absorbed, 1e3}} {
+		c := FromDigraph(tc.d)
+		wantDist, wantPrev := tc.d.ShortestPaths(0)
+		if math.Float64bits(wantDist[n-1]) != math.Float64bits(tc.want) {
+			t.Fatalf("%s: reference dist[%d] = %v, want the plateau %v", tc.name, n-1, wantDist[n-1], tc.want)
 		}
+		gotDist := make([]float64, n)
+		gotPrev := make([]int32, n)
+		c.ShortestPathsInto(0, gotDist, gotPrev, nil)
+		for v := 0; v < n; v++ {
+			//tmedbvet:ignore floateq differential test requires bitwise-identical distances, not tolerant agreement
+			if gotDist[v] != wantDist[v] || int(gotPrev[v]) != wantPrev[v] {
+				t.Fatalf("%s v%d: got (%g,%d) want (%g,%d)", tc.name, v, gotDist[v], gotPrev[v], wantDist[v], wantPrev[v])
+			}
+		}
+		sc := GetScratch()
+		onlyDist := make([]float64, n)
+		c.DistancesInto(0, onlyDist, sc)
+		if v := sameDistances(onlyDist, wantDist); v >= 0 {
+			t.Fatalf("%s: DistancesInto dist[%d] = %v, want %v", tc.name, v, onlyDist[v], wantDist[v])
+		}
+		if sc.Pops != int64(n) {
+			t.Fatalf("%s: DistancesInto settled %d vertices, want %d", tc.name, sc.Pops, n)
+		}
+		// Only the plateau's entry vertex (its key differs from its
+		// tail's) goes through a bucket; the rest settle off the stack.
+		if sc.Pushes > 1 {
+			t.Fatalf("%s: %d bucket pushes, want at most 1 (plateau settles off the stack)", tc.name, sc.Pushes)
+		}
+		PutScratch(sc)
 	}
 }
 

@@ -305,7 +305,7 @@ func TestPhaseDepthBounded(t *testing.T) {
 // goroutines interleaving planner-style phase trees on one recorder must
 // produce two independent top-level subtrees, never splice one call's
 // spans under the other's open phase (the duplicated eedcb→dts→eedcb
-// nesting that corrupted BENCH_pr3.json's attribution).
+// nesting that corrupted concurrent sweep reports' attribution).
 func TestConcurrentPhaseIsolation(t *testing.T) {
 	r := New()
 	start := make(chan struct{})

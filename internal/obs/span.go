@@ -44,7 +44,7 @@ const maxPhaseDepth = 16
 // goroutine, so its spans nest correctly, while spans from other
 // goroutines become siblings under the root instead of splicing into a
 // foreign call's open phase (the duplicated eedcb→dts→eedcb nesting
-// visible in BENCH_pr3.json, which double-counted planner wall time).
+// that double-counted planner wall time in concurrent sweep reports).
 // Returns nil on a nil recorder.
 func (r *Recorder) StartPhase(name string) *Span {
 	if r == nil {

@@ -15,8 +15,9 @@
 //
 // The solver operates on the flat CSR representation with the monotone
 // bucket-queue Dijkstra (see internal/graph): distances are computed
-// lazily — one forward sweep per recursion root and one reverse-graph
-// sweep per terminal — into arena-recycled buffers, and the level-2
+// lazily — one forward sweep per recursion root, whose predecessors
+// materialize paths, and one distance-only reverse-graph sweep per
+// terminal — into arena-recycled buffers, and the level-2
 // density scan prunes dominated candidate vertices with an admissible
 // lower bound before paying for their candidate sort. Levels >= 3 need
 // forward distances from arbitrary vertices and are therefore restricted
@@ -199,8 +200,8 @@ func (s Solution) Verify(g *graph.CSR, terminals []int) error {
 	return nil
 }
 
-// sp caches one Dijkstra run. The slices are arena-owned; Release
-// recycles them, after which the sp must not be read.
+// sp caches one forward Dijkstra run. The slices are arena-owned;
+// Release recycles them, after which the sp must not be read.
 type sp struct {
 	dist []float64
 	prev []int32
@@ -213,7 +214,10 @@ type Solver struct {
 	g   *graph.CSR
 	rev *graph.CSR  // lazily built transpose; see revGraph / WithReverse
 	fwd map[int]*sp // forward Dijkstra per source
-	bwd map[int]*sp // reverse-graph Dijkstra per terminal (distances TO it)
+	// bwd holds the reverse-graph distances per terminal (distances TO
+	// it), arena-owned. Nothing reads a path to a terminal, so these
+	// sweeps run distance-only (graph.CSR.DistancesInto).
+	bwd map[int][]float64
 	// arena recycles the dist/prev buffers across solver instances; the
 	// serial scratch holds the bucket queue between runs. Parallel
 	// workers take their own scratch from the package pool.
@@ -247,7 +251,7 @@ type Solver struct {
 	// serially before a fan-out or read after it joins.
 	dTo       [][]float64  // distToAll result, aliased into bwd cache entries
 	missing   []int        // distToAll cache-miss indices
-	computed  []*sp        // distToAll per-miss result slots
+	computed  [][]float64  // distToAll per-miss result slots
 	locals    []level2Best // per-chunk scan winners
 	cands     [][]td       // per-chunk candidate (terminal, distance) pairs
 	covBuf    [][]int      // per-chunk winning-coverage accumulators
@@ -276,7 +280,7 @@ func NewSolver(g *graph.CSR) *Solver {
 	return &Solver{
 		g:       g,
 		fwd:     make(map[int]*sp),
-		bwd:     make(map[int]*sp),
+		bwd:     make(map[int][]float64),
 		arena:   graph.GetArena(),
 		scratch: graph.GetScratch(),
 		workers: 1,
@@ -304,9 +308,8 @@ func (s *Solver) Release() {
 		s.arena.PutF64(c.dist)
 		s.arena.PutI32(c.prev)
 	}
-	for _, c := range s.bwd {
-		s.arena.PutF64(c.dist)
-		s.arena.PutI32(c.prev)
+	for _, d := range s.bwd {
+		s.arena.PutF64(d)
 	}
 	s.fwd, s.bwd = nil, nil
 	st := s.arena.Stats()
@@ -374,20 +377,6 @@ func (s *Solver) from(u int) *sp {
 	return c
 }
 
-// distTo returns, for terminal x, the distance vector dist(v, x) over all
-// v, via one reverse-graph Dijkstra.
-func (s *Solver) distTo(x int) []float64 {
-	if c, ok := s.bwd[x]; ok {
-		return c.dist
-	}
-	s.obs.Counter("steiner.dijkstra.bwd").Inc()
-	n := s.g.N()
-	c := &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
-	s.revGraph().ShortestPathsInto(x, c.dist, c.prev, s.scratch)
-	s.bwd[x] = c
-	return c.dist
-}
-
 // distToAll returns dTo[xi] = dist(·, rem[xi]) for every terminal,
 // running the cache-missing reverse Dijkstras across the worker pool.
 // Result buffers are taken from the solver's arena serially before the
@@ -402,8 +391,8 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 	dTo := s.dTo[:len(rem)]
 	missing := s.missing[:0] // indices into rem with no cached run
 	for xi, x := range rem {
-		if c, ok := s.bwd[x]; ok {
-			dTo[xi] = c.dist
+		if d, ok := s.bwd[x]; ok {
+			dTo[xi] = d
 		} else {
 			missing = append(missing, xi)
 		}
@@ -414,18 +403,17 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 	rev := s.revGraph()
 	n := s.g.N()
 	if cap(s.computed) < len(missing) {
-		s.computed = make([]*sp, len(missing))
+		s.computed = make([][]float64, len(missing))
 	}
 	computed := s.computed[:len(missing)]
 	for mi := range missing {
-		//tmedbvet:ignore hotalloc bwd cache fill: one pair of arena-backed headers per distinct terminal, amortized across every later round
-		computed[mi] = &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
+		computed[mi] = s.arena.F64(n)
 	}
 	s.obs.Counter("steiner.dijkstra.bwd").Add(int64(len(missing)))
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
 	err := parallel.ForEachPoolCancel(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
 		sc := graph.GetScratch()
-		rev.ShortestPathsInto(rem[missing[mi]], computed[mi].dist, computed[mi].prev, sc)
+		rev.DistancesInto(rem[missing[mi]], computed[mi], sc)
 		flushScratch(s.obs, sc)
 		graph.PutScratch(sc)
 	})
@@ -437,7 +425,7 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 	}
 	for mi, xi := range missing {
 		s.bwd[rem[xi]] = computed[mi]
-		dTo[xi] = computed[mi].dist
+		dTo[xi] = computed[mi]
 	}
 	return dTo
 }
