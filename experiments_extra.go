@@ -21,7 +21,7 @@ import (
 // result slot, so output order is deterministic regardless of
 // scheduling.
 func runParallel(workers, n int, f func(i int)) {
-	parallel.ForEach(parallel.Resolve(workers), n, f)
+	_ = parallel.ForEach(nil, nil, parallel.Resolve(workers), n, f) // nil token: never fails
 }
 
 // ComplexityTable validates the §V size claims empirically: for each

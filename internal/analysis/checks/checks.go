@@ -5,9 +5,9 @@
 //   - detrange: map iteration must not reach planner output unsorted
 //     (determinism contract, DESIGN.md §6).
 //   - nondeterm: no wall clocks, unseeded global RNG, or raw
-//     goroutines in solver packages (byte-identical schedules under
-//     any worker count; parallel.ForEachPool is the sanctioned
-//     pattern).
+//     goroutines in solver or executor packages (byte-identical
+//     schedules and Monte Carlo results under any worker count;
+//     parallel.ForEach is the sanctioned pattern).
 //   - floateq: no exact float equality on times/energies, and no raw
 //     tau-arrival comparisons outside the TimeTol-gated rule
 //     (execution semantics, DESIGN.md §7).
@@ -46,8 +46,8 @@ const (
 
 // plannerPkgs are the packages whose outputs reach planned schedules:
 // anything nondeterministic here breaks the byte-identical-schedules
-// contract. detrange, nondeterm, and the cancelthread entry-point rule
-// are scoped to these.
+// contract. detrange and the cancelthread entry-point rule are scoped
+// to these.
 var plannerPkgs = []string{
 	modulePath + "/internal/core",
 	modulePath + "/internal/dts",
@@ -60,7 +60,7 @@ var plannerPkgs = []string{
 
 // timePkgs additionally include the executors and the audit oracle —
 // everything that implements the tau-propagation arrival rule and so
-// must respect TimeTol. floateq is scoped to these.
+// must respect TimeTol. floateq and nondeterm are scoped to these.
 var timePkgs = append([]string{
 	modulePath + "/internal/sim",
 	modulePath + "/internal/des",

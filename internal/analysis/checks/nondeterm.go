@@ -9,7 +9,8 @@ import (
 )
 
 // NonDeterm forbids the three nondeterminism sources that break the
-// byte-identical-schedules contract inside planner packages:
+// byte-identical-schedules contract inside planner and executor
+// packages:
 //
 //   - wall clocks (time.Now / time.Since / time.Until) — solver
 //     decisions must depend only on inputs; wall time belongs to the
@@ -19,14 +20,18 @@ import (
 //     split per worker with parallel.SplitSeed);
 //   - raw `go` statements — goroutine completion order is
 //     nondeterministic, so ad-hoc result collection reorders output;
-//     parallel.ForEachPool (per-index result slots, atomic hand-out)
-//     is the sanctioned fan-out pattern.
+//     parallel.ForEach (per-index result slots, atomic hand-out) is
+//     the sanctioned fan-out pattern.
+//
+// The scope is timePkgs: the planners plus the executors (sim, des)
+// and the audit oracle, so a private worker pool cannot grow back in
+// an executor.
 var NonDeterm = &analysis.Analyzer{
 	Name: "nondeterm",
 	Doc: "forbids time.Now, the unseeded global math/rand source, and raw " +
 		"goroutines in solver packages; use an injected clock, a seeded " +
-		"*rand.Rand, and parallel.ForEachPool",
-	Scope: func(pkgPath string) bool { return underAny(pkgPath, plannerPkgs) },
+		"*rand.Rand, and parallel.ForEach",
+	Scope: func(pkgPath string) bool { return underAny(pkgPath, timePkgs) },
 	Run:   runNonDeterm,
 }
 
@@ -80,7 +85,7 @@ func runNonDeterm(pass *analysis.Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
 				pass.Reportf(g.Pos(),
-					"raw goroutine in a solver package: completion order is nondeterministic; use parallel.ForEachPool (per-index result slots) instead")
+					"raw goroutine in a solver package: completion order is nondeterministic; use parallel.ForEach (per-index result slots) instead")
 			}
 			return true
 		})

@@ -33,7 +33,7 @@ func seededDraw(seed int64) float64 {
 }
 
 // fanOut collects results in goroutine-completion order — the exact
-// shape parallel.ForEachPool exists to replace.
+// shape parallel.ForEach exists to replace.
 func fanOut(xs []float64) float64 {
 	var wg sync.WaitGroup
 	out := make(chan float64, len(xs))

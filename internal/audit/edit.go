@@ -397,11 +397,11 @@ func (r EditReport) Ok() bool { return len(r.Mismatches) == 0 }
 func (r EditReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "audit: %d edit cases, %d mismatches\n", r.Cases, len(r.Mismatches))
-	for mix, n := range r.ByMix {
-		fmt.Fprintf(&b, "  %-12s %d\n", mix, n)
+	for _, mix := range sortedKeys(r.ByMix) {
+		fmt.Fprintf(&b, "  %-12s %d\n", mix, r.ByMix[mix])
 	}
-	for base, n := range r.ByBase {
-		fmt.Fprintf(&b, "  %-12s %d\n", base, n)
+	for _, base := range sortedKeys(r.ByBase) {
+		fmt.Fprintf(&b, "  %-12s %d\n", base, r.ByBase[base])
 	}
 	for _, m := range r.Mismatches {
 		b.WriteString(m.String())

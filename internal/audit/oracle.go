@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -308,13 +309,24 @@ func (r Report) Ok() bool { return len(r.Mismatches) == 0 }
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "audit: %d cases, %d mismatches\n", r.Cases, len(r.Mismatches))
-	for kind, n := range r.ByKind {
-		fmt.Fprintf(&b, "  %-10s %d\n", kind, n)
+	for _, kind := range sortedKeys(r.ByKind) {
+		fmt.Fprintf(&b, "  %-10s %d\n", kind, r.ByKind[kind])
 	}
 	for _, m := range r.Mismatches {
 		b.WriteString(m.String())
 	}
 	return b.String()
+}
+
+// sortedKeys returns m's keys in ascending order, so a summary prints
+// the same text on every run.
+func sortedKeys(m map[string]int) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // RunDifferential generates and audits `cases` seeded cases starting at

@@ -1,6 +1,8 @@
 package audit
 
 import (
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -65,4 +67,35 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Fatalf("ran %d cases, want %d", rep.Cases, cases)
 	}
 	t.Logf("clean: %d cases, kinds %v", rep.Cases, rep.ByKind)
+}
+
+// TestReportStringSortsKeys: the audit summaries print their per-kind,
+// per-mix and per-base rows in ascending key order, so identical runs
+// print identical text whatever the map iteration order.
+func TestReportStringSortsKeys(t *testing.T) {
+	rep := Report{Cases: 500, ByKind: map[string]int{
+		"random": 388, "EEDCB": 28, "FR-EEDCB": 19, "GREED": 18, "RAND": 11, "FR-GREED": 16, "FR-RAND": 20,
+	}}
+	edit := EditReport{Cases: 30,
+		ByMix:  map[string]int{"retime-heavy": 10, "add-heavy": 10, "remove-heavy": 10},
+		ByBase: map[string]int{"synthetic": 20, "haggle": 10},
+	}
+	for run := 0; run < 20; run++ {
+		for _, tc := range []struct {
+			text   string
+			groups []int // row counts of the consecutive key groups
+		}{{rep.String(), []int{7}}, {edit.String(), []int{3, 2}}} {
+			rows := strings.Split(strings.TrimSpace(tc.text), "\n")[1:]
+			for _, size := range tc.groups {
+				keys := make([]string, size)
+				for i := range keys {
+					keys[i] = strings.Fields(rows[i])[0]
+				}
+				if !sort.StringsAreSorted(keys) {
+					t.Fatalf("run %d: keys %v not ascending in\n%s", run, keys, tc.text)
+				}
+				rows = rows[size:]
+			}
+		}
+	}
 }

@@ -254,7 +254,7 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 		}
 	}
 	dcsSpan := opts.Obs.StartPhase("dcs-construct")
-	err := parallel.ForEachPoolCancel(opts.Obs.Pool("auxgraph.dcs"), tok, opts.Workers, len(cands), func(k int) {
+	err := parallel.ForEach(opts.Obs.Pool("auxgraph.dcs"), tok, opts.Workers, len(cands), func(k int) {
 		if done != nil && done[k] {
 			return
 		}

@@ -278,7 +278,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	asmSpan := rec.StartPhase("assemble")
 	asmPool := rec.Pool("nlp.assemble")
 	coverTerms := make([][]nlp.Term, len(targets))
-	asmErr := parallel.ForEachPoolCancel(asmPool, tok, workers, len(targets), func(ti int) {
+	asmErr := parallel.ForEach(asmPool, tok, workers, len(targets), func(ti int) {
 		nj := targets[ti]
 		if nj == src || uncov[nj] {
 			return
@@ -317,7 +317,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	// relay, so it must not appear in the constraint.
 	tau := g.Tau()
 	relayTerms := make([][]nlp.Term, len(backbone))
-	asmErr = parallel.ForEachPoolCancel(asmPool, tok, workers, len(backbone), func(j int) {
+	asmErr = parallel.ForEach(asmPool, tok, workers, len(backbone), func(j int) {
 		xj := backbone[j]
 		if xj.Relay == src {
 			return

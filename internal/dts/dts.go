@@ -196,7 +196,7 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	words := (len(global) + 63) / 64
 	pts := make([][]float64, n)
 	member := make([][]uint64, n)
-	err = parallel.ForEachPoolCancel(opts.Obs.Pool("dts.filter"), tok, opts.Workers, n, func(i int) {
+	err = parallel.ForEach(opts.Obs.Pool("dts.filter"), tok, opts.Workers, n, func(i int) {
 		bits := make([]uint64, words)
 		var mine []float64
 		for p, x := range global {

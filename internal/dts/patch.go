@@ -88,7 +88,7 @@ func patch(g *tvg.Graph, parent *DTS, edits []tvg.EdgeKey, t0, deadline float64,
 	pts := make([][]float64, n)
 	member := make([][]uint64, n)
 	var reused, fresh atomic.Int64
-	err = parallel.ForEachPoolCancel(opts.Obs.Pool("dts.patch"), tok, opts.Workers, n, func(i int) {
+	err = parallel.ForEach(opts.Obs.Pool("dts.patch"), tok, opts.Workers, n, func(i int) {
 		bits := make([]uint64, words)
 		var mine []float64
 		if edited[i] {

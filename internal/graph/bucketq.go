@@ -141,15 +141,11 @@ func bqPop(b []bqEntry, scanned *int64) (bqEntry, []bqEntry) {
 // ShortestPathsInto runs Dijkstra from src, writing distances and
 // predecessors into dist and prev (each len N, fully overwritten;
 // prev[v] = -1 for src and unreachable vertices). sc provides the queue
-// storage; nil allocates a throwaway.
+// storage and is required.
 //
 //tmedbvet:hotpath
 func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *DijkstraScratch) {
 	n := g.N()
-	if sc == nil {
-		//tmedbvet:ignore hotalloc documented nil-scratch fallback for one-off callers; hot callers pass pooled scratch
-		sc = new(DijkstraScratch)
-	}
 	for i := 0; i < n; i++ {
 		dist[i] = Inf
 		prev[i] = -1
@@ -281,12 +277,4 @@ func (g *CSR) DistancesInto(src int, dist []float64, sc *DijkstraScratch) {
 		}
 		plateau = append(plateau, e.v)
 	}
-}
-
-// ShortestPaths is the allocating convenience form of ShortestPathsInto.
-func (g *CSR) ShortestPaths(src int) (dist []float64, prev []int32) {
-	dist = make([]float64, g.N())
-	prev = make([]int32, g.N())
-	g.ShortestPathsInto(src, dist, prev, nil)
-	return dist, prev
 }

@@ -4,18 +4,18 @@ import "fmt"
 
 // CSR is a weighted digraph in compressed-sparse-row form: the out-edges
 // of vertex u are the index range Off[u]..Off[u+1] of the parallel To/W
-// arrays. Three flat slices replace the per-vertex []Edge slices of
-// Digraph, so a whole Dijkstra sweep touches two contiguous arrays
-// instead of chasing one pointer per vertex.
+// arrays. Three flat slices replace per-vertex adjacency lists, so a
+// whole Dijkstra sweep touches two contiguous arrays instead of chasing
+// one pointer per vertex.
 //
 // Invariants (the "flat data-layout" contract in DESIGN.md):
 //
 //   - len(Off) == N()+1, Off[0] == 0, Off is non-decreasing,
 //     Off[N()] == len(To) == len(W).
 //   - Edge order within a vertex is the construction order (BuildCSR is
-//     a stable counting sort; FromDigraph preserves insertion order), so
-//     relaxation order — and with it every equal-distance tie — is
-//     deterministic and identical to the reference Digraph's.
+//     a stable counting sort), so relaxation order — and with it every
+//     equal-distance tie — is deterministic and identical to the
+//     adjacency-list reference the differential tests use.
 //   - A CSR is immutable once built. Memoized auxiliary-graph cores
 //     share one CSR across solver instances and goroutines on the
 //     strength of this.
@@ -103,29 +103,6 @@ func BuildCSR(n int, el *EdgeList, a *Arena) (*CSR, []int32) {
 	}
 	a.PutI32(cur)
 	return g, pos
-}
-
-// FromDigraph converts a Digraph to CSR form, preserving per-vertex edge
-// order. The differential tests drive both representations through the
-// same instances with this.
-func FromDigraph(d *Digraph) *CSR {
-	n := d.N()
-	g := &CSR{
-		Off: make([]int32, n+1),
-		To:  make([]int32, 0, d.M()),
-		W:   make([]float64, 0, d.M()),
-	}
-	for u := 0; u < n; u++ {
-		for _, e := range d.Out(u) {
-			g.To = append(g.To, int32(e.To))
-			g.W = append(g.W, e.W)
-			if e.W > g.maxW {
-				g.maxW = e.W
-			}
-		}
-		g.Off[u+1] = int32(len(g.To))
-	}
-	return g
 }
 
 // Transpose returns the reverse graph (every edge u→v becomes v→u) as a

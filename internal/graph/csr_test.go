@@ -168,7 +168,7 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 		}
 		gotDist := make([]float64, n)
 		gotPrev := make([]int32, n)
-		c.ShortestPathsInto(0, gotDist, gotPrev, nil)
+		c.ShortestPathsInto(0, gotDist, gotPrev, GetScratch())
 		for v := 0; v < n; v++ {
 			//tmedbvet:ignore floateq differential test requires bitwise-identical distances, not tolerant agreement
 			if gotDist[v] != wantDist[v] || int(gotPrev[v]) != wantPrev[v] {

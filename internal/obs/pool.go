@@ -50,7 +50,7 @@ func (p *Pool) Observe(w int, tasks int64, busy time.Duration) {
 	p.mu.Unlock()
 }
 
-// Launched records one pool launch (called once per ForEachPool-style
+// Launched records one pool launch (called once per parallel.ForEach
 // invocation, regardless of pool width).
 func (p *Pool) Launched() {
 	if p == nil {

@@ -1,23 +1,30 @@
-// Package parallel is the shared concurrency layer of the solver core:
-// a bounded worker pool with deterministic work splitting and a
-// deterministic per-worker seed derivation, generalizing the idiom
-// sim.EvaluateParallel introduced.
+// Package parallel is the one concurrency layer of the solver core and
+// the executors: a bounded worker pool with deterministic work
+// splitting and a deterministic per-worker seed derivation.
 //
-// Every helper obeys two contracts the solvers rely on:
+// ForEach obeys three contracts the solvers rely on:
 //
-//  1. Serial fallback — workers <= 1 runs the work inline on the calling
-//     goroutine, byte-for-byte reproducing the pre-parallel code path.
+//  1. Serial fallback — workers <= 1 (after clamping to n) runs the work
+//     inline on the calling goroutine, byte-for-byte reproducing the
+//     pre-parallel code path.
 //  2. Determinism — results depend only on the inputs (and, where
 //     randomness is involved, on the (seed, workers) pair), never on
 //     goroutine interleaving. ForEach achieves this by having every
 //     index own its output slot; ChunkRanges by splitting the index
-//     space into contiguous, order-mergeable blocks.
+//     space into contiguous, order-mergeable blocks that callers hand
+//     to ForEach one chunk per index.
+//  3. Nil hooks cost nothing — a nil *obs.Pool records nothing and
+//     reads no clock, and a nil *cancel.Token never fails.
 package parallel
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
+
+	"repro/internal/cancel"
+	"repro/internal/obs"
 )
 
 // SeedStride is the golden-ratio constant of the seed-splitting contract:
@@ -41,9 +48,9 @@ func Resolve(workers int) int {
 	return workers
 }
 
-// Clamp bounds a resolved worker count by the number of available tasks
+// clamp bounds a resolved worker count by the number of available tasks
 // (never returning less than 1), so pools do not spawn idle goroutines.
-func Clamp(workers, tasks int) int {
+func clamp(workers, tasks int) int {
 	if workers > tasks {
 		workers = tasks
 	}
@@ -58,30 +65,73 @@ func Clamp(workers, tasks int) int {
 // atomic counter; fn must confine its writes to state owned by index i
 // (e.g. out[i]) so the result is independent of scheduling. workers <= 1
 // (after clamping to n) runs serially on the calling goroutine.
-func ForEach(workers, n int, fn func(i int)) {
-	workers = Clamp(workers, n)
+//
+// p, when non-nil, records one launch plus each worker's index count and
+// busy wall time (the serial fallback reports as slot 0). The accounting
+// is write-only, so nothing in the work distribution depends on it.
+//
+// tok, when non-nil, is checked before every index on the serial path
+// and before every claim on the pooled path. Once it trips, workers stop
+// handing out indices and the first checkpoint error is returned.
+// Claimed indices run to completion (fn is never interrupted mid-task),
+// so on a nil error every index in [0, n) ran exactly once; on a non-nil
+// error the caller must discard the partial output.
+func ForEach(p *obs.Pool, tok *cancel.Token, workers, n int, fn func(i int)) error {
+	p.Launched()
+	workers = clamp(workers, n)
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		var start time.Time
+		if p != nil {
+			start = time.Now()
+		}
+		i := 0
+		var err error
+		for ; i < n; i++ {
+			if err = tok.Check(); err != nil {
+				break
+			}
 			fn(i)
 		}
-		return
+		if p != nil {
+			p.Observe(0, int64(i), time.Since(start))
+		}
+		return err
 	}
 	var next atomic.Int64
+	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
+			var start time.Time
+			if p != nil {
+				start = time.Now()
+			}
+			var done int64
+			var err error
 			for {
+				if err = tok.Check(); err != nil {
+					firstErr.CompareAndSwap(nil, &err)
+					break
+				}
 				i := int(next.Add(1)) - 1
 				if i >= n {
-					return
+					break
 				}
 				fn(i)
+				done++
 			}
-		}()
+			if p != nil {
+				p.Observe(w, done, time.Since(start))
+			}
+		}(w)
 	}
 	wg.Wait()
+	if ep := firstErr.Load(); ep != nil {
+		return *ep
+	}
+	return nil
 }
 
 // Range is a contiguous index block [Lo, Hi).
@@ -93,7 +143,7 @@ type Range struct{ Lo, Hi int }
 // "local best" in ascending chunk order therefore reproduce the serial
 // scan exactly.
 func ChunkRanges(workers, n int) []Range {
-	workers = Clamp(workers, n)
+	workers = clamp(workers, n)
 	per, extra := n/workers, n%workers
 	out := make([]Range, 0, workers)
 	lo := 0
@@ -108,32 +158,13 @@ func ChunkRanges(workers, n int) []Range {
 	return out
 }
 
-// ForEachRange runs fn over each chunk of [0, n) concurrently. fn
-// receives the chunk index and its range; writes must be confined to
-// per-chunk state. Serial when the clamped pool size is 1.
-func ForEachRange(workers, n int, fn func(chunk int, r Range)) {
-	ranges := ChunkRanges(workers, n)
-	if len(ranges) == 1 {
-		fn(0, ranges[0])
-		return
-	}
-	var wg sync.WaitGroup
-	for c, r := range ranges {
-		wg.Add(1)
-		go func(c int, r Range) {
-			defer wg.Done()
-			fn(c, r)
-		}(c, r)
-	}
-	wg.Wait()
-}
-
 // SplitCounts divides total work items across workers the way the worker
 // pools do: near-equal shares, the first total%workers workers taking one
-// extra. Exposed so reports can attribute per-worker shares (e.g. Monte
-// Carlo trials per evaluation worker) without re-deriving the split.
+// extra. Callers that fan out one share per ForEach index (the Monte
+// Carlo evaluation) size their pool with it, and reports use it to
+// attribute per-worker shares without re-deriving the split.
 func SplitCounts(total, workers int) []int {
-	workers = Clamp(workers, total)
+	workers = clamp(workers, total)
 	per, extra := total/workers, total%workers
 	out := make([]int, workers)
 	for w := range out {

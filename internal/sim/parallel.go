@@ -3,8 +3,6 @@ package sim
 import (
 	"math"
 	"math/rand"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -26,34 +24,23 @@ func EvaluateParallel(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials
 }
 
 // EvaluateParallelObs is EvaluateParallel with per-worker busy time and
-// trial counts recorded into rec's "sim.evaluate" pool, plus the
+// share counts recorded into rec's "sim.evaluate" pool, plus the
 // transmission/reception counters of EvaluateObs. A nil rec records
 // nothing; the merged Result is identical either way.
+//
+// The pool hands out one index per parallel.SplitCounts share; share w
+// runs EvaluateObs on its own RNG seeded with parallel.SplitSeed(seed, w).
+// A single share is EvaluateObs's Result unmerged, so workers == 1
+// reproduces Evaluate bit for bit.
 func EvaluateParallelObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int, seed int64, workers int, rec *obs.Recorder) Result {
-	pool := rec.Pool("sim.evaluate")
-	workers = parallel.Clamp(parallel.Resolve(workers), trials)
-	if workers <= 1 {
-		pool.Launched()
-		start := time.Now()
-		r := EvaluateObs(g, s, src, trials, rand.New(rand.NewSource(seed)), rec)
-		pool.Observe(0, int64(trials), time.Since(start))
-		return r
+	counts := parallel.SplitCounts(trials, parallel.Resolve(workers))
+	results := make([]Result, len(counts))
+	_ = parallel.ForEach(rec.Pool("sim.evaluate"), nil, len(counts), len(counts), func(w int) {
+		results[w] = EvaluateObs(g, s, src, counts[w], rand.New(rand.NewSource(parallel.SplitSeed(seed, w))), rec)
+	}) // nil token: never fails
+	if len(results) == 1 {
+		return results[0]
 	}
-	counts := parallel.SplitCounts(trials, workers)
-
-	pool.Launched()
-	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, n int) {
-			defer wg.Done()
-			start := time.Now()
-			results[w] = EvaluateObs(g, s, src, n, rand.New(rand.NewSource(parallel.SplitSeed(seed, w))), rec)
-			pool.Observe(w, int64(n), time.Since(start))
-		}(w, counts[w])
-	}
-	wg.Wait()
 	return mergeResults(results)
 }
 

@@ -38,6 +38,20 @@ func TestEvaluateParallelDeterministic(t *testing.T) {
 	if a != b {
 		t.Errorf("same seed/workers differ: %+v vs %+v", a, b)
 	}
+	// Exact bits per worker count: the (seed, workers) streams and the
+	// pooled merge are part of the output contract. 5001 trials split
+	// evenly over 3 workers and unevenly over 4 and 7.
+	const planned = 0x1.f3350605f0631p-63
+	for _, want := range []Result{
+		{MeanEnergy: 0x1.f3350605f0328p-63, MeanDelivery: 0x1.9af38f9658261p-01, StdDelivery: 0x1.f4925c5b4c89dp-03, PlannedEnergy: planned, Trials: 5001, Workers: 1},
+		{MeanEnergy: 0x1.f3350605f0761p-63, MeanDelivery: 0x1.975e3d87b43d4p-01, StdDelivery: 0x1.f77219589912fp-03, PlannedEnergy: planned, Trials: 5001, Workers: 3},
+		{MeanEnergy: 0x1.f3350605f072bp-63, MeanDelivery: 0x1.987e8a84fdb25p-01, StdDelivery: 0x1.f696995401addp-03, PlannedEnergy: planned, Trials: 5001, Workers: 4},
+		{MeanEnergy: 0x1.f3350605f068cp-63, MeanDelivery: 0x1.9792a89e7bc6ep-01, StdDelivery: 0x1.f74afc5082968p-03, PlannedEnergy: planned, Trials: 5001, Workers: 7},
+	} {
+		if got := EvaluateParallel(g, s, 0, 5001, 9, want.Workers); got != want {
+			t.Errorf("workers=%d:\n got %+v\nwant %+v", want.Workers, got, want)
+		}
+	}
 }
 
 func TestEvaluateParallelSingleWorkerEqualsSequential(t *testing.T) {

@@ -12,19 +12,19 @@ import (
 // back edges) and varied weights — large enough that the level-2 scan
 // actually splits across chunks.
 func randomDAGish(rng *rand.Rand, n, m int) *graph.CSR {
-	g := graph.New(n)
+	var el graph.EdgeList
 	// Spine guarantees reachability of every vertex from 0.
 	for v := 1; v < n; v++ {
-		g.AddEdge(rng.Intn(v), v, 1+rng.Float64()*9)
+		el.Add(int32(rng.Intn(v)), int32(v), 1+rng.Float64()*9)
 	}
 	for k := 0; k < m; k++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u == v {
 			continue
 		}
-		g.AddEdge(u, v, 0.5+rng.Float64()*20)
+		el.Add(int32(u), int32(v), 0.5+rng.Float64()*20)
 	}
-	return graph.FromDigraph(g)
+	return csrOf(n, &el)
 }
 
 // TestRecursiveGreedyParallelMatchesSerial is the solver-level

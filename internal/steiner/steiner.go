@@ -411,7 +411,7 @@ func (s *Solver) distToAll(rem []int) [][]float64 {
 	}
 	s.obs.Counter("steiner.dijkstra.bwd").Add(int64(len(missing)))
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
-	err := parallel.ForEachPoolCancel(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
+	err := parallel.ForEach(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
 		sc := graph.GetScratch()
 		rev.DistancesInto(rem[missing[mi]], computed[mi], sc)
 		flushScratch(s.obs, sc)
@@ -581,9 +581,9 @@ func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, floa
 	}
 	locals := s.locals[:len(ranges)]
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
-	parallel.ForEachRangePool(s.obs.Pool("steiner.scan"), s.workers, s.g.N(), func(chunk int, r parallel.Range) {
-		locals[chunk] = s.scanLevel2Range(k, distR, rem, dTo, chunk, r)
-	})
+	_ = parallel.ForEach(s.obs.Pool("steiner.scan"), nil, s.workers, len(ranges), func(c int) {
+		locals[c] = s.scanLevel2Range(k, distR, rem, dTo, c, ranges[c])
+	}) // nil token: never fails
 	best := level2Best{v: -1, density: math.Inf(1)}
 	for _, l := range locals {
 		if l.v != -1 && l.density < best.density {

@@ -13,13 +13,20 @@ import (
 // root 0 → hub 1 (cost 10), hub 1 → terminals 2,3,4 (cost 1 each);
 // also direct expensive edges 0→t (cost 9 each).
 func starGadget() (*graph.CSR, []int) {
-	g := graph.New(5)
-	g.AddEdge(0, 1, 10)
-	for _, t := range []int{2, 3, 4} {
-		g.AddEdge(1, t, 1)
-		g.AddEdge(0, t, 9)
+	var el graph.EdgeList
+	el.Add(0, 1, 10)
+	for _, t := range []int32{2, 3, 4} {
+		el.Add(1, t, 1)
+		el.Add(0, t, 9)
 	}
-	return graph.FromDigraph(g), []int{2, 3, 4}
+	return csrOf(5, &el), []int{2, 3, 4}
+}
+
+// csrOf lays el out as a CSR over n vertices. BuildCSR's stable counting
+// sort keeps each vertex's edges in Add order.
+func csrOf(n int, el *graph.EdgeList) *graph.CSR {
+	g, _ := graph.BuildCSR(n, el, nil)
+	return g
 }
 
 func TestShortestPathTreeStar(t *testing.T) {
@@ -70,9 +77,9 @@ func TestRecursiveGreedyLevel1EqualsGreedySPT(t *testing.T) {
 }
 
 func TestUnreachableTerminal(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
-	s := NewSolver(graph.FromDigraph(g))
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	s := NewSolver(csrOf(3, &el))
 	if _, err := s.ShortestPathTree(0, []int{2}); err == nil {
 		t.Error("SPT should fail on unreachable terminal")
 	}
@@ -82,21 +89,21 @@ func TestUnreachableTerminal(t *testing.T) {
 }
 
 func TestBadLevel(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 1)
-	s := NewSolver(graph.FromDigraph(g))
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	s := NewSolver(csrOf(2, &el))
 	if _, err := s.RecursiveGreedy(0, []int{1}, 0); err == nil {
 		t.Error("level 0 should error")
 	}
 }
 
 func TestSingleTerminalIsShortestPath(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(0, 2, 5)
-	g.AddEdge(2, 3, 1)
-	s := NewSolver(graph.FromDigraph(g))
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	el.Add(1, 2, 1)
+	el.Add(0, 2, 5)
+	el.Add(2, 3, 1)
+	s := NewSolver(csrOf(4, &el))
 	for _, level := range []int{1, 2, 3} {
 		sol, err := s.RecursiveGreedy(0, []int{3}, level)
 		if err != nil {
@@ -109,9 +116,9 @@ func TestSingleTerminalIsShortestPath(t *testing.T) {
 }
 
 func TestTerminalEqualsRoot(t *testing.T) {
-	g := graph.New(2)
-	g.AddEdge(0, 1, 1)
-	c := graph.FromDigraph(g)
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	c := csrOf(2, &el)
 	s := NewSolver(c)
 	sol, err := s.ShortestPathTree(0, []int{0, 1})
 	if err != nil {
@@ -124,11 +131,11 @@ func TestTerminalEqualsRoot(t *testing.T) {
 
 func TestSharedPathNotDoubleCounted(t *testing.T) {
 	// 0→1 (10), 1→2 (1), 1→3 (1): both terminals share the 0→1 edge.
-	g := graph.New(4)
-	g.AddEdge(0, 1, 10)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(1, 3, 1)
-	s := NewSolver(graph.FromDigraph(g))
+	var el graph.EdgeList
+	el.Add(0, 1, 10)
+	el.Add(1, 2, 1)
+	el.Add(1, 3, 1)
+	s := NewSolver(csrOf(4, &el))
 	sol, err := s.ShortestPathTree(0, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
@@ -155,17 +162,17 @@ func TestEdgesDeterministic(t *testing.T) {
 }
 
 func TestVerifyCatchesFakeEdge(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1)
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
 	sol := newSolution(0)
 	sol.addEdge(0, 2, 1) // not in graph
-	if err := sol.Verify(graph.FromDigraph(g), nil); err == nil {
+	if err := sol.Verify(csrOf(3, &el), nil); err == nil {
 		t.Error("Verify should reject edge missing from graph")
 	}
 }
 
 func randomInstance(r *rand.Rand, n, m, k int) (*graph.CSR, []int) {
-	g := graph.New(n)
+	var el graph.EdgeList
 	// a random backbone guaranteeing reachability from 0
 	order := r.Perm(n)
 	pos := make([]int, n)
@@ -176,10 +183,10 @@ func randomInstance(r *rand.Rand, n, m, k int) (*graph.CSR, []int) {
 		order[pos[0]], order[0] = order[0], order[pos[0]]
 	}
 	for i := 1; i < n; i++ {
-		g.AddEdge(order[r.Intn(i)], order[i], 1+r.Float64()*10)
+		el.Add(int32(order[r.Intn(i)]), int32(order[i]), 1+r.Float64()*10)
 	}
 	for e := 0; e < m; e++ {
-		g.AddEdge(r.Intn(n), r.Intn(n), 1+r.Float64()*10)
+		el.Add(int32(r.Intn(n)), int32(r.Intn(n)), 1+r.Float64()*10)
 	}
 	terms := make([]int, 0, k)
 	for _, v := range r.Perm(n)[:k] {
@@ -187,7 +194,7 @@ func randomInstance(r *rand.Rand, n, m, k int) (*graph.CSR, []int) {
 			terms = append(terms, v)
 		}
 	}
-	return graph.FromDigraph(g), terms
+	return csrOf(n, &el), terms
 }
 
 func TestQuickSolutionsValid(t *testing.T) {
