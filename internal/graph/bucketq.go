@@ -35,6 +35,14 @@ import "sync"
 // fl(d+w) is monotone in d and never below d, so each label is the
 // minimum over in-edges of fl(dist[u]+w) in every order that settles
 // keys non-decreasingly.
+//
+// DistancesInto also takes a limit. A relaxation that would label a
+// vertex above it is dropped, so no key above the limit ever enters a
+// bucket and the sweep ends once the last key <= limit has settled.
+// Keys settle in non-decreasing order and weights are non-negative, so
+// every label <= limit comes from tails that settle first, exactly as
+// in the unbounded sweep: those labels, and the settled count, are
+// bitwise the unbounded sweep's, and every other label reads Inf.
 
 // nBuckets is the circular bucket count. The window of live keys spans
 // at most MaxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
@@ -202,12 +210,14 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 
 // DistancesInto runs Dijkstra from src writing only distances into dist
 // (len N, fully overwritten): the distance-only sweep described at the
-// top of this file. dist is bitwise identical to ShortestPathsInto's and
-// Pops counts the same settled vertices; Pushes, Stale and Scanned count
-// bucket traffic only, which plateau vertices skip. sc is required.
+// top of this file, settling keys up to limit (>= 0; Inf sweeps the
+// whole graph). Every label <= limit is bitwise identical to
+// ShortestPathsInto's, every other label is Inf, and Pops counts the
+// labels <= limit; Pushes, Stale and Scanned count bucket traffic only,
+// which plateau vertices skip. sc is required.
 //
 //tmedbvet:hotpath
-func (g *CSR) DistancesInto(src int, dist []float64, sc *DijkstraScratch) {
+func (g *CSR) DistancesInto(src int, limit float64, dist []float64, sc *DijkstraScratch) {
 	n := g.N()
 	for i := 0; i < n; i++ {
 		dist[i] = Inf
@@ -240,7 +250,7 @@ func (g *CSR) DistancesInto(src int, dist []float64, sc *DijkstraScratch) {
 			for ei := g.Off[u]; ei < g.Off[u+1]; ei++ {
 				v := g.To[ei]
 				nd := du + g.W[ei]
-				if nd >= dist[v] {
+				if nd >= dist[v] || nd > limit {
 					continue
 				}
 				dist[v] = nd

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -57,6 +59,44 @@ func sameDistances(got, want []float64) int {
 	return -1
 }
 
+// boundedMismatch runs the distance-only sweep from src bounded at
+// limit and compares it with the unbounded labels full: every label <=
+// limit must match bit for bit, every other label must read Inf, and
+// the sweep must settle exactly the labels <= limit. It returns "" or a
+// description of the first mismatch.
+func boundedMismatch(c *CSR, src int, limit float64, full []float64, sc *DijkstraScratch) string {
+	got := make([]float64, len(full))
+	pops := sc.Pops
+	c.DistancesInto(src, limit, got, sc)
+	var within int64
+	for v, d := range full {
+		if d <= limit {
+			within++
+			if math.Float64bits(got[v]) != math.Float64bits(d) {
+				return fmt.Sprintf("limit %v: dist[%d] = %v, want %v", limit, v, got[v], d)
+			}
+		} else if !math.IsInf(got[v], 1) {
+			return fmt.Sprintf("limit %v: dist[%d] = %v above the limit, want Inf", limit, v, got[v])
+		}
+	}
+	if settled := sc.Pops - pops; settled != within {
+		return fmt.Sprintf("limit %v: settled %d vertices, want the %d labels <= limit", limit, settled, within)
+	}
+	return ""
+}
+
+// medianFinite returns the median of the finite labels in dist.
+func medianFinite(dist []float64) float64 {
+	var fin []float64
+	for _, d := range dist {
+		if !math.IsInf(d, 1) {
+			fin = append(fin, d)
+		}
+	}
+	slices.Sort(fin)
+	return fin[len(fin)/2]
+}
+
 // TestBucketDijkstraMatchesHeap is the differential test for the bucket
 // queue: on randomized graphs (including zero-weight-heavy,
 // disconnected, and duplicate-edge instances), the CSR bucket-queue
@@ -64,7 +104,9 @@ func sameDistances(got, want []float64) int {
 // the retained reference heap implementation. Both use the canonical
 // (dist, vertex) tie-break, so this is exact equality, not tolerance
 // comparison. The distance-only sweep must produce the same distances
-// bit for bit and settle the same number of vertices.
+// bit for bit and settle the same number of vertices; bounded at the
+// trial's median finite label, it must keep every label up to the bound
+// bit for bit, read Inf beyond it and settle only the labels it keeps.
 func TestBucketDijkstraMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := GetScratch()
@@ -86,13 +128,16 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 
 		onlyDist := make([]float64, n)
 		distPops := sd.Pops
-		c.DistancesInto(src, onlyDist, sd)
+		c.DistancesInto(src, Inf, onlyDist, sd)
 		distPops = sd.Pops - distPops
 		if v := sameDistances(onlyDist, wantDist); v >= 0 {
 			t.Fatalf("trial %d: DistancesInto dist[%d] = %v, want %v", trial, v, onlyDist[v], wantDist[v])
 		}
 		if distPops != pops {
 			t.Fatalf("trial %d: DistancesInto settled %d vertices, ShortestPathsInto %d", trial, distPops, pops)
+		}
+		if msg := boundedMismatch(c, src, medianFinite(wantDist), wantDist, sd); msg != "" {
+			t.Fatalf("trial %d: bounded DistancesInto: %s", trial, msg)
 		}
 
 		for v := 0; v < n; v++ {
@@ -127,12 +172,16 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 		t.Fatalf("plateau stack took no work off the buckets: distance-only %+v, full %+v", sd, sc)
 	}
 
-	// A warmed scratch runs the distance-only sweep allocation-free.
+	// A warmed scratch runs the distance-only sweep allocation-free,
+	// bounded or not.
 	c := FromDigraph(randomLevelDigraph(rng, 200, 1600))
 	dist := make([]float64, c.N())
-	c.DistancesInto(0, dist, sd)
-	if allocs := testing.AllocsPerRun(100, func() { c.DistancesInto(0, dist, sd) }); allocs != 0 {
-		t.Fatalf("DistancesInto on a warmed scratch: %v allocs/run, want 0", allocs)
+	c.DistancesInto(0, Inf, dist, sd)
+	limit := medianFinite(dist)
+	for _, lim := range []float64{Inf, limit} {
+		if allocs := testing.AllocsPerRun(100, func() { c.DistancesInto(0, lim, dist, sd) }); allocs != 0 {
+			t.Fatalf("DistancesInto(limit %v) on a warmed scratch: %v allocs/run, want 0", lim, allocs)
+		}
 	}
 }
 
@@ -141,7 +190,9 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 // distance 0 and the tie-break settles vertices in index order. A
 // second instance builds a plateau out of positive weights absorbed by
 // rounding: at d = 1e3, fl(d + 1e-18) == d. Both sweeps must match the
-// reference heap's distances bit for bit on each.
+// reference heap's distances bit for bit on each. The last row bounds
+// the distance-only sweep at the plateau's own value: the sweep drops
+// only keys strictly above its limit, so the whole plateau settles.
 func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 	n := 30
 	d := New(n)
@@ -157,10 +208,15 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 	}
 	absorbed.AddEdge(n-1, 1, 2.5)
 	for _, tc := range []struct {
-		name string
-		d    *Digraph
-		want float64 // distance of vertex n-1
-	}{{"zero", d, 0}, {"absorbed", absorbed, 1e3}} {
+		name  string
+		d     *Digraph
+		want  float64 // distance of vertex n-1
+		limit float64 // DistancesInto's bound
+	}{
+		{"zero", d, 0, Inf},
+		{"absorbed", absorbed, 1e3, Inf},
+		{"absorbed, bounded at the plateau", absorbed, 1e3, 1e3},
+	} {
 		c := FromDigraph(tc.d)
 		wantDist, wantPrev := tc.d.ShortestPaths(0)
 		if math.Float64bits(wantDist[n-1]) != math.Float64bits(tc.want) {
@@ -177,7 +233,7 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 		}
 		sc := GetScratch()
 		onlyDist := make([]float64, n)
-		c.DistancesInto(0, onlyDist, sc)
+		c.DistancesInto(0, tc.limit, onlyDist, sc)
 		if v := sameDistances(onlyDist, wantDist); v >= 0 {
 			t.Fatalf("%s: DistancesInto dist[%d] = %v, want %v", tc.name, v, onlyDist[v], wantDist[v])
 		}

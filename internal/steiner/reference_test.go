@@ -1,0 +1,345 @@
+package steiner
+
+import (
+	"cmp"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/obs"
+)
+
+// refGreedy is an unpruned reference for Solver.RecursiveGreedy, built
+// only on graph primitives. Its reverse sweeps are unbounded, it skips
+// both pruning tiers, it sorts every candidate list by (d, xi), and it
+// keeps the strictly smallest density while scanning vertices in
+// ascending order. Paths are built the way the solver builds them:
+// forward ShortestPathsInto predecessors, the cheapest parallel edge per
+// hop, merged and pruned by Solution. So any difference between the two
+// is a different (vertex, prefix) choice.
+type refGreedy struct {
+	g, rev *graph.CSR
+	sc     *graph.DijkstraScratch
+	fwd    map[int]*sp
+	bwd    map[int][]float64
+}
+
+func newRefGreedy(g *graph.CSR) *refGreedy {
+	return &refGreedy{g: g, rev: g.Transpose(nil), sc: graph.GetScratch(),
+		fwd: map[int]*sp{}, bwd: map[int][]float64{}}
+}
+
+func (r *refGreedy) from(u int) *sp {
+	if c, ok := r.fwd[u]; ok {
+		return c
+	}
+	c := &sp{dist: make([]float64, r.g.N()), prev: make([]int32, r.g.N())}
+	r.g.ShortestPathsInto(u, c.dist, c.prev, r.sc)
+	r.fwd[u] = c
+	return c
+}
+
+// to returns the unbounded reverse labels d(·, x).
+func (r *refGreedy) to(x int) []float64 {
+	if d, ok := r.bwd[x]; ok {
+		return d
+	}
+	d := make([]float64, r.g.N())
+	r.rev.DistancesInto(x, graph.Inf, d, r.sc)
+	r.bwd[x] = d
+	return d
+}
+
+func (r *refGreedy) addPath(sol Solution, u, v int) {
+	p := graph.PathTo32(r.from(u).prev, u, v)
+	for i := 0; i+1 < len(p); i++ {
+		w := math.Inf(1)
+		for ei := r.g.Off[p[i]]; ei < r.g.Off[p[i]+1]; ei++ {
+			if int(r.g.To[ei]) == p[i+1] {
+				w = math.Min(w, r.g.W[ei])
+			}
+		}
+		sol.addEdge(p[i], p[i+1], w)
+	}
+}
+
+func (r *refGreedy) solve(root int, terminals []int, level int) (Solution, error) {
+	for _, t := range terminals {
+		if math.IsInf(r.from(root).dist[t], 1) {
+			return Solution{}, fmt.Errorf("terminal %d unreachable", t)
+		}
+	}
+	rem := slices.Clone(terminals)
+	sol := newSolution(root)
+	for len(rem) > 0 {
+		sub, cov, _ := r.rg(level, len(rem), root, rem)
+		if len(cov) == 0 {
+			return Solution{}, errors.New("no progress")
+		}
+		sol.merge(sub)
+		rem = without(rem, cov)
+	}
+	return sol.Pruned(terminals), nil
+}
+
+func (r *refGreedy) rg(level, k, root int, X []int) (Solution, []int, float64) {
+	sol := newSolution(root)
+	var covered []int
+	var cost float64
+	distR := r.from(root).dist
+	if level <= 1 {
+		cands := sortedCands(X, func(x int) float64 { return distR[x] })
+		for _, c := range cands[:min(k, len(cands))] {
+			r.addPath(sol, root, X[c.xi])
+			covered = append(covered, X[c.xi])
+			cost += c.d
+		}
+		return sol, covered, cost
+	}
+	rem := slices.Clone(X)
+	for k > 0 && len(rem) > 0 {
+		v, cov, c := r.scan(level, k, distR, rem)
+		if v == -1 {
+			break
+		}
+		r.addPath(sol, root, v)
+		for _, x := range cov {
+			r.addPath(sol, v, x)
+		}
+		cost += distR[v] + c
+		covered = append(covered, cov...)
+		rem = without(rem, cov)
+		k -= len(cov)
+	}
+	return sol, covered, cost
+}
+
+// scan returns the vertex, coverage and cost of the strictly smallest
+// density, scanning every vertex in ascending order.
+func (r *refGreedy) scan(level, k int, distR []float64, rem []int) (int, []int, float64) {
+	bestV, best := -1, math.Inf(1)
+	var bestCov []int
+	var bestCost float64
+	for v := 0; v < r.g.N(); v++ {
+		if math.IsInf(distR[v], 1) {
+			continue
+		}
+		if level == 2 {
+			cands := sortedCands(rem, func(x int) float64 { return r.to(x)[v] })
+			prefix := 0.0
+			for kp := 1; kp <= min(k, len(cands)); kp++ {
+				prefix += cands[kp-1].d
+				if dens := (distR[v] + prefix) / float64(kp); dens < best {
+					bestV, best, bestCost, bestCov = v, dens, prefix, nil
+					for _, c := range cands[:kp] {
+						bestCov = append(bestCov, rem[c.xi])
+					}
+				}
+			}
+			continue
+		}
+		for kp := 1; kp <= k; kp++ {
+			_, cov, c := r.rg(level-1, kp, v, rem)
+			if len(cov) == 0 {
+				continue
+			}
+			if dens := (distR[v] + c) / float64(len(cov)); dens < best {
+				bestV, best, bestCov, bestCost = v, dens, cov, c
+			}
+		}
+	}
+	return bestV, bestCov, bestCost
+}
+
+// sortedCands lists the finite (xi, d(X[xi])) pairs in (d, xi) order.
+func sortedCands(X []int, d func(x int) float64) []td {
+	var cands []td
+	for xi, x := range X {
+		if dx := d(x); !math.IsInf(dx, 1) {
+			cands = append(cands, td{xi, dx})
+		}
+	}
+	slices.SortFunc(cands, func(a, b td) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
+		}
+		return a.xi - b.xi
+	})
+	return cands
+}
+
+// without returns xs minus every vertex in cov, keeping order.
+func without(xs, cov []int) []int {
+	var out []int
+	for _, x := range xs {
+		if !slices.Contains(cov, x) {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// weightFamilies are the edge-weight distributions of the reference
+// comparison: continuous weights; small integers; a zero-heavy set that
+// builds plateaus like the auxiliary graph's wait and coverage edges;
+// and tenths, whose sums round.
+var weightFamilies = []struct {
+	name string
+	w    func(*rand.Rand) float64
+}{
+	{"continuous", func(r *rand.Rand) float64 { return r.Float64() * 10 }},
+	{"integers 0-3", func(r *rand.Rand) float64 { return float64(r.Intn(4)) }},
+	{"plateaus", func(r *rand.Rand) float64 { return []float64{0, 0, 0, 0.3, 1.7, 3.1}[r.Intn(6)] }},
+	{"tenths", func(r *rand.Rand) float64 { return float64(r.Intn(40)) / 10 }},
+}
+
+// referenceInstance builds a seeded digraph over n vertices whose
+// backbone reaches every vertex from root 0, plus random extra edges,
+// and k distinct terminals other than the root. One instance in eight
+// also lists a terminal twice, and one in eight adds the root itself.
+func referenceInstance(rng *rand.Rand, n, k int, w func(*rand.Rand) float64) (*graph.CSR, []int) {
+	var el graph.EdgeList
+	for v := 1; v < n; v++ {
+		el.Add(int32(rng.Intn(v)), int32(v), w(rng))
+	}
+	for e := rng.Intn(4 * n); e > 0; e-- {
+		el.Add(int32(rng.Intn(n)), int32(rng.Intn(n)), w(rng))
+	}
+	terms := rng.Perm(n - 1)[:k]
+	for i := range terms {
+		terms[i]++
+	}
+	switch rng.Intn(8) {
+	case 0:
+		terms = append(terms, terms[0])
+	case 1:
+		terms = append(terms, 0)
+	}
+	return csrOf(n, &el), terms
+}
+
+// sameEdges reports whether two edge lists match bit for bit.
+func sameEdges(a, b [][3]float64) bool {
+	return slices.EqualFunc(a, b, func(x, y [3]float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestRecursiveGreedyMatchesUnprunedReference compares the solver with
+// refGreedy on seeded instances in all four weight families: the same
+// edges and the same Cost, bit for bit, at level 2 and, on graphs of at
+// most 30 vertices with at most 5 terminals, level 3, each with one
+// worker and with three. The solver's root-bounded reverse sweeps and
+// pruned scan must pick exactly the (vertex, prefix) the full scan
+// picks.
+func TestRecursiveGreedyMatchesUnprunedReference(t *testing.T) {
+	const instances = 2000
+	rng := rand.New(rand.NewSource(17))
+	runs := 0
+	for i := 0; i < instances; i++ {
+		fam := weightFamilies[i%len(weightFamilies)]
+		n := 2 + rng.Intn(59)
+		g, terms := referenceInstance(rng, n, 1+rng.Intn(min(8, n-1)), fam.w)
+		levels := []int{2}
+		if n <= 30 && len(terms) <= 5 {
+			levels = append(levels, 3)
+		}
+		ref := newRefGreedy(g)
+		for _, level := range levels {
+			want, wantErr := ref.solve(0, terms, level)
+			for _, workers := range []int{1, 3} {
+				s := NewSolver(g).SetWorkers(workers)
+				got, err := s.RecursiveGreedy(0, terms, level)
+				s.Release()
+				runs++
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("instance %d (%s) level %d workers %d: error %v, reference %v", i, fam.name, level, workers, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if !sameEdges(got.Edges(), want.Edges()) {
+					t.Fatalf("instance %d (%s) level %d workers %d: edges\n%v\nreference\n%v", i, fam.name, level, workers, got.Edges(), want.Edges())
+				}
+				if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost()) {
+					t.Fatalf("instance %d (%s) level %d workers %d: cost %v, reference %v", i, fam.name, level, workers, got.Cost(), want.Cost())
+				}
+			}
+		}
+		graph.PutScratch(ref.sc)
+	}
+	t.Logf("%d runs on %d instances", runs, instances)
+}
+
+// TestDistToAllSweepsAgainForALargerLimit is the white-box test of the
+// bwd cache rule. On the chain 0→1→2→3 (weight 1 each) with terminal 3,
+// a scan from root 2 needs d(·, 3) only up to 1, so its sweep cuts off
+// vertices 0 and 1. A later scan from root 0 needs labels up to 3: it
+// must sweep again rather than read the short entry, and then see the
+// labels the first sweep cut off. Every vertex ties at density 3 from
+// root 0, so the first, vertex 0, wins; reading the short entry would
+// pick vertex 2 instead.
+func TestDistToAllSweepsAgainForALargerLimit(t *testing.T) {
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	el.Add(1, 2, 1)
+	el.Add(2, 3, 1)
+	rec := obs.New()
+	s := NewSolver(csrOf(4, &el)).SetObs(rec)
+	defer s.Release()
+	sweeps := func() int64 { return rec.Counter("steiner.dijkstra.bwd").Value() }
+	rem := []int{3}
+
+	if v, cov, _ := s.scanLevel2(1, s.from(2).dist, rem); v != 2 || !slices.Equal(cov, rem) {
+		t.Fatalf("scan from root 2 chose vertex %d covering %v, want 2 covering %v", v, cov, rem)
+	}
+	if d := s.bwd[3].dist; !math.IsInf(d[1], 1) || !math.IsInf(d[0], 1) {
+		t.Fatalf("sweep bounded at root 2's distance kept d(1,3) = %v, d(0,3) = %v; want both cut off", d[1], d[0])
+	}
+	if v, cov, cost := s.scanLevel2(1, s.from(0).dist, rem); v != 0 || !slices.Equal(cov, rem) || math.Float64bits(cost) != math.Float64bits(3) {
+		t.Fatalf("scan from root 0 chose vertex %d covering %v at cost %v, want vertex 0 covering %v at cost 3", v, cov, cost, rem)
+	}
+	if got := sweeps(); got != 2 {
+		t.Fatalf("%d reverse sweeps after the farther root, want 2 (one sweep again)", got)
+	}
+	// The longer entry serves the nearer root again without a sweep.
+	if v, _, _ := s.scanLevel2(1, s.from(2).dist, rem); v != 2 || sweeps() != 2 {
+		t.Fatalf("repeat scan from root 2: vertex %d after %d sweeps, want vertex 2 after 2", v, sweeps())
+	}
+}
+
+// TestCostIsOrderIndependent pins Cost to the (U, V) order of Edges:
+// with weights in tenths, summing the edges in map order can round
+// differently from call to call.
+func TestCostIsOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tenths := weightFamilies[3].w
+	for trial := 0; trial < 20; trial++ {
+		g, terms := referenceInstance(rng, 60, 8, tenths)
+		s := NewSolver(g)
+		sol, err := s.RecursiveGreedy(0, terms, 2)
+		s.Release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want float64
+		for _, e := range sol.Edges() {
+			want += e[2]
+		}
+		for call := 0; call < 50; call++ {
+			if got := sol.Cost(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d call %d: Cost = %v (%#x), want the ordered sum %v (%#x)",
+					trial, call, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}

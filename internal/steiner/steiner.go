@@ -17,7 +17,8 @@
 // bucket-queue Dijkstra (see internal/graph): distances are computed
 // lazily — one forward sweep per recursion root, whose predecessors
 // materialize paths, and one distance-only reverse-graph sweep per
-// terminal — into arena-recycled buffers, and the level-2
+// terminal, stopped at the scan root's own distance to it — into
+// arena-recycled buffers, and the level-2
 // density scan prunes dominated candidate vertices with an admissible
 // lower bound before paying for their candidate sort. Levels >= 3 need
 // forward distances from arbitrary vertices and are therefore restricted
@@ -55,11 +56,12 @@ func newSolution(root int) Solution {
 	return Solution{Root: root, edges: make(map[edgeID]float64)}
 }
 
-// Cost returns the total weight of the distinct edges in the solution.
+// Cost returns the total weight of the distinct edges in the solution,
+// summed in Edges order so that every call rounds the same way.
 func (s Solution) Cost() float64 {
 	var c float64
-	for _, w := range s.edges {
-		c += w
+	for _, e := range s.Edges() {
+		c += e[2]
 	}
 	return c
 }
@@ -207,6 +209,24 @@ type sp struct {
 	prev []int32
 }
 
+// revSlack widens each reverse sweep's limit past the scan root's
+// forward distance distR[x]. That forward label and the reverse label
+// d(r, x) sum one path in opposite orders, so they can differ by
+// rounding; 1e-9 covers the error of paths of over a million edges.
+const revSlack = 1e-9
+
+// sweepLimit is how far a scan whose root has forward distances distR
+// needs the reverse sweep to terminal x.
+func sweepLimit(distR []float64, x int) float64 { return distR[x] * (1 + revSlack) }
+
+// bwdSweep caches one reverse Dijkstra run to a terminal: dist is
+// arena-owned and holds every label up to limit; labels above it read
+// Inf.
+type bwdSweep struct {
+	dist  []float64
+	limit float64
+}
+
 // Solver answers Steiner queries on one CSR digraph with lazily cached
 // shortest-path computations. Acquire with NewSolver, hand back the
 // arena-owned caches with Release when done.
@@ -215,9 +235,10 @@ type Solver struct {
 	rev *graph.CSR  // lazily built transpose; see revGraph / WithReverse
 	fwd map[int]*sp // forward Dijkstra per source
 	// bwd holds the reverse-graph distances per terminal (distances TO
-	// it), arena-owned. Nothing reads a path to a terminal, so these
-	// sweeps run distance-only (graph.CSR.DistancesInto).
-	bwd map[int][]float64
+	// it). Nothing reads a path to a terminal, so these sweeps run
+	// distance-only (graph.CSR.DistancesInto), and only as far as the
+	// scan that asked for them can use (distToAll).
+	bwd map[int]bwdSweep
 	// arena recycles the dist/prev buffers across solver instances; the
 	// serial scratch holds the bucket queue between runs. Parallel
 	// workers take their own scratch from the package pool.
@@ -251,7 +272,6 @@ type Solver struct {
 	// serially before a fan-out or read after it joins.
 	dTo       [][]float64  // distToAll result, aliased into bwd cache entries
 	missing   []int        // distToAll cache-miss indices
-	computed  [][]float64  // distToAll per-miss result slots
 	locals    []level2Best // per-chunk scan winners
 	cands     [][]td       // per-chunk candidate (terminal, distance) pairs
 	covBuf    [][]int      // per-chunk winning-coverage accumulators
@@ -280,7 +300,7 @@ func NewSolver(g *graph.CSR) *Solver {
 	return &Solver{
 		g:       g,
 		fwd:     make(map[int]*sp),
-		bwd:     make(map[int][]float64),
+		bwd:     make(map[int]bwdSweep),
 		arena:   graph.GetArena(),
 		scratch: graph.GetScratch(),
 		workers: 1,
@@ -308,8 +328,8 @@ func (s *Solver) Release() {
 		s.arena.PutF64(c.dist)
 		s.arena.PutI32(c.prev)
 	}
-	for _, d := range s.bwd {
-		s.arena.PutF64(d)
+	for _, b := range s.bwd {
+		s.arena.PutF64(b.dist)
 	}
 	s.fwd, s.bwd = nil, nil
 	st := s.arena.Stats()
@@ -372,60 +392,72 @@ func (s *Solver) from(u int) *sp {
 	n := s.g.N()
 	//tmedbvet:ignore hotalloc fwd cache fill: one pair of arena-backed headers per distinct source, amortized across every later query
 	c := &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
+	pops := s.scratch.Pops
 	s.g.ShortestPathsInto(u, c.dist, c.prev, s.scratch)
+	s.obs.Counter("steiner.dijkstra.fwd_settled").Add(s.scratch.Pops - pops)
 	s.fwd[u] = c
 	return c
 }
 
-// distToAll returns dTo[xi] = dist(·, rem[xi]) for every terminal,
-// running the cache-missing reverse Dijkstras across the worker pool.
-// Result buffers are taken from the solver's arena serially before the
-// fan-out; workers only read the immutable reverse graph and write their
-// own pre-assigned slot with a pool-local scratch, so the arena is never
+// distToAll returns dTo[xi] = dist(·, rem[xi]) for every terminal, as
+// far as a density scan from a root with forward distances distR can
+// use: every label up to sweepLimit(distR, x) is exact, and larger ones
+// may read Inf, which cannot change the scan's winner (DESIGN.md §11,
+// "Root-bounded reverse sweeps").
+//
+// A cached sweep serves any scan whose limit is no larger than its
+// own; a scan from a farther root (levels >= 3) sweeps the terminal
+// again. The sweeps run across the worker pool. Entries are registered
+// serially before the fan-out, so a terminal listed twice sweeps once;
+// workers only read the immutable reverse graph and fill their own
+// entry's buffer with a pool-local scratch, so the arena is never
 // touched concurrently.
-func (s *Solver) distToAll(rem []int) [][]float64 {
+func (s *Solver) distToAll(distR []float64, rem []int) [][]float64 {
 	if cap(s.dTo) < len(rem) {
 		s.dTo = make([][]float64, len(rem))
 		s.missing = make([]int, 0, len(rem))
 	}
 	dTo := s.dTo[:len(rem)]
-	missing := s.missing[:0] // indices into rem with no cached run
+	missing := s.missing[:0] // indices into rem to sweep
 	for xi, x := range rem {
-		if d, ok := s.bwd[x]; ok {
-			dTo[xi] = d
-		} else {
-			missing = append(missing, xi)
+		limit := sweepLimit(distR, x)
+		b, ok := s.bwd[x]
+		if !ok {
+			b.dist = s.arena.F64(s.g.N())
 		}
+		dTo[xi] = b.dist
+		if ok && b.limit >= limit {
+			continue
+		}
+		b.limit = limit
+		s.bwd[x] = b
+		missing = append(missing, xi)
 	}
 	if len(missing) == 0 {
 		return dTo
 	}
 	rev := s.revGraph()
-	n := s.g.N()
-	if cap(s.computed) < len(missing) {
-		s.computed = make([][]float64, len(missing))
-	}
-	computed := s.computed[:len(missing)]
-	for mi := range missing {
-		computed[mi] = s.arena.F64(n)
-	}
 	s.obs.Counter("steiner.dijkstra.bwd").Add(int64(len(missing)))
+	settled := s.obs.Counter("steiner.dijkstra.bwd_settled")
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
 	err := parallel.ForEach(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
+		xi := missing[mi]
 		sc := graph.GetScratch()
-		rev.DistancesInto(rem[missing[mi]], computed[mi], sc)
+		rev.DistancesInto(rem[xi], sweepLimit(distR, rem[xi]), dTo[xi], sc)
+		settled.Add(sc.Pops)
 		flushScratch(s.obs, sc)
 		graph.PutScratch(sc)
 	})
 	if err != nil {
+		// Drop the entries the fan-out may have left unfilled.
+		for _, xi := range missing {
+			s.arena.PutF64(dTo[xi])
+			delete(s.bwd, rem[xi])
+		}
 		if s.tripped == nil {
 			s.tripped = err
 		}
 		return nil
-	}
-	for mi, xi := range missing {
-		s.bwd[rem[xi]] = computed[mi]
-		dTo[xi] = computed[mi]
 	}
 	return dTo
 }
@@ -565,7 +597,7 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, float64) {
 	s.obs.Counter("steiner.level2.scans").Inc()
 	s.obs.Counter("steiner.level2.vertices_scanned").Add(int64(s.g.N()))
-	dTo := s.distToAll(rem) // dTo[xi][v] = dist(v, rem[xi])
+	dTo := s.distToAll(distR, rem) // dTo[xi][v] = dist(v, rem[xi]), root-bounded
 	if dTo == nil {
 		return -1, nil, 0 // cancellation latched in distToAll
 	}
@@ -620,9 +652,11 @@ type td struct {
 // A vertex whose bound already reaches the best density seen cannot win
 // — winners update on strictly-less — so skipping it never changes the
 // selected (vertex, prefix). Tier 1 costs one division; tier 2 falls out
-// of the candidate-collection pass and skips the sort. Each parallel
-// chunk starts from its own +Inf best, so chunks prune less than the
-// serial scan but select identical winners.
+// of the candidate-collection pass and skips the sort. The root-bounded
+// reverse sweeps (distToAll) shrink candidate lists, and with them kv,
+// but never below the winner's prefix size, so tier 2 stays admissible
+// for the winner. Each parallel chunk starts from its own +Inf best, so
+// chunks prune less than the serial scan but select identical winners.
 func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]float64, chunk int, r parallel.Range) level2Best {
 	best := level2Best{v: -1, density: math.Inf(1)}
 	// Chunk-owned buffers: first scan grows them, every later scan runs
