@@ -445,37 +445,6 @@ func BenchmarkGapTable(b *testing.B) {
 	}
 }
 
-func BenchmarkEditChurnTable(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		logOnce(b, i, EditChurnTable(cfg))
-	}
-}
-
-// TestEditChurnTableAllRoundsPatch pins the edit-churn workload's
-// contract at the experiments layer: the cumulative patch-hit series
-// must count every round — round r's re-solve derived its DTS from
-// round r-1's memo entry — otherwise the perf gate's dts.patch.hit_rate
-// is measuring a workload that silently stopped exercising the
-// incremental path.
-func TestEditChurnTableAllRoundsPatch(t *testing.T) {
-	res := EditChurnTable(benchConfig())
-	var patched *Series
-	for _, s := range res.Series {
-		if s.Label == "patch-hits" {
-			patched = s
-		}
-	}
-	if patched == nil {
-		t.Fatal("edit-churn table has no patch-hits series")
-	}
-	for i, y := range patched.Y {
-		if want := float64(i + 1); y != want {
-			t.Errorf("round %d: cumulative patch hits = %g, want %g (a round fell back to a cold rebuild)", i+1, y, want)
-		}
-	}
-}
-
 // BenchmarkIncrementalEditSolve is the single-edit replan comparison:
 // after one contact edit, "cold" rebuilds the graph from the trace and
 // solves from scratch (fresh graph identity, so no memoized artifact is
@@ -527,8 +496,9 @@ func BenchmarkIncrementalEditSolve(b *testing.B) {
 // post-edit solve on the live graph must derive its DTS by patching the
 // previous version's memo entry — never fall back to a cold global
 // recompute — which is what makes the incremental path beat the cold
-// rebuild. Wall-clock is left to the benchmark; the counters cannot
-// flake.
+// rebuild. The rounds cycle through all three edit kinds (add, retime,
+// remove), so each one's patch path is covered. Wall-clock is left to
+// the benchmark; the counters cannot flake.
 func TestIncrementalEditSolvePatchesInsteadOfRebuilding(t *testing.T) {
 	tr := GenerateTrace(TraceOptions{N: 20}, 1)
 	g := tr.ToTVEG(0, DefaultParams(), Static).EnableCostCache()
@@ -542,13 +512,21 @@ func TestIncrementalEditSolvePatchesInsteadOfRebuilding(t *testing.T) {
 	}
 	solve() // warm the version-keyed memos
 	hits0, misses0 := dts.PatchStats()
-	iv := Interval{Start: 9100, End: 9500}
+	added := Interval{Start: 9100, End: 9500}
+	retimed := Interval{Start: 9190, End: 9590}
 	const rounds = 6
 	for r := 0; r < rounds; r++ {
-		if r%2 == 0 {
-			g.AddContact(0, 9, iv, 8)
-		} else {
-			g.RemoveContact(0, 9, iv)
+		switch r % 3 {
+		case 0:
+			g.AddContact(0, 9, added, 8)
+		case 1:
+			if ok, err := g.RetimeChannel(0, 9, added, retimed); !ok || err != nil {
+				t.Fatalf("round %d: retime %v -> %v: ok=%v err=%v", r, added, retimed, ok, err)
+			}
+		default:
+			if !g.RemoveContact(0, 9, retimed) {
+				t.Fatalf("round %d: remove %v changed nothing", r, retimed)
+			}
 		}
 		solve()
 	}

@@ -1,10 +1,11 @@
 // Command figures regenerates every figure panel of the paper's
 // evaluation section (§VII) as plain data tables: Fig. 4(a)/(b),
-// Fig. 5(a)/(b), Fig. 6(a)/(b), and Fig. 7(a)/(b).
+// Fig. 5(a)/(b), Fig. 6(a)/(b), and Fig. 7(a)/(b), plus the
+// supplementary complexity and approximation-gap tables.
 //
 // Usage:
 //
-//	figures [-panel all|4a|4b|5a|5b|6|7a|7b] [-quick] [-seed 1]
+//	figures [-panel all|4a|4b|5a|5b|6|7a|7b|complexity|gap] [-quick] [-seed 1]
 //
 // -quick trims the sweep (one source, fewer trials) for a fast preview;
 // the default runs the full paper grid and takes a few minutes.
@@ -21,7 +22,7 @@ import (
 
 func main() {
 	var (
-		panel    = flag.String("panel", "all", "panel to regenerate: all|4a|4b|5a|5b|6|7a|7b|complexity|gap|edit")
+		panel    = flag.String("panel", "all", "panel to regenerate: all|4a|4b|5a|5b|6|7a|7b|complexity|gap")
 		quick    = flag.Bool("quick", false, "single source, fewer Monte Carlo trials")
 		seed     = flag.Int64("seed", 1, "trace seed")
 		workers  = flag.Int("workers", 0, "worker pool size for the sweep and the solver cores (0: GOMAXPROCS); tables are identical for every value")
@@ -88,14 +89,6 @@ func main() {
 	}
 	if want("gap") {
 		emit(tmedb.GapTable(cfg))
-		ran = true
-	}
-	// The edit-churn panel is opt-in (not part of -panel all): it is the
-	// incremental-edit perf workload, and folding it into the Fig4-7
-	// sweep would shift that sweep's gated counters against the committed
-	// baseline.
-	if *panel == "edit" {
-		emit(tmedb.EditChurnTable(cfg))
 		ran = true
 	}
 	if !ran {

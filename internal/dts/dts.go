@@ -116,13 +116,6 @@ func (d *DTS) ID() uint64 { return d.id }
 // production code must never call it.
 func (d *DTS) SetIDForTest(id uint64) { d.id = id }
 
-// SetLineageForTest overrides the graph lineage the Options.Reuse gate
-// checks. It exists solely so regression tests can forge a pre-edit DTS
-// into the current version's lineage and prove a gate without the
-// version check serves stale time points; production code must never
-// call it.
-func (d *DTS) SetLineageForTest(gid, gver uint64) { d.gid, d.gver = gid, gver }
-
 // DerivedFrom returns the identity and build-time graph version of the
 // memoized ancestor this DTS was patched from. ok = false for cold
 // builds and hand-constructed values — there is no ancestor whose

@@ -25,7 +25,6 @@ import "sync"
 type Arena struct {
 	f64 [][]float64
 	i32 [][]int32
-	b   [][]bool
 
 	reuses, allocs int64
 }
@@ -82,30 +81,6 @@ func (a *Arena) I32(n int) []int32 {
 func (a *Arena) PutI32(s []int32) {
 	if a != nil && cap(s) > 0 {
 		a.i32 = append(a.i32, s[:0])
-	}
-}
-
-// Bools returns a bool slice of length n with undefined contents.
-func (a *Arena) Bools(n int) []bool {
-	if a == nil {
-		return make([]bool, n)
-	}
-	for i := len(a.b) - 1; i >= 0 && i >= len(a.b)-takeDepth; i-- {
-		if cap(a.b[i]) >= n {
-			s := a.b[i][:n]
-			a.b = append(a.b[:i], a.b[i+1:]...)
-			a.reuses++
-			return s
-		}
-	}
-	a.allocs++
-	return make([]bool, n)
-}
-
-// PutBools returns a buffer to the arena. s may be nil.
-func (a *Arena) PutBools(s []bool) {
-	if a != nil && cap(s) > 0 {
-		a.b = append(a.b, s[:0])
 	}
 }
 

@@ -37,12 +37,8 @@ func TestNilArenaDegradesToMake(t *testing.T) {
 	if got := a.I32(5); len(got) != 5 {
 		t.Fatalf("nil arena I32 len %d", len(got))
 	}
-	if got := a.Bools(5); len(got) != 5 {
-		t.Fatalf("nil arena Bools len %d", len(got))
-	}
 	a.PutF64(nil)
 	a.PutI32(nil)
-	a.PutBools(nil)
 	if st := a.Stats(); st != (ArenaStats{}) {
 		t.Fatalf("nil arena stats %+v", st)
 	}
