@@ -186,18 +186,10 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	// the result. The filter decisions are additionally recorded as
 	// per-node bitsets over the global list, so a later edit can derive
 	// the next version's DTS without re-querying unedited nodes.
-	words := (len(global) + 63) / 64
 	pts := make([][]float64, n)
 	member := make([][]uint64, n)
 	err = parallel.ForEach(opts.Obs.Pool("dts.filter"), tok, opts.Workers, n, func(i int) {
-		bits := make([]uint64, words)
-		var mine []float64
-		for p, x := range global {
-			if opts.NoPrune || g.DegreeAt(tvg.NodeID(i), x) > 0 {
-				mine = append(mine, x)
-				bits[p>>6] |= 1 << uint(p&63)
-			}
-		}
+		mine, bits := filterNode(g, tvg.NodeID(i), global, opts.NoPrune)
 		mine = append(mine, t0, deadline)
 		pts[i] = dedupSorted(mine)
 		member[i] = bits
@@ -269,6 +261,29 @@ func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.T
 		global = base
 	}
 	return base, global, nil
+}
+
+// filterNode runs step 3 for node i from scratch: it returns the global
+// points i keeps (those where i has a neighbor, or every point under
+// noPrune), with room for the two window endpoints, and their
+// membership bitset over global. One merge-walk of the sorted global
+// list against i's presence intervals answers every point
+// (tvg.Graph.ActivePoints).
+func filterNode(g *tvg.Graph, i tvg.NodeID, global []float64, noPrune bool) ([]float64, []uint64) {
+	bits := make([]uint64, (len(global)+63)/64)
+	if noPrune {
+		for p := range global {
+			bits[p>>6] |= 1 << uint(p&63)
+		}
+		return append(make([]float64, 0, len(global)+2), global...), bits
+	}
+	idx := g.ActivePoints(i, global, nil)
+	mine := make([]float64, 0, len(idx)+2)
+	for _, p := range idx {
+		mine = append(mine, global[p])
+		bits[p>>6] |= 1 << uint(p&63)
+	}
+	return mine, bits
 }
 
 func dedupSorted(xs []float64) []float64 {

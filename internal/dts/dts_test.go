@@ -1,9 +1,11 @@
 package dts
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -299,5 +301,149 @@ func TestMemoReturnsSharedIdenticalDTS(t *testing.T) {
 	}
 	if d5 == d1 {
 		t.Fatal("memo served a stale DTS after AddContact")
+	}
+}
+
+// checkFilter asserts that d's membership bitsets keep exactly the
+// global points at which each node has a neighbor, the DegreeAt oracle
+// the merge-walk filter replaces.
+func checkFilter(t *testing.T, g *tvg.Graph, d *DTS, label string) {
+	t.Helper()
+	for i := 0; i < g.N(); i++ {
+		for p, x := range d.global {
+			got := d.member[i][p>>6]&(1<<uint(p&63)) != 0
+			if want := g.DegreeAt(tvg.NodeID(i), x) > 0; got != want {
+				t.Fatalf("%s: node %d at global point %v (x+τ = %v): kept = %v, DegreeAt > 0 = %v",
+					label, i, x, x+g.Tau(), got, want)
+			}
+		}
+	}
+}
+
+// TestFilterMatchesDegreeOracle checks the per-node filter against
+// DegreeAt at every global point, on cold and patched builds: random
+// graphs for τ ∈ {0, 0.5, 3}, and crafted contacts whose ends sit
+// exactly on, or one ulp either side of, x+τ for a global point x,
+// with τ chosen so that ContainsWindow's x+τ < End and Erode's x <
+// End−τ round apart.
+func TestFilterMatchesDegreeOracle(t *testing.T) {
+	PurgeMemo()
+	defer PurgeMemo()
+	for _, tau := range []float64{0, 0.5, 3} {
+		r := rand.New(rand.NewSource(int64(1 + 10*tau)))
+		for trial := 0; trial < 8; trial++ {
+			g := randomGraph(r, 8, tau)
+			cold, err := Build(g, 0, 200, Options{NoMemo: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFilter(t, g, cold, fmt.Sprintf("τ=%g trial %d cold", tau, trial))
+			if _, err := Build(g, 0, 200, Options{}); err != nil {
+				t.Fatal(err)
+			}
+			patched := 0
+			for step := 0; step < 8; step++ {
+				if !randomEdit(r, g) {
+					continue
+				}
+				d, err := Build(g, 0, 200, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, ok := d.DerivedFrom(); ok {
+					patched++
+				}
+				checkFilter(t, g, d, fmt.Sprintf("τ=%g trial %d step %d", tau, trial, step))
+			}
+			if patched == 0 {
+				t.Fatalf("τ=%g trial %d: no build went through the patch path", tau, trial)
+			}
+		}
+	}
+
+	nudge := func(x float64, ulps int) float64 {
+		for ; ulps > 0; ulps-- {
+			x = math.Nextafter(x, math.Inf(1))
+		}
+		for ; ulps < 0; ulps++ {
+			x = math.Nextafter(x, math.Inf(-1))
+		}
+		return x
+	}
+	// The starts are picked so that, at τ = 0.3 and 1.1, q+τ and
+	// (q+τ)−τ round on different sides of the window test at some
+	// global point: there, Erode's form keeps what ContainsWindow drops
+	// or the reverse.
+	for _, c := range []struct {
+		tau    float64
+		starts []float64
+	}{
+		{0, []float64{10.1, 33.3}},
+		{0.3, []float64{7, 63}},
+		{1.1, []float64{1.1, 2.8}},
+	} {
+		tau := c.tau
+		kept, dropped, split := 0, 0, 0
+		for _, s := range c.starts {
+			// q is a global point: s is a breakpoint, and the +kτ
+			// closure (τ > 0) or the (0,2) contact's start (τ = 0)
+			// puts q next to it.
+			q := s + float64(3)*tau
+			if tau == 0 {
+				q = s + 20
+			}
+			for dEnd := -1; dEnd <= 1; dEnd++ {
+				for dStart := -1; dStart <= 1; dStart++ {
+					label := fmt.Sprintf("crafted τ=%g s=%g end%+d start%+d", tau, s, dEnd, dStart)
+					end := nudge(q+tau, dEnd)
+					g := tvg.New(4, iv(0, 200), tau)
+					g.AddContact(0, 1, iv(s, end))
+					g.AddContact(0, 2, iv(nudge(q, dStart), q+50))
+					g.AddContact(2, 3, iv(q+tau, q+60))
+					d, err := Build(g, 0, 200, Options{NoMemo: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkFilter(t, g, d, label+" cold")
+					p := sort.Search(len(d.global), func(p int) bool { return d.global[p] >= q-timeEps })
+					if p == len(d.global) || math.Abs(d.global[p]-q) > timeEps {
+						t.Fatalf("%s: no global point at %v: %v", label, q, d.global)
+					}
+					if d.member[1][p>>6]&(1<<uint(p&63)) != 0 {
+						kept++
+					} else {
+						dropped++
+					}
+					for _, x := range d.global {
+						if x >= s && (x+tau < end) != (x < end-tau) {
+							split++
+						}
+					}
+
+					PurgeMemo()
+					if _, err := Build(g, 0, 200, Options{}); err != nil {
+						t.Fatal(err)
+					}
+					g.AddContact(1, 3, iv(q+tau, q+70))
+					d, err = Build(g, 0, 200, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, ok := d.DerivedFrom(); !ok {
+						t.Fatalf("%s: the edited build did not patch", label)
+					}
+					checkFilter(t, g, d, label+" patched")
+				}
+			}
+		}
+		// Node 1 meets only node 0, so at q its answer is the boundary
+		// test alone: the crafted ends must land on both sides of it,
+		// and for τ > 0 some global point must tell the two forms apart.
+		if kept == 0 || dropped == 0 {
+			t.Fatalf("τ=%g: node 1 kept the boundary point %d times and dropped it %d times; the crafted ends missed the boundary", tau, kept, dropped)
+		}
+		if tau > 0 && split == 0 {
+			t.Fatalf("τ=%g: no crafted global point separates x+τ < End from x < End−τ", tau)
+		}
 	}
 }

@@ -89,17 +89,12 @@ func patch(g *tvg.Graph, parent *DTS, edits []tvg.EdgeKey, t0, deadline float64,
 	member := make([][]uint64, n)
 	var reused, fresh atomic.Int64
 	err = parallel.ForEach(opts.Obs.Pool("dts.patch"), tok, opts.Workers, n, func(i int) {
-		bits := make([]uint64, words)
+		var bits []uint64
 		var mine []float64
 		if edited[i] {
 			// An endpoint of an edited pair: its degree function changed,
 			// so every filter decision is recomputed (the cold code).
-			for p, x := range global {
-				if opts.NoPrune || g.DegreeAt(tvg.NodeID(i), x) > 0 {
-					mine = append(mine, x)
-					bits[p>>6] |= 1 << uint(p&63)
-				}
-			}
+			mine, bits = filterNode(g, tvg.NodeID(i), global, opts.NoPrune)
 			fresh.Add(int64(len(global)))
 		} else {
 			// Unedited node: its degree function is untouched by the
@@ -108,6 +103,7 @@ func patch(g *tvg.Graph, parent *DTS, edits []tvg.EdgeKey, t0, deadline float64,
 			// merge-walk pairs the two sorted lists; points new to this
 			// version (or whose dedup representative shifted) have no bit
 			// to inherit and are queried fresh.
+			bits = make([]uint64, words)
 			pg := parent.global
 			pm := parent.member[i]
 			nr, nf := 0, 0

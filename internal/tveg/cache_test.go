@@ -1,11 +1,14 @@
 package tveg
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/channel"
 	"repro/internal/interval"
+	"repro/internal/parallel"
 	"repro/internal/tvg"
 )
 
@@ -124,5 +127,74 @@ func TestChannelMemoMatchesDirect(t *testing.T) {
 	memo.Reset()
 	if memo.Len() != 0 {
 		t.Errorf("memo holds %d entries after Reset", memo.Len())
+	}
+}
+
+// TestCostCacheConcurrentQueries runs DCS and MinCost over every
+// (node, point) pair from four workers at once, on a Static and a
+// Rayleigh view sharing one cache, twice over. Every answer must equal
+// the uncached twin's, and every query must count as exactly one hit
+// or one miss. Run it under -race: the per-node tables are written
+// while other workers read them.
+func TestCostCacheConcurrentQueries(t *testing.T) {
+	cached, plain := randomGraphPair(RayleighFading)
+	var points []float64
+	for p := 0.0; p < 1000; p += 12.5 {
+		points = append(points, p)
+	}
+	n := cached.N()
+	type query struct {
+		model Model
+		i     tvg.NodeID
+		t     float64
+	}
+	var qs []query
+	for _, m := range []Model{Static, RayleighFading} {
+		for i := 0; i < n; i++ {
+			for _, p := range points {
+				qs = append(qs, query{m, tvg.NodeID(i), p})
+			}
+		}
+	}
+	views := map[Model][2]*Graph{
+		Static:         {cached.WithModel(Static), plain.WithModel(Static)},
+		RayleighFading: {cached, plain},
+	}
+	for pass := 0; pass < 2; pass++ {
+		err := parallel.ForEach(nil, nil, 4, len(qs), func(k int) {
+			q := qs[k]
+			c, u := views[q.model][0], views[q.model][1]
+			if a, b := c.DCS(q.i, q.t), u.DCS(q.i, q.t); !slices.Equal(a, b) {
+				t.Errorf("%v: DCS(%d,%g) = %v cached, %v uncached", q.model, q.i, q.t, a, b)
+			}
+			for j := 0; j < n; j++ {
+				if tvg.NodeID(j) == q.i {
+					continue
+				}
+				a, b := c.MinCost(q.i, tvg.NodeID(j), q.t), u.MinCost(q.i, tvg.NodeID(j), q.t)
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Errorf("%v: MinCost(%d,%d,%g) = %g cached, %g uncached", q.model, q.i, j, q.t, a, b)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, _ := cached.CostCacheStats()
+	dcsQueries, minCostQueries := int64(2*len(qs)), int64(2*len(qs)*(n-1))
+	if got := st.DCSHits + st.DCSMisses; got != dcsQueries {
+		t.Errorf("DCS hits+misses = %d, want %d queries", got, dcsQueries)
+	}
+	if got := st.MinCostHits + st.MinCostMisses; got != minCostQueries {
+		t.Errorf("MinCost hits+misses = %d, want %d queries", got, minCostQueries)
+	}
+	// The second pass finds every key the first one stored.
+	if st.DCSHits < dcsQueries/2 || st.MinCostHits < minCostQueries/2 {
+		t.Errorf("hits DCS %d, MinCost %d: the second pass missed stored keys", st.DCSHits, st.MinCostHits)
+	}
+	if st.DCSSize != int64(len(qs)) || st.MinCostSize != int64(len(qs)*(n-1)) {
+		t.Errorf("cache holds %d DCS and %d MinCost entries, want %d and %d",
+			st.DCSSize, st.MinCostSize, len(qs), len(qs)*(n-1))
 	}
 }

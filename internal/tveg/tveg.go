@@ -201,14 +201,12 @@ func (g *Graph) EDAt(i, j tvg.NodeID, t float64) channel.EDFunction {
 // when the edge is absent.
 func (g *Graph) MinCost(i, j tvg.NodeID, t float64) float64 {
 	if g.cache != nil {
-		k := minCostKey{i, j, t, g.Model, g.Params.Eps}
-		if v, ok := g.cache.minCost.Load(k); ok {
-			g.cache.minCostHits.Add(1)
-			return v.(float64)
+		k := minCostKey{j, t, g.Model, g.Params.Eps}
+		if w, ok := g.cache.loadMinCost(i, k); ok {
+			return w
 		}
-		g.cache.minCostMisses.Add(1)
 		w := g.minCostUncached(i, j, t)
-		g.cache.minCost.Store(k, w)
+		g.cache.storeMinCost(i, k, w)
 		return w
 	}
 	return g.minCostUncached(i, j, t)
@@ -249,14 +247,12 @@ type CostLevel struct {
 // other callers and must not be modified.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
 	if g.cache != nil {
-		k := dcsKey{i, t, g.Model, g.Params.Eps}
-		if v, ok := g.cache.dcs.Load(k); ok {
-			g.cache.dcsHits.Add(1)
-			return v.([]CostLevel)
+		k := dcsKey{t, g.Model, g.Params.Eps}
+		if v, ok := g.cache.loadDCS(i, k); ok {
+			return v
 		}
-		g.cache.dcsMisses.Add(1)
 		out := g.dcsUncached(i, t)
-		g.cache.dcs.Store(k, out)
+		g.cache.storeDCS(i, k, out)
 		return out
 	}
 	return g.dcsUncached(i, t)

@@ -48,7 +48,7 @@ func (g *Graph) TemporalEccentricity(t0 float64) []float64 {
 			if j == i {
 				continue
 			}
-			if a >= 1e308 { // EarliestArrivals' unreachable sentinel
+			if math.IsInf(a, 1) {
 				worst = math.Inf(1)
 				break
 			}

@@ -1,6 +1,7 @@
 package tvg
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/interval"
@@ -19,13 +20,16 @@ type Edit struct {
 const journalCap = 128
 
 // record appends a journal entry for the mutation that just bumped
-// g.version, trimming the oldest history past journalCap.
+// g.version, trimming the oldest history past journalCap. The trim
+// reslices instead of copying the retained entries down, so a long run
+// of edits (a trace replayed through AddContact) costs amortized O(1)
+// per edit: append copies the live entries only when it reallocates.
 func (g *Graph) record(k EdgeKey) {
 	g.journal = append(g.journal, Edit{Pair: k, Version: g.version})
 	if len(g.journal) > journalCap {
 		drop := len(g.journal) - journalCap
 		g.journalBase = g.journal[drop-1].Version
-		g.journal = append(g.journal[:0], g.journal[drop:]...)
+		g.journal = g.journal[drop:]
 	}
 }
 
@@ -44,33 +48,31 @@ func (g *Graph) RemoveContact(i, j NodeID, iv interval.Interval) bool {
 	if iv.Empty() {
 		return false
 	}
-	k := MakeEdgeKey(i, j)
-	old, existed := g.presence[k]
+	a, existed := g.slot(i, j)
 	if !existed {
 		return false
 	}
+	old := g.pres[i][a]
 	next := old.Subtract(iv)
 	if next.Equal(old) {
 		return false
 	}
+	b, _ := g.slot(j, i)
 	if next.Empty() {
-		delete(g.presence, k)
-		g.neighbors[i] = removeSorted(g.neighbors[i], j)
-		g.neighbors[j] = removeSorted(g.neighbors[j], i)
+		g.deleteSlot(i, a)
+		g.deleteSlot(j, b)
 	} else {
-		g.presence[k] = next
+		g.pres[i][a], g.pres[j][b] = next, next
 	}
 	g.version++
-	g.record(k)
+	g.record(MakeEdgeKey(i, j))
 	return true
 }
 
-func removeSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i >= len(s) || s[i] != v {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
+// deleteSlot removes the k-th neighbor of i and its presence.
+func (g *Graph) deleteSlot(i NodeID, k int) {
+	g.neighbors[i] = slices.Delete(g.neighbors[i], k, k+1)
+	g.pres[i] = slices.Delete(g.pres[i], k, k+1)
 }
 
 // Journal returns the retained mutation journal entries with

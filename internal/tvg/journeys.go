@@ -43,11 +43,11 @@ func (g *Graph) ForemostJourney(src, dst NodeID, t0 float64) Journey {
 		if NodeID(best) == dst {
 			break
 		}
-		for _, j := range g.neighbors[best] {
+		for k, j := range g.neighbors[best] {
 			if done[j] {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(NodeID(best), j, arr[best])
+			t, ok := g.earliestTransmissionAfter(g.pres[best][k], arr[best])
 			if ok && t+g.tau < arr[j] {
 				arr[j] = t + g.tau
 				prevHop[j] = Hop{From: NodeID(best), To: j, T: t}
@@ -102,8 +102,8 @@ func (g *Graph) ShortestJourney(src, dst NodeID, t0 float64) Journey {
 			if cur[u] >= inf {
 				continue
 			}
-			for _, v := range g.neighbors[u] {
-				t, ok := g.earliestTransmissionAfter(NodeID(u), v, cur[u])
+			for k, v := range g.neighbors[u] {
+				t, ok := g.earliestTransmissionAfter(g.pres[u][k], cur[u])
 				if ok && t+g.tau < next[v] {
 					next[v] = t + g.tau
 					improved = true
@@ -132,11 +132,11 @@ func (g *Graph) ShortestJourney(src, dst NodeID, t0 float64) Journey {
 			continue // cur was already reached with fewer hops
 		}
 		found := false
-		for _, u := range g.neighbors[cur] {
+		for k, u := range g.neighbors[cur] {
 			if a[h-1][u] >= inf {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(u, cur, a[h-1][u])
+			t, ok := g.earliestTransmissionAfter(g.pres[cur][k], a[h-1][u])
 			if ok && t+g.tau == a[h][cur] {
 				rev = append(rev, Hop{From: u, To: cur, T: t})
 				cur = u
@@ -196,12 +196,11 @@ func (g *Graph) FastestJourney(src, dst NodeID, t0, tEnd float64) Journey {
 func (g *Graph) departureCandidates(src NodeID, t0, tEnd float64) []float64 {
 	out := []float64{t0}
 	for i := 0; i < g.n; i++ {
-		for _, j := range g.neighbors[i] {
+		for k, j := range g.neighbors[i] {
 			if NodeID(i) > j {
 				continue // each edge once
 			}
-			eroded := g.Presence(NodeID(i), j).Erode(g.tau)
-			for _, iv := range eroded.Intervals() {
+			for _, iv := range g.pres[i][k].Erode(g.tau).Intervals() {
 				if iv.Start >= t0 && iv.Start <= tEnd {
 					out = append(out, iv.Start)
 				}
@@ -213,12 +212,13 @@ func (g *Graph) departureCandidates(src NodeID, t0, tEnd float64) []float64 {
 
 // Reachability reports, for every node, whether a journey from src
 // departing at or after t1 can arrive by t2 — one row of the temporal
-// reachability graph of Whitbeck et al.
+// reachability graph of Whitbeck et al. An unreachable node stays
+// unreachable for t2 = +Inf.
 func (g *Graph) Reachability(src NodeID, t1, t2 float64) []bool {
 	arr := g.EarliestArrivals(src, t1)
 	out := make([]bool, g.n)
 	for i, a := range arr {
-		out[i] = a <= t2
+		out[i] = a <= t2 && !math.IsInf(a, 1)
 	}
 	return out
 }

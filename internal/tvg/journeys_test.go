@@ -1,7 +1,9 @@
 package tvg
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -128,6 +130,21 @@ func TestReachability(t *testing.T) {
 	}
 	if !r[2] {
 		t.Error("node 2 should be reachable by t=40 (arrives 31)")
+	}
+}
+
+// TestReachabilityUnboundedWindow pins that an isolated node stays
+// unreachable when the window never closes: unreachable arrivals are
+// +Inf, not a finite sentinel that t2 = +Inf would admit.
+func TestReachabilityUnboundedWindow(t *testing.T) {
+	g := New(3, iv(0, 10), 0)
+	g.AddContact(0, 1, iv(0, 10))
+	r := g.Reachability(0, 0, math.Inf(1))
+	if want := []bool{true, true, false}; !slices.Equal(r, want) {
+		t.Errorf("Reachability(0, 0, +Inf) = %v, want %v", r, want)
+	}
+	if c := g.TemporalCloseness(0, math.Inf(1)); c[2] != 0 {
+		t.Errorf("TemporalCloseness(0, +Inf)[2] = %g, want 0 for the isolated node", c[2])
 	}
 }
 

@@ -7,9 +7,10 @@
 package tvg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/interval"
@@ -36,17 +37,21 @@ func MakeEdgeKey(i, j NodeID) EdgeKey {
 // wireless contacts are symmetric. The zero value is not usable; create
 // graphs with New.
 type Graph struct {
-	n        int
-	span     interval.Interval
-	tau      float64
-	presence map[EdgeKey]interval.Set
+	n    int
+	span interval.Interval
+	tau  float64
 	// neighbors[i] lists the nodes that share at least one presence
-	// interval with i, kept sorted for determinism.
+	// interval with i, kept sorted for determinism. pres[i] runs
+	// parallel to it: pres[i][k] is the presence of the pair
+	// (i, neighbors[i][k]), and both endpoints hold the same Set, so
+	// every presence query is a slot read or a binary search, never a
+	// hash.
 	neighbors [][]NodeID
-	// version counts topology mutations (AddContact calls that change
-	// presence). Memo caches downstream (dts, auxgraph) key on the
-	// (graph ID, version) pair, so a mutated graph never serves a
-	// stale cached artifact.
+	pres      [][]interval.Set
+	// version counts topology mutations (AddContact, RemoveContact and
+	// RetimeChannel calls that change presence). Memo caches downstream
+	// (dts, auxgraph) key on the (graph ID, version) pair, so a mutated
+	// graph never serves a stale cached artifact.
 	version uint64
 	// id is the process-unique identity stamped by New. Downstream memo
 	// caches key on it instead of the *Graph pointer: in a long-running
@@ -83,8 +88,8 @@ func New(n int, span interval.Interval, tau float64) *Graph {
 		n:         n,
 		span:      span,
 		tau:       tau,
-		presence:  make(map[EdgeKey]interval.Set),
 		neighbors: make([][]NodeID, n),
+		pres:      make([][]interval.Set, n),
 		id:        nextGraphID.Add(1),
 	}
 }
@@ -109,20 +114,38 @@ func (g *Graph) AddContact(i, j NodeID, iv interval.Interval) {
 	if iv.Empty() {
 		return
 	}
-	k := MakeEdgeKey(i, j)
-	old, existed := g.presence[k]
-	g.presence[k] = old.Add(iv)
-	g.version++
-	g.record(k)
-	if !existed {
-		g.neighbors[i] = insertSorted(g.neighbors[i], j)
-		g.neighbors[j] = insertSorted(g.neighbors[j], i)
+	a, ok := g.slot(i, j)
+	b, _ := g.slot(j, i)
+	if !ok {
+		g.insertSlot(i, j, a)
+		g.insertSlot(j, i, b)
 	}
+	s := g.pres[i][a].Add(iv)
+	g.pres[i][a], g.pres[j][b] = s, s
+	g.version++
+	g.record(MakeEdgeKey(i, j))
+}
+
+// slot returns the position of j in neighbors[i] and whether j is
+// there; the position is where j would be inserted when it is not. An
+// out-of-range i has no neighbors.
+func (g *Graph) slot(i, j NodeID) (int, bool) {
+	if uint(i) >= uint(g.n) {
+		return 0, false
+	}
+	return slices.BinarySearch(g.neighbors[i], j)
+}
+
+// insertSlot makes j the k-th neighbor of i, with empty presence.
+func (g *Graph) insertSlot(i, j NodeID, k int) {
+	g.neighbors[i] = slices.Insert(g.neighbors[i], k, j)
+	g.pres[i] = slices.Insert(g.pres[i], k, interval.Set{})
 }
 
 // Version returns the topology mutation counter: it changes whenever a
-// contact is added, and is stable otherwise. Caches keyed on (graph ID,
-// version) are invalidated exactly when the topology changes.
+// contact is added, removed or retimed, and is stable otherwise. Caches
+// keyed on (graph ID, version) are invalidated exactly when the
+// topology changes.
 func (g *Graph) Version() uint64 { return g.version }
 
 // ID returns the graph's process-unique identity: a monotonic counter
@@ -137,17 +160,6 @@ func (g *Graph) ID() uint64 { return g.id }
 // code must never call it.
 func (g *Graph) SetIDForTest(id uint64) { g.id = id }
 
-func insertSorted(s []NodeID, v NodeID) []NodeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
 func (g *Graph) checkNode(i NodeID) {
 	if i < 0 || int(i) >= g.n {
 		panic(fmt.Sprintf("tvg: node %d out of range [0,%d)", i, g.n))
@@ -157,19 +169,22 @@ func (g *Graph) checkNode(i NodeID) {
 // Presence returns the presence set of the edge (i, j): the times at
 // which ρ(e_{i,j}, ·) = 1.
 func (g *Graph) Presence(i, j NodeID) interval.Set {
-	return g.presence[MakeEdgeKey(i, j)]
+	if k, ok := g.slot(i, j); ok {
+		return g.pres[i][k]
+	}
+	return interval.Set{}
 }
 
 // Rho evaluates the presence function ρ(e_{i,j}, t).
 func (g *Graph) Rho(i, j NodeID, t float64) bool {
-	return g.presence[MakeEdgeKey(i, j)].Contains(t)
+	return g.Presence(i, j).Contains(t)
 }
 
 // RhoTau evaluates ρ_τ(e_{i,j}, t): whether i and j stay connected during
 // the whole closed window [t, t+τ], the condition for completing one
 // transmission started at t (§IV).
 func (g *Graph) RhoTau(i, j NodeID, t float64) bool {
-	return g.presence[MakeEdgeKey(i, j)].ContainsWindow(t, g.tau)
+	return g.Presence(i, j).ContainsWindow(t, g.tau)
 }
 
 // EverNeighbors returns the nodes that are ever connected to i, sorted.
@@ -183,9 +198,9 @@ func (g *Graph) EverNeighbors(i NodeID) []NodeID {
 // ρ_τ sense) and returns the extended slice, sorted.
 func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
 	g.checkNode(i)
-	for _, j := range g.neighbors[i] {
-		if g.RhoTau(i, j, t) {
-			dst = append(dst, j)
+	for k, s := range g.pres[i] {
+		if s.ContainsWindow(t, g.tau) {
+			dst = append(dst, g.neighbors[i][k])
 		}
 	}
 	return dst
@@ -195,12 +210,40 @@ func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
 func (g *Graph) DegreeAt(i NodeID, t float64) int {
 	g.checkNode(i)
 	d := 0
-	for _, j := range g.neighbors[i] {
-		if g.RhoTau(i, j, t) {
+	for _, s := range g.pres[i] {
+		if s.ContainsWindow(t, g.tau) {
 			d++
 		}
 	}
 	return d
+}
+
+// ActivePoints appends to dst the indices p of the ascending points xs
+// at which i has at least one neighbor (DegreeAt(i, xs[p]) > 0) and
+// returns the extended slice. One merge-walk answers every point: with
+// i's incident presence intervals sorted by Start, a neighbor is
+// present over the window [x, x+τ] iff some interval with Start <= x
+// ends after x+τ, i.e. iff x+τ lies below the running maximum End of
+// the intervals started by x. The test is ContainsWindow's own
+// expression, so the answer equals DegreeAt(i, x) > 0 bit for bit.
+func (g *Graph) ActivePoints(i NodeID, xs []float64, dst []int) []int {
+	g.checkNode(i)
+	var ivs []interval.Interval
+	for _, s := range g.pres[i] {
+		ivs = append(ivs, s.Intervals()...)
+	}
+	slices.SortFunc(ivs, func(a, b interval.Interval) int { return cmp.Compare(a.Start, b.Start) })
+	maxEnd := math.Inf(-1)
+	k := 0
+	for p, x := range xs {
+		for ; k < len(ivs) && ivs[k].Start <= x; k++ {
+			maxEnd = max(maxEnd, ivs[k].End)
+		}
+		if (g.tau == 0 && x < maxEnd) || (g.tau > 0 && x+g.tau < maxEnd) {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }
 
 // AverageDegreeAt returns the mean node degree at time t (Fig. 7 metric).
@@ -231,7 +274,7 @@ func (g *Graph) AverageDegreeOver(start, end float64, samples int) float64 {
 // into adjacent and non-adjacent intervals of the pair (i, j), in the
 // ρ_τ sense.
 func (g *Graph) PairAdjacentPartition(i, j NodeID) partition.Partition {
-	eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
+	eroded := g.Presence(i, j).Erode(g.tau)
 	pts := eroded.Breakpoints(g.span, nil)
 	return partition.New(g.span.Start, g.span.End, pts...)
 }
@@ -242,9 +285,8 @@ func (g *Graph) PairAdjacentPartition(i, j NodeID) partition.Partition {
 func (g *Graph) AdjacentPartition(i NodeID) partition.Partition {
 	g.checkNode(i)
 	var pts []float64
-	for _, j := range g.neighbors[i] {
-		eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
-		pts = eroded.Breakpoints(g.span, pts)
+	for _, s := range g.pres[i] {
+		pts = s.Erode(g.tau).Breakpoints(g.span, pts)
 	}
 	return partition.New(g.span.Start, g.span.End, pts...)
 }
@@ -259,10 +301,10 @@ func (g *Graph) AdjacentPartitions() []partition.Partition {
 }
 
 // earliestTransmissionAfter returns the earliest time t >= t0 at which a
-// transmission from i to j can start (ρ_τ(e, t) = 1), or ok = false if no
-// such time exists within the span.
-func (g *Graph) earliestTransmissionAfter(i, j NodeID, t0 float64) (float64, bool) {
-	eroded := g.presence[MakeEdgeKey(i, j)].Erode(g.tau)
+// transmission over an edge with presence s can start (ρ_τ(e, t) = 1),
+// or ok = false if no such time exists within the span.
+func (g *Graph) earliestTransmissionAfter(s interval.Set, t0 float64) (float64, bool) {
+	eroded := s.Erode(g.tau)
 	for _, iv := range eroded.Intervals() {
 		cand := math.Max(t0, iv.Start)
 		// Eroded intervals are half-open: cand must lie strictly before
@@ -282,7 +324,7 @@ func (g *Graph) earliestTransmissionAfter(i, j NodeID, t0 float64) (float64, boo
 // relaxes its neighbors through the earliest feasible transmission.
 func (g *Graph) EarliestArrivals(src NodeID, t0 float64) []float64 {
 	g.checkNode(src)
-	const inf = 1e308
+	inf := math.Inf(1)
 	arr := make([]float64, g.n)
 	done := make([]bool, g.n)
 	for i := range arr {
@@ -301,11 +343,11 @@ func (g *Graph) EarliestArrivals(src NodeID, t0 float64) []float64 {
 			break
 		}
 		done[best] = true
-		for _, j := range g.neighbors[best] {
+		for k, j := range g.neighbors[best] {
 			if done[j] {
 				continue
 			}
-			t, ok := g.earliestTransmissionAfter(NodeID(best), j, arr[best])
+			t, ok := g.earliestTransmissionAfter(g.pres[best][k], arr[best])
 			if ok && t+g.tau < arr[j] {
 				arr[j] = t + g.tau
 			}
