@@ -524,10 +524,12 @@ func (a *Aux) Solve(src tvg.NodeID, level int) (schedule.Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auxgraph: %w", err)
 	}
-	// ScheduleFromSolution's advantage-mode merge iterates a map, so
-	// equal-time transmissions come back in arbitrary order; establish
-	// the deterministic causal order every executor and feasibility
-	// check expects (τ = 0 non-stop chains share one timestamp).
+	// ScheduleFromSolution's order is deterministic but not causal:
+	// equal-time rows come in relay order (with the broadcast
+	// advantage) or solution-edge order (without), and τ = 0 non-stop
+	// chains share one timestamp, so a relay can sort ahead of the
+	// transmission that informs it. Establish the causal order every
+	// executor and feasibility check expects.
 	return schedule.CausalSort(a.TV, a.ScheduleFromSolution(sol), src, a.D.T0), nil
 }
 

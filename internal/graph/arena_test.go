@@ -7,8 +7,9 @@ import (
 )
 
 func TestArenaReuse(t *testing.T) {
-	a := GetArena()
-	defer PutArena(a)
+	// A fresh arena: one from the pool may carry buffers an earlier test
+	// put back, which would serve the first request below.
+	a := new(Arena)
 	s1 := a.F64(100)
 	a.PutF64(s1)
 	s2 := a.F64(80)

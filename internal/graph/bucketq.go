@@ -36,13 +36,15 @@ import "sync"
 // minimum over in-edges of fl(dist[u]+w) in every order that settles
 // keys non-decreasingly.
 //
-// DistancesInto also takes a limit. A relaxation that would label a
-// vertex above it is dropped, so no key above the limit ever enters a
-// bucket and the sweep ends once the last key <= limit has settled.
-// Keys settle in non-decreasing order and weights are non-negative, so
-// every label <= limit comes from tails that settle first, exactly as
-// in the unbounded sweep: those labels, and the settled count, are
-// bitwise the unbounded sweep's, and every other label reads Inf.
+// Both sweeps take a limit. A relaxation that would label a vertex
+// above it is dropped, so no key above the limit ever enters a bucket
+// and the sweep ends once the last key <= limit has settled. Keys
+// settle in (distance, vertex) order over non-negative weights, and a
+// settled vertex's label and prev never change again, so every
+// relaxation that produces a label <= limit comes from a tail that
+// settles first, in the same order as in the unbounded sweep: those
+// labels, their predecessors and the settled count are bitwise the
+// unbounded sweep's, and every other label reads Inf (prev -1).
 
 // nBuckets is the circular bucket count. The window of live keys spans
 // at most MaxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
@@ -62,7 +64,7 @@ func bqLess(a, b bqEntry) bool {
 }
 
 // DijkstraScratch holds the queue storage and operation counters for
-// ShortestPathsInto and DistancesInto. One scratch serves one Dijkstra
+// ShortestPathsWithin and DistancesInto. One scratch serves one Dijkstra
 // at a time; parallel sweeps take one per worker from the package pool
 // (GetScratch). The counters accumulate across runs until the owner
 // flushes them to its metrics recorder.
@@ -146,13 +148,23 @@ func bqPop(b []bqEntry, scanned *int64) (bqEntry, []bqEntry) {
 	return root, b
 }
 
-// ShortestPathsInto runs Dijkstra from src, writing distances and
+// ShortestPathsInto runs Dijkstra from src over the whole graph: it is
+// ShortestPathsWithin with limit Inf.
+func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *DijkstraScratch) {
+	g.ShortestPathsWithin(src, Inf, dist, prev, sc)
+}
+
+// ShortestPathsWithin runs Dijkstra from src, writing distances and
 // predecessors into dist and prev (each len N, fully overwritten;
-// prev[v] = -1 for src and unreachable vertices). sc provides the queue
-// storage and is required.
+// prev[v] = -1 for src and unreachable vertices) and settling keys up
+// to limit (>= 0; Inf sweeps the whole graph). Every label <= limit,
+// and its prev, is bitwise identical to the unbounded sweep's; every
+// other label reads Inf with prev -1, and Pops counts the labels <=
+// limit (the bound argument at the top of this file). sc provides the
+// queue storage and is required.
 //
 //tmedbvet:hotpath
-func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *DijkstraScratch) {
+func (g *CSR) ShortestPathsWithin(src int, limit float64, dist []float64, prev []int32, sc *DijkstraScratch) {
 	n := g.N()
 	for i := 0; i < n; i++ {
 		dist[i] = Inf
@@ -196,7 +208,7 @@ func (g *CSR) ShortestPathsInto(src int, dist []float64, prev []int32, sc *Dijks
 		du := e.d
 		for ei := g.Off[u]; ei < g.Off[u+1]; ei++ {
 			v := g.To[ei]
-			if nd := du + g.W[ei]; nd < dist[v] {
+			if nd := du + g.W[ei]; nd < dist[v] && nd <= limit {
 				dist[v] = nd
 				prev[v] = u
 				tb := int64(nd*inv) % nBuckets

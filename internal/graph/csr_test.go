@@ -59,30 +59,54 @@ func sameDistances(got, want []float64) int {
 	return -1
 }
 
-// boundedMismatch runs the distance-only sweep from src bounded at
-// limit and compares it with the unbounded labels full: every label <=
-// limit must match bit for bit, every other label must read Inf, and
-// the sweep must settle exactly the labels <= limit. It returns "" or a
-// description of the first mismatch.
-func boundedMismatch(c *CSR, src int, limit float64, full []float64, sc *DijkstraScratch) string {
+// boundedMismatch runs both sweeps from src bounded at limit and
+// compares them with the unbounded labels full and predecessors prev:
+// every label <= limit must match bit for bit, and so must its
+// predecessor in ShortestPathsWithin; every other label must read Inf
+// with prev -1; and each sweep must settle exactly the labels <= limit.
+// It returns "" or a description of the first mismatch.
+func boundedMismatch(c *CSR, src int, limit float64, full []float64, prev []int32, sc *DijkstraScratch) string {
 	got := make([]float64, len(full))
 	pops := sc.Pops
 	c.DistancesInto(src, limit, got, sc)
+	distPops := sc.Pops - pops
+	gotFwd := make([]float64, len(full))
+	gotPrev := make([]int32, len(full))
+	pops = sc.Pops
+	c.ShortestPathsWithin(src, limit, gotFwd, gotPrev, sc)
+	fwdPops := sc.Pops - pops
 	var within int64
 	for v, d := range full {
-		if d <= limit {
+		if d <= limit && !math.IsInf(d, 1) {
 			within++
 			if math.Float64bits(got[v]) != math.Float64bits(d) {
-				return fmt.Sprintf("limit %v: dist[%d] = %v, want %v", limit, v, got[v], d)
+				return fmt.Sprintf("limit %v: DistancesInto dist[%d] = %v, want %v", limit, v, got[v], d)
 			}
-		} else if !math.IsInf(got[v], 1) {
-			return fmt.Sprintf("limit %v: dist[%d] = %v above the limit, want Inf", limit, v, got[v])
+			if math.Float64bits(gotFwd[v]) != math.Float64bits(d) || gotPrev[v] != prev[v] {
+				return fmt.Sprintf("limit %v: ShortestPathsWithin (dist, prev)[%d] = (%v, %d), want (%v, %d)", limit, v, gotFwd[v], gotPrev[v], d, prev[v])
+			}
+		} else if !math.IsInf(got[v], 1) || !math.IsInf(gotFwd[v], 1) || gotPrev[v] != -1 {
+			return fmt.Sprintf("limit %v: vertex %d above the limit reads DistancesInto %v, ShortestPathsWithin (%v, %d); want Inf, (Inf, -1)", limit, v, got[v], gotFwd[v], gotPrev[v])
 		}
 	}
-	if settled := sc.Pops - pops; settled != within {
-		return fmt.Sprintf("limit %v: settled %d vertices, want the %d labels <= limit", limit, settled, within)
+	if distPops != within || fwdPops != within {
+		return fmt.Sprintf("limit %v: settled %d (DistancesInto) and %d (ShortestPathsWithin) vertices, want the %d labels <= limit", limit, distPops, fwdPops, within)
 	}
 	return ""
+}
+
+// limitsAround lists the bounds a trial sweeps to: 0, Inf, and each of
+// labels exactly and one ulp either side (below only when positive, as
+// limits are >= 0).
+func limitsAround(labels ...float64) []float64 {
+	out := []float64{0, Inf}
+	for _, d := range labels {
+		out = append(out, d, math.Nextafter(d, Inf))
+		if d > 0 {
+			out = append(out, math.Nextafter(d, 0))
+		}
+	}
+	return out
 }
 
 // medianFinite returns the median of the finite labels in dist.
@@ -104,15 +128,19 @@ func medianFinite(dist []float64) float64 {
 // the retained reference heap implementation. Both use the canonical
 // (dist, vertex) tie-break, so this is exact equality, not tolerance
 // comparison. The distance-only sweep must produce the same distances
-// bit for bit and settle the same number of vertices; bounded at the
-// trial's median finite label, it must keep every label up to the bound
-// bit for bit, read Inf beyond it and settle only the labels it keeps.
+// bit for bit and settle the same number of vertices. Both sweeps,
+// bounded at 0, Inf, and at and one ulp either side of the trial's
+// median and of one random finite label, must keep every label up to
+// the bound (and the forward sweep its predecessor) bit for bit, read
+// Inf beyond it and settle only the labels they keep.
 func TestBucketDijkstraMatchesHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	sc := GetScratch()
 	defer PutScratch(sc)
 	sd := GetScratch()
 	defer PutScratch(sd)
+	sb := GetScratch()
+	defer PutScratch(sb)
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(60)
 		d := randomLevelDigraph(rng, n, rng.Intn(8*n))
@@ -136,8 +164,14 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 		if distPops != pops {
 			t.Fatalf("trial %d: DistancesInto settled %d vertices, ShortestPathsInto %d", trial, distPops, pops)
 		}
-		if msg := boundedMismatch(c, src, medianFinite(wantDist), wantDist, sd); msg != "" {
-			t.Fatalf("trial %d: bounded DistancesInto: %s", trial, msg)
+		label := wantDist[rng.Intn(n)]
+		if math.IsInf(label, 1) {
+			label = 0
+		}
+		for _, limit := range limitsAround(medianFinite(wantDist), label) {
+			if msg := boundedMismatch(c, src, limit, wantDist, gotPrev, sb); msg != "" {
+				t.Fatalf("trial %d: bounded sweeps: %s", trial, msg)
+			}
 		}
 
 		for v := 0; v < n; v++ {
@@ -172,15 +206,18 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 		t.Fatalf("plateau stack took no work off the buckets: distance-only %+v, full %+v", sd, sc)
 	}
 
-	// A warmed scratch runs the distance-only sweep allocation-free,
-	// bounded or not.
+	// A warmed scratch runs both sweeps allocation-free, bounded or not.
 	c := FromDigraph(randomLevelDigraph(rng, 200, 1600))
 	dist := make([]float64, c.N())
+	prev := make([]int32, c.N())
 	c.DistancesInto(0, Inf, dist, sd)
 	limit := medianFinite(dist)
 	for _, lim := range []float64{Inf, limit} {
 		if allocs := testing.AllocsPerRun(100, func() { c.DistancesInto(0, lim, dist, sd) }); allocs != 0 {
 			t.Fatalf("DistancesInto(limit %v) on a warmed scratch: %v allocs/run, want 0", lim, allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.ShortestPathsWithin(0, lim, dist, prev, sc) }); allocs != 0 {
+			t.Fatalf("ShortestPathsWithin(limit %v) on a warmed scratch: %v allocs/run, want 0", lim, allocs)
 		}
 	}
 }
@@ -190,9 +227,10 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 // distance 0 and the tie-break settles vertices in index order. A
 // second instance builds a plateau out of positive weights absorbed by
 // rounding: at d = 1e3, fl(d + 1e-18) == d. Both sweeps must match the
-// reference heap's distances bit for bit on each. The last row bounds
-// the distance-only sweep at the plateau's own value: the sweep drops
-// only keys strictly above its limit, so the whole plateau settles.
+// reference heap's distances bit for bit on each. The bounded rows
+// run both sweeps: bounded at the plateau's own value, the sweeps drop
+// only keys strictly above their limit, so the whole plateau settles;
+// one ulp below it, only the source does.
 func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 	n := 30
 	d := New(n)
@@ -208,14 +246,17 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 	}
 	absorbed.AddEdge(n-1, 1, 2.5)
 	for _, tc := range []struct {
-		name  string
-		d     *Digraph
-		want  float64 // distance of vertex n-1
-		limit float64 // DistancesInto's bound
+		name    string
+		d       *Digraph
+		want    float64 // distance of vertex n-1
+		limit   float64 // both sweeps' bound
+		settled int64   // labels <= limit
 	}{
-		{"zero", d, 0, Inf},
-		{"absorbed", absorbed, 1e3, Inf},
-		{"absorbed, bounded at the plateau", absorbed, 1e3, 1e3},
+		{"zero", d, 0, Inf, int64(n)},
+		{"zero, bounded at 0", d, 0, 0, int64(n)},
+		{"absorbed", absorbed, 1e3, Inf, int64(n)},
+		{"absorbed, bounded at the plateau", absorbed, 1e3, 1e3, int64(n)},
+		{"absorbed, bounded one ulp below the plateau", absorbed, 1e3, math.Nextafter(1e3, 0), 1},
 	} {
 		c := FromDigraph(tc.d)
 		wantDist, wantPrev := tc.d.ShortestPaths(0)
@@ -231,14 +272,13 @@ func TestBucketDijkstraZeroWeightPlateau(t *testing.T) {
 				t.Fatalf("%s v%d: got (%g,%d) want (%g,%d)", tc.name, v, gotDist[v], gotPrev[v], wantDist[v], wantPrev[v])
 			}
 		}
-		sc := GetScratch()
-		onlyDist := make([]float64, n)
-		c.DistancesInto(0, tc.limit, onlyDist, sc)
-		if v := sameDistances(onlyDist, wantDist); v >= 0 {
-			t.Fatalf("%s: DistancesInto dist[%d] = %v, want %v", tc.name, v, onlyDist[v], wantDist[v])
+		if msg := boundedMismatch(c, 0, tc.limit, wantDist, gotPrev, GetScratch()); msg != "" {
+			t.Fatalf("%s: %s", tc.name, msg)
 		}
-		if sc.Pops != int64(n) {
-			t.Fatalf("%s: DistancesInto settled %d vertices, want %d", tc.name, sc.Pops, n)
+		sc := GetScratch()
+		c.DistancesInto(0, tc.limit, make([]float64, n), sc)
+		if sc.Pops != tc.settled {
+			t.Fatalf("%s: DistancesInto settled %d vertices, want %d", tc.name, sc.Pops, tc.settled)
 		}
 		// Only the plateau's entry vertex (its key differs from its
 		// tail's) goes through a bucket; the rest settle off the stack.

@@ -14,18 +14,24 @@ import (
 )
 
 // refGreedy is an unpruned reference for Solver.RecursiveGreedy, built
-// only on graph primitives. Its reverse sweeps are unbounded, it skips
-// both pruning tiers, it sorts every candidate list by (d, xi), and it
-// keeps the strictly smallest density while scanning vertices in
-// ascending order. Paths are built the way the solver builds them:
-// forward ShortestPathsInto predecessors, the cheapest parallel edge per
-// hop, merged and pruned by Solution. So any difference between the two
-// is a different (vertex, prefix) choice.
+// only on graph primitives. Its forward and reverse sweeps are
+// unbounded, it skips both pruning tiers, it sorts every candidate list
+// by (d, xi), and it keeps the strictly smallest density while scanning
+// vertices in ascending order. Paths follow forward ShortestPathsInto
+// predecessors and take the cheapest parallel edge per hop, as the
+// solver's do. They are merged into refSolution, the map-backed
+// representation Solution once had, and pruned by its fixpoint loop. So
+// a difference between the two is a different (vertex, prefix) choice,
+// a bounded forward sweep that changed a path, or a flat Solution that
+// merges or prunes differently.
 type refGreedy struct {
 	g, rev *graph.CSR
 	sc     *graph.DijkstraScratch
 	fwd    map[int]*sp
 	bwd    map[int][]float64
+	// misses counts covered terminals a level-2 winner's targeted
+	// forward sweep would not reach (checkReach).
+	misses int
 }
 
 func newRefGreedy(g *graph.CSR) *refGreedy {
@@ -54,7 +60,103 @@ func (r *refGreedy) to(x int) []float64 {
 	return d
 }
 
-func (r *refGreedy) addPath(sol Solution, u, v int) {
+// edgeID identifies a directed edge by endpoints.
+type edgeID struct{ U, V int }
+
+// refSolution is Solution's retired representation: an edge map that
+// keeps the cheaper weight of duplicates, sorted on every read.
+type refSolution struct {
+	root  int
+	edges map[edgeID]float64
+}
+
+func newRefSolution(root int) refSolution {
+	return refSolution{root: root, edges: map[edgeID]float64{}}
+}
+
+func (s refSolution) addEdge(u, v int, w float64) {
+	id := edgeID{u, v}
+	if old, ok := s.edges[id]; !ok || w < old {
+		s.edges[id] = w
+	}
+}
+
+func (s refSolution) merge(other refSolution) {
+	for id, w := range other.edges {
+		s.addEdge(id.U, id.V, w)
+	}
+}
+
+// sortedEdges lists the edges as (u, v, w) in (u, v) order.
+func (s refSolution) sortedEdges() [][3]float64 {
+	var out [][3]float64
+	for id, w := range s.edges {
+		out = append(out, [3]float64{float64(id.U), float64(id.V), w})
+	}
+	slices.SortFunc(out, func(a, b [3]float64) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a[1], b[1])
+	})
+	return out
+}
+
+// cost sums the weights in sortedEdges order.
+func (s refSolution) cost() float64 {
+	var c float64
+	for _, e := range s.sortedEdges() {
+		c += e[2]
+	}
+	return c
+}
+
+// pruned drops edges off every root→terminal path, pass after pass
+// until one removes nothing.
+func (s refSolution) pruned(terminals []int) refSolution {
+	for {
+		fwd := reachable(s.edges, []int{s.root}, func(id edgeID) (int, int) { return id.U, id.V })
+		rev := reachable(s.edges, terminals, func(id edgeID) (int, int) { return id.V, id.U })
+		next := newRefSolution(s.root)
+		for id, w := range s.edges {
+			if fwd[id.U] && rev[id.V] {
+				next.edges[id] = w
+			}
+		}
+		if len(next.edges) == len(s.edges) {
+			return next
+		}
+		s = next
+	}
+}
+
+// reachable returns the vertices reachable from seeds along the edges,
+// each oriented by dir as (from, to).
+func reachable(edges map[edgeID]float64, seeds []int, dir func(edgeID) (int, int)) map[int]bool {
+	adj := map[int][]int{}
+	for id := range edges {
+		a, b := dir(id)
+		adj[a] = append(adj[a], b)
+	}
+	seen := map[int]bool{}
+	stack := slices.Clone(seeds)
+	for _, x := range seeds {
+		seen[x] = true
+	}
+	for len(stack) > 0 {
+		a := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, b := range adj[a] {
+			if !seen[b] {
+				seen[b] = true
+				stack = append(stack, b)
+			}
+		}
+	}
+	return seen
+}
+
+func (r *refGreedy) addPath(sol refSolution, u, v int) {
 	p := graph.PathTo32(r.from(u).prev, u, v)
 	for i := 0; i+1 < len(p); i++ {
 		w := math.Inf(1)
@@ -67,27 +169,27 @@ func (r *refGreedy) addPath(sol Solution, u, v int) {
 	}
 }
 
-func (r *refGreedy) solve(root int, terminals []int, level int) (Solution, error) {
+func (r *refGreedy) solve(root int, terminals []int, level int) (refSolution, error) {
 	for _, t := range terminals {
 		if math.IsInf(r.from(root).dist[t], 1) {
-			return Solution{}, fmt.Errorf("terminal %d unreachable", t)
+			return refSolution{}, fmt.Errorf("terminal %d unreachable", t)
 		}
 	}
 	rem := slices.Clone(terminals)
-	sol := newSolution(root)
+	sol := newRefSolution(root)
 	for len(rem) > 0 {
 		sub, cov, _ := r.rg(level, len(rem), root, rem)
 		if len(cov) == 0 {
-			return Solution{}, errors.New("no progress")
+			return refSolution{}, errors.New("no progress")
 		}
 		sol.merge(sub)
 		rem = without(rem, cov)
 	}
-	return sol.Pruned(terminals), nil
+	return sol.pruned(terminals), nil
 }
 
-func (r *refGreedy) rg(level, k, root int, X []int) (Solution, []int, float64) {
-	sol := newSolution(root)
+func (r *refGreedy) rg(level, k, root int, X []int) (refSolution, []int, float64) {
+	sol := newRefSolution(root)
 	var covered []int
 	var cost float64
 	distR := r.from(root).dist
@@ -106,6 +208,9 @@ func (r *refGreedy) rg(level, k, root int, X []int) (Solution, []int, float64) {
 		if v == -1 {
 			break
 		}
+		if level == 2 {
+			r.checkReach(v, cov)
+		}
 		r.addPath(sol, root, v)
 		for _, x := range cov {
 			r.addPath(sol, v, x)
@@ -116,6 +221,23 @@ func (r *refGreedy) rg(level, k, root int, X []int) (Solution, []int, float64) {
 		k -= len(cov)
 	}
 	return sol, covered, cost
+}
+
+// checkReach counts the terminals in cov whose forward label from the
+// level-2 winner v lies beyond the solver's targeted sweep: the largest
+// reverse label of cov, widened by revSlack. The slack argument of
+// DESIGN.md §11 says there are none, so the solver's fallback to a
+// full sweep never runs.
+func (r *refGreedy) checkReach(v int, cov []int) {
+	reach := 0.0
+	for _, x := range cov {
+		reach = max(reach, r.to(x)[v])
+	}
+	for _, x := range cov {
+		if r.from(v).dist[x] > sweepLimit(reach) {
+			r.misses++
+		}
+	}
 }
 
 // scan returns the vertex, coverage and cost of the strictly smallest
@@ -240,7 +362,9 @@ func sameEdges(a, b [][3]float64) bool {
 // most 30 vertices with at most 5 terminals, level 3, each with one
 // worker and with three. The solver's root-bounded reverse sweeps and
 // pruned scan must pick exactly the (vertex, prefix) the full scan
-// picks.
+// picks; its targeted forward sweeps must build the paths the full
+// sweeps build, and reach every covered terminal without the fallback;
+// and its flat Solution must merge and prune to the edge map's result.
 func TestRecursiveGreedyMatchesUnprunedReference(t *testing.T) {
 	const instances = 2000
 	rng := rand.New(rand.NewSource(17))
@@ -267,13 +391,16 @@ func TestRecursiveGreedyMatchesUnprunedReference(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if !sameEdges(got.Edges(), want.Edges()) {
-					t.Fatalf("instance %d (%s) level %d workers %d: edges\n%v\nreference\n%v", i, fam.name, level, workers, got.Edges(), want.Edges())
+				if !sameEdges(got.Edges(), want.sortedEdges()) {
+					t.Fatalf("instance %d (%s) level %d workers %d: edges\n%v\nreference\n%v", i, fam.name, level, workers, got.Edges(), want.sortedEdges())
 				}
-				if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost()) {
-					t.Fatalf("instance %d (%s) level %d workers %d: cost %v, reference %v", i, fam.name, level, workers, got.Cost(), want.Cost())
+				if math.Float64bits(got.Cost()) != math.Float64bits(want.cost()) {
+					t.Fatalf("instance %d (%s) level %d workers %d: cost %v, reference %v", i, fam.name, level, workers, got.Cost(), want.cost())
 				}
 			}
+		}
+		if ref.misses != 0 {
+			t.Fatalf("instance %d (%s): %d covered terminals beyond a winner's targeted forward sweep", i, fam.name, ref.misses)
 		}
 		graph.PutScratch(ref.sc)
 	}
@@ -299,27 +426,89 @@ func TestDistToAllSweepsAgainForALargerLimit(t *testing.T) {
 	sweeps := func() int64 { return rec.Counter("steiner.dijkstra.bwd").Value() }
 	rem := []int{3}
 
-	if v, cov, _ := s.scanLevel2(1, s.from(2).dist, rem); v != 2 || !slices.Equal(cov, rem) {
+	if v, cov, _, _ := s.scanLevel2(1, s.from(2, graph.Inf).dist, rem); v != 2 || !slices.Equal(cov, rem) {
 		t.Fatalf("scan from root 2 chose vertex %d covering %v, want 2 covering %v", v, cov, rem)
 	}
 	if d := s.bwd[3].dist; !math.IsInf(d[1], 1) || !math.IsInf(d[0], 1) {
 		t.Fatalf("sweep bounded at root 2's distance kept d(1,3) = %v, d(0,3) = %v; want both cut off", d[1], d[0])
 	}
-	if v, cov, cost := s.scanLevel2(1, s.from(0).dist, rem); v != 0 || !slices.Equal(cov, rem) || math.Float64bits(cost) != math.Float64bits(3) {
+	if v, cov, cost, _ := s.scanLevel2(1, s.from(0, graph.Inf).dist, rem); v != 0 || !slices.Equal(cov, rem) || math.Float64bits(cost) != math.Float64bits(3) {
 		t.Fatalf("scan from root 0 chose vertex %d covering %v at cost %v, want vertex 0 covering %v at cost 3", v, cov, cost, rem)
 	}
 	if got := sweeps(); got != 2 {
 		t.Fatalf("%d reverse sweeps after the farther root, want 2 (one sweep again)", got)
 	}
 	// The longer entry serves the nearer root again without a sweep.
-	if v, _, _ := s.scanLevel2(1, s.from(2).dist, rem); v != 2 || sweeps() != 2 {
+	if v, _, _, _ := s.scanLevel2(1, s.from(2, graph.Inf).dist, rem); v != 2 || sweeps() != 2 {
 		t.Fatalf("repeat scan from root 2: vertex %d after %d sweeps, want vertex 2 after 2", v, sweeps())
 	}
 }
 
-// TestCostIsOrderIndependent pins Cost to the (U, V) order of Edges:
-// with weights in tenths, summing the edges in map order can round
-// differently from call to call.
+// TestWinnerSweepsAgainForALargerReach is the forward twin of
+// TestDistToAllSweepsAgainForALargerLimit. Root 1 reaches hub 0 at
+// cost 10, and the hub reaches terminals 2, 3 and 4 at costs 1, 2 and
+// 30. The first round's winner is the hub covering 2 and 3 (density
+// 6.5), so its forward sweep stops at reach 2 and cuts off 4. In the
+// second round the hub and the root tie at density 40 for terminal 4,
+// and the hub wins as the lower vertex id: its cached sweep is too
+// short, so it must sweep again, and the path 0→4 must come from the
+// longer sweep.
+func TestWinnerSweepsAgainForALargerReach(t *testing.T) {
+	var el graph.EdgeList
+	el.Add(1, 0, 10)
+	el.Add(0, 2, 1)
+	el.Add(0, 3, 2)
+	el.Add(0, 4, 30)
+	g := csrOf(5, &el)
+	rec := obs.New()
+	s := NewSolver(g).SetObs(rec)
+	defer s.Release()
+	sol, err := s.RecursiveGreedy(1, []int{2, 3, 4}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][3]float64{{0, 2, 1}, {0, 3, 2}, {0, 4, 30}, {1, 0, 10}}
+	if !sameEdges(sol.Edges(), want) {
+		t.Fatalf("edges %v, want %v", sol.Edges(), want)
+	}
+	// The root's full sweep settles 5 labels, the hub's first sweep 3
+	// (0, 2, 3) and its second 4.
+	if sweeps, settled := rec.Counter("steiner.dijkstra.fwd").Value(), rec.Counter("steiner.dijkstra.fwd_settled").Value(); sweeps != 3 || settled != 12 {
+		t.Fatalf("%d forward sweeps settling %d labels, want 3 settling 12 (the hub swept twice)", sweeps, settled)
+	}
+	if hub := s.fwd[0]; math.Float64bits(hub.limit) != math.Float64bits(sweepLimit(30)) || hub.dist[4] != 30 {
+		t.Fatalf("hub's cached sweep reaches %v with d(0,4) = %v, want %v and 30", hub.limit, hub.dist[4], sweepLimit(30))
+	}
+}
+
+// TestMaterializeSweepsAgainOnAMiss drives materialize's fallback: on
+// the chain 0→1→2→3 (weight 1 each), a forward sweep of 0 bounded at 1
+// cuts off terminal 3. Rather than drop the path, materialize must
+// sweep 0 again in full and add all three edges.
+func TestMaterializeSweepsAgainOnAMiss(t *testing.T) {
+	var el graph.EdgeList
+	el.Add(0, 1, 1)
+	el.Add(1, 2, 1)
+	el.Add(2, 3, 1)
+	rec := obs.New()
+	s := NewSolver(csrOf(4, &el)).SetObs(rec)
+	defer s.Release()
+	sol := newSolution(0)
+	s.materialize(&sol, 0, []int{3}, 1)
+	sol.prune([]int{3})
+	if want := [][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}; !sameEdges(sol.Edges(), want) {
+		t.Fatalf("edges %v, want %v", sol.Edges(), want)
+	}
+	if got := rec.Counter("steiner.dijkstra.fwd").Value(); got != 2 {
+		t.Fatalf("%d forward sweeps, want 2 (the bounded one, then a full one)", got)
+	}
+	if !math.IsInf(s.fwd[0].limit, 1) {
+		t.Fatalf("cached sweep of 0 reaches %v after the fallback, want Inf", s.fwd[0].limit)
+	}
+}
+
+// TestCostIsOrderIndependent pins Cost to the sum in Edges order: with
+// weights in tenths, a sum in any other order can round differently.
 func TestCostIsOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tenths := weightFamilies[3].w

@@ -15,21 +15,22 @@
 //
 // The solver operates on the flat CSR representation with the monotone
 // bucket-queue Dijkstra (see internal/graph): distances are computed
-// lazily — one forward sweep per recursion root, whose predecessors
-// materialize paths, and one distance-only reverse-graph sweep per
-// terminal, stopped at the scan root's own distance to it — into
-// arena-recycled buffers, and the level-2
-// density scan prunes dominated candidate vertices with an admissible
-// lower bound before paying for their candidate sort. Levels >= 3 need
-// forward distances from arbitrary vertices and are therefore restricted
-// to small graphs.
+// lazily into arena-recycled buffers. Each recursion root gets one full
+// forward sweep, and each level-2 winner one forward sweep stopped at
+// the farthest terminal it covers; their predecessors materialize
+// paths. Each terminal gets one distance-only reverse-graph sweep,
+// stopped at the scan root's own distance to it. The level-2 density
+// scan prunes dominated candidate vertices with an admissible lower
+// bound before paying for their candidate sort. Levels >= 3 need
+// forward distances from arbitrary vertices and are therefore
+// restricted to small graphs.
 package steiner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
@@ -41,27 +42,30 @@ import (
 // per-vertex forward Dijkstra caching is quadratic in the worst case.
 const maxLevel3Vertices = 4000
 
-// edgeID identifies a directed edge by endpoints.
-type edgeID struct{ U, V int }
+// solEdge is one directed solution edge u→v of weight w.
+type solEdge struct {
+	u, v int32
+	w    float64
+}
 
 // Solution is a subgraph (a union of root-to-terminal paths) solving a
-// Steiner instance.
+// Steiner instance. Its edges are a flat slice: construction appends,
+// and prune canonicalizes once, sorting by (u, v) and keeping one edge
+// per pair. Every solution the solver returns is pruned, so the
+// exported methods read the canonical form.
 type Solution struct {
 	Root  int
-	edges map[edgeID]float64
+	edges []solEdge
 }
 
-func newSolution(root int) Solution {
-	//tmedbvet:ignore hotalloc per-solve result object: the edge map escapes to the caller and outlives the solver's buffers
-	return Solution{Root: root, edges: make(map[edgeID]float64)}
-}
+func newSolution(root int) Solution { return Solution{Root: root} }
 
 // Cost returns the total weight of the distinct edges in the solution,
 // summed in Edges order so that every call rounds the same way.
 func (s Solution) Cost() float64 {
 	var c float64
-	for _, e := range s.Edges() {
-		c += e[2]
+	for _, e := range s.edges {
+		c += e.w
 	}
 	return c
 }
@@ -69,155 +73,131 @@ func (s Solution) Cost() float64 {
 // NumEdges returns the number of distinct edges.
 func (s Solution) NumEdges() int { return len(s.edges) }
 
-// Edges returns the solution edges as (u, v, w) triples, in deterministic
-// order.
+// Edges returns the solution edges as (u, v, w) triples, in ascending
+// (u, v) order.
 func (s Solution) Edges() [][3]float64 {
-	out := make([][3]float64, 0, len(s.edges))
-	for id, w := range s.edges {
-		out = append(out, [3]float64{float64(id.U), float64(id.V), w})
+	out := make([][3]float64, len(s.edges))
+	for i, e := range s.edges {
+		out[i] = [3]float64{float64(e.u), float64(e.v), e.w}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
 	return out
 }
 
-// addEdge merges an edge, keeping the cheaper weight for duplicates.
-func (s Solution) addEdge(u, v int, w float64) {
-	id := edgeID{u, v}
-	if old, ok := s.edges[id]; !ok || w < old {
-		s.edges[id] = w
-	}
+// addEdge appends an edge; prune keeps the cheapest of duplicates.
+func (s *Solution) addEdge(u, v int, w float64) {
+	s.edges = append(s.edges, solEdge{int32(u), int32(v), w})
 }
 
-// merge folds other into s.
-func (s Solution) merge(other Solution) {
-	for id, w := range other.edges {
-		if old, ok := s.edges[id]; !ok || w < old {
-			s.edges[id] = w
+// merge appends other's edges to s.
+func (s *Solution) merge(other Solution) {
+	s.edges = append(s.edges, other.edges...)
+}
+
+// canonicalize sorts the edges by (u, v) and keeps one edge per pair:
+// the cheapest, and on a tie the first added. The sort is stable, so
+// each pair's edges stay in the order they were added, and the strict
+// < keeps the earliest of equal weights.
+func (s *Solution) canonicalize() {
+	slices.SortStableFunc(s.edges, func(a, b solEdge) int {
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.v, b.v)
+	})
+	out := s.edges[:0]
+	for _, e := range s.edges {
+		if n := len(out); n > 0 && out[n-1].u == e.u && out[n-1].v == e.v {
+			if e.w < out[n-1].w {
+				out[n-1].w = e.w
+			}
+			continue
+		}
+		out = append(out, e)
 	}
+	s.edges = out
 }
 
-// ReachableFromRoot returns the vertices reachable from the root using
-// only solution edges.
-func (s Solution) ReachableFromRoot() map[int]bool {
-	adj := make(map[int][]int)
-	//tmedbvet:ignore detrange adjacency build for a reachability sweep: the computed vertex set is order-independent
-	for id := range s.edges {
-		adj[id.U] = append(adj[id.U], id.V)
-	}
-	seen := map[int]bool{s.Root: true}
-	stack := []int{s.Root}
+// prune canonicalizes the solution and restricts it to its useful
+// edges: those whose tail is reachable from the root and whose head
+// reaches a terminal, both through solution edges. Union-of-paths
+// constructions can leave dead branches behind — e.g. a power vertex
+// adopted for several terminals of which later greedy rounds re-covered
+// some more cheaply — and pruning removes their cost without affecting
+// coverage. One pass suffices: an edge that survives has a witnessing
+// root→tail path and head→terminal path, and every edge on them passes
+// the same test, so removing the rest strands no survivor.
+func (s *Solution) prune(terminals []int) {
+	s.canonicalize()
+	edges := s.edges
+	// keep[i] collects edge i's two tests: bit 1 for a root-reachable
+	// tail, bit 2 for a head that reaches a terminal.
+	keep := make([]uint8, len(edges))
+	// Forward: edges are sorted by tail, so u's out-edges are one run;
+	// marking the run marks u expanded.
+	stack := []int32{int32(s.Root)}
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				stack = append(stack, v)
-			}
+		lo, found := slices.BinarySearchFunc(edges, u, func(e solEdge, u int32) int { return cmp.Compare(e.u, u) })
+		if !found || keep[lo]&1 != 0 {
+			continue
+		}
+		for i := lo; i < len(edges) && edges[i].u == u; i++ {
+			keep[i] |= 1
+			stack = append(stack, edges[i].v)
 		}
 	}
-	return seen
-}
-
-// Pruned returns the solution restricted to its useful edges: those on
-// some root→terminal path (the tail u reachable from the root, the head
-// v reaching a terminal). Union-of-paths constructions can leave dead
-// branches behind — e.g. a power vertex adopted for several terminals of
-// which later greedy rounds re-covered some more cheaply — and pruning
-// removes their cost without affecting coverage.
-func (s Solution) Pruned(terminals []int) Solution {
-	// Removing a dead branch can expose another (its feeder), so iterate
-	// to a fixpoint; each pass strictly shrinks the edge set.
-	for {
-		next := s.prunedOnce(terminals)
-		if next.NumEdges() == s.NumEdges() {
-			return next
-		}
-		s = next
+	// Reverse: the same walk over the edges ordered by head.
+	byHead := make([]int32, len(edges))
+	for i := range byHead {
+		byHead[i] = int32(i)
 	}
-}
-
-func (s Solution) prunedOnce(terminals []int) Solution {
-	fwd := s.ReachableFromRoot()
-	radj := make(map[int][]int)
-	//tmedbvet:ignore detrange adjacency build for a reverse reachability sweep: the computed vertex set is order-independent
-	for id := range s.edges {
-		radj[id.V] = append(radj[id.V], id.U)
-	}
-	rev := make(map[int]bool, len(terminals))
-	var stack []int
+	slices.SortFunc(byHead, func(a, b int32) int { return cmp.Compare(edges[a].v, edges[b].v) })
 	for _, t := range terminals {
-		if !rev[t] {
-			rev[t] = true
-			stack = append(stack, t)
-		}
+		stack = append(stack, int32(t))
 	}
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, u := range radj[v] {
-			if !rev[u] {
-				rev[u] = true
-				stack = append(stack, u)
-			}
+		lo, found := slices.BinarySearchFunc(byHead, v, func(i, v int32) int { return cmp.Compare(edges[i].v, v) })
+		if !found || keep[byHead[lo]]&2 != 0 {
+			continue
+		}
+		for j := lo; j < len(byHead) && edges[byHead[j]].v == v; j++ {
+			keep[byHead[j]] |= 2
+			stack = append(stack, edges[byHead[j]].u)
 		}
 	}
-	out := newSolution(s.Root)
-	for id, w := range s.edges {
-		if fwd[id.U] && rev[id.V] {
-			out.edges[id] = w
+	out := edges[:0]
+	for i, e := range edges {
+		if keep[i] == 3 {
+			out = append(out, e)
 		}
 	}
-	return out
+	s.edges = out
 }
 
-// Verify checks that the solution is sound for the instance: every edge
-// exists in g with at least the claimed weight available, and every
-// terminal is reachable from the root through solution edges.
-func (s Solution) Verify(g *graph.CSR, terminals []int) error {
-	for id, w := range s.edges {
-		found := false
-		for ei := g.Off[id.U]; ei < g.Off[id.U+1]; ei++ {
-			if int(g.To[ei]) == id.V && g.W[ei] <= w+1e-12 {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return fmt.Errorf("steiner: edge (%d,%d,w=%g) not in graph", id.U, id.V, w)
-		}
-	}
-	reach := s.ReachableFromRoot()
-	for _, t := range terminals {
-		if !reach[t] {
-			return fmt.Errorf("steiner: terminal %d not reachable from root %d", t, s.Root)
-		}
-	}
-	return nil
-}
-
-// sp caches one forward Dijkstra run. The slices are arena-owned;
-// Release recycles them, after which the sp must not be read.
+// sp caches one forward Dijkstra run: dist and prev are arena-owned
+// and hold every label up to limit, and its predecessor; labels above
+// it read Inf. Release recycles them, after which the sp must not be
+// read.
 type sp struct {
-	dist []float64
-	prev []int32
+	dist  []float64
+	prev  []int32
+	limit float64
 }
 
-// revSlack widens each reverse sweep's limit past the scan root's
-// forward distance distR[x]. That forward label and the reverse label
-// d(r, x) sum one path in opposite orders, so they can differ by
+// revSlack widens a sweep's limit past a label read from a sweep in
+// the other direction: a reverse sweep's past the scan root's forward
+// distance distR[x], a level-2 winner's forward sweep past its reverse
+// label to the farthest terminal it covers. The forward and reverse
+// labels sum one path in opposite orders, so they can differ by
 // rounding; 1e-9 covers the error of paths of over a million edges.
 const revSlack = 1e-9
 
-// sweepLimit is how far a scan whose root has forward distances distR
-// needs the reverse sweep to terminal x.
-func sweepLimit(distR []float64, x int) float64 { return distR[x] * (1 + revSlack) }
+// sweepLimit is how far a sweep must reach to cover a label d read from
+// a sweep in the other direction.
+func sweepLimit(d float64) float64 { return d * (1 + revSlack) }
 
 // bwdSweep caches one reverse Dijkstra run to a terminal: dist is
 // arena-owned and holds every label up to limit; labels above it read
@@ -232,8 +212,10 @@ type bwdSweep struct {
 // arena-owned caches with Release when done.
 type Solver struct {
 	g   *graph.CSR
-	rev *graph.CSR  // lazily built transpose; see revGraph / WithReverse
-	fwd map[int]*sp // forward Dijkstra per source
+	rev *graph.CSR // lazily built transpose; see revGraph / WithReverse
+	// fwd holds the forward sweep per source, as far as the request that
+	// swept it asked for (from).
+	fwd map[int]*sp
 	// bwd holds the reverse-graph distances per terminal (distances TO
 	// it). Nothing reads a path to a terminal, so these sweeps run
 	// distance-only (graph.CSR.DistancesInto), and only as far as the
@@ -384,24 +366,35 @@ func (s *Solver) revGraph() *graph.CSR {
 	return s.rev
 }
 
-func (s *Solver) from(u int) *sp {
-	if c, ok := s.fwd[u]; ok {
+// from returns the forward sweep from u, exact up to at least limit
+// (graph.Inf for the whole graph). A cached sweep serves any request
+// whose limit is no larger than its own; a larger one sweeps u again
+// into the same buffers. Labels up to the old limit, and their
+// predecessors, come back bitwise unchanged, so a reader of the old
+// entry sees the same values. Sweeps are not resumed: a dropped
+// relaxation cannot be replayed.
+func (s *Solver) from(u int, limit float64) *sp {
+	c, ok := s.fwd[u]
+	if ok && c.limit >= limit {
 		return c
 	}
 	s.obs.Counter("steiner.dijkstra.fwd").Inc()
-	n := s.g.N()
-	//tmedbvet:ignore hotalloc fwd cache fill: one pair of arena-backed headers per distinct source, amortized across every later query
-	c := &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
+	if !ok {
+		n := s.g.N()
+		//tmedbvet:ignore hotalloc fwd cache fill: one pair of arena-backed headers per distinct source, amortized across every later query
+		c = &sp{dist: s.arena.F64(n), prev: s.arena.I32(n)}
+		s.fwd[u] = c
+	}
+	c.limit = limit
 	pops := s.scratch.Pops
-	s.g.ShortestPathsInto(u, c.dist, c.prev, s.scratch)
+	s.g.ShortestPathsWithin(u, limit, c.dist, c.prev, s.scratch)
 	s.obs.Counter("steiner.dijkstra.fwd_settled").Add(s.scratch.Pops - pops)
-	s.fwd[u] = c
 	return c
 }
 
 // distToAll returns dTo[xi] = dist(·, rem[xi]) for every terminal, as
 // far as a density scan from a root with forward distances distR can
-// use: every label up to sweepLimit(distR, x) is exact, and larger ones
+// use: every label up to sweepLimit(distR[x]) is exact, and larger ones
 // may read Inf, which cannot change the scan's winner (DESIGN.md §11,
 // "Root-bounded reverse sweeps").
 //
@@ -420,7 +413,7 @@ func (s *Solver) distToAll(distR []float64, rem []int) [][]float64 {
 	dTo := s.dTo[:len(rem)]
 	missing := s.missing[:0] // indices into rem to sweep
 	for xi, x := range rem {
-		limit := sweepLimit(distR, x)
+		limit := sweepLimit(distR[x])
 		b, ok := s.bwd[x]
 		if !ok {
 			b.dist = s.arena.F64(s.g.N())
@@ -443,7 +436,7 @@ func (s *Solver) distToAll(distR []float64, rem []int) [][]float64 {
 	err := parallel.ForEach(s.obs.Pool("steiner.dijkstra"), s.cancel, s.workers, len(missing), func(mi int) {
 		xi := missing[mi]
 		sc := graph.GetScratch()
-		rev.DistancesInto(rem[xi], sweepLimit(distR, rem[xi]), dTo[xi], sc)
+		rev.DistancesInto(rem[xi], sweepLimit(distR[rem[xi]]), dTo[xi], sc)
 		settled.Add(sc.Pops)
 		flushScratch(s.obs, sc)
 		graph.PutScratch(sc)
@@ -463,12 +456,13 @@ func (s *Solver) distToAll(distR []float64, rem []int) [][]float64 {
 }
 
 // Dist returns the shortest-path distance u→v.
-func (s *Solver) Dist(u, v int) float64 { return s.from(u).dist[v] }
+func (s *Solver) Dist(u, v int) float64 { return s.from(u, graph.Inf).dist[v] }
 
-// addPath merges the shortest path u→v into sol. It returns false when v
-// is unreachable from u.
-func (s *Solver) addPath(sol Solution, u, v int) bool {
-	c := s.from(u)
+// addPath adds the shortest path u→v to sol, read from a forward sweep
+// from u exact up to limit. It returns false when v is unreachable from
+// u or lies beyond limit.
+func (s *Solver) addPath(sol *Solution, u, v int, limit float64) bool {
+	c := s.from(u, limit)
 	p, ok := graph.PathTo32Into(c.prev, u, v, s.pathBuf)
 	s.pathBuf = p // keep the grown buffer for the next reconstruction
 	if !ok {
@@ -499,11 +493,12 @@ func (s *Solver) ShortestPathTree(root int, terminals []int) (Solution, error) {
 		if !s.check() {
 			return Solution{}, fmt.Errorf("steiner: %w", s.tripped)
 		}
-		if !s.addPath(sol, root, t) {
+		if !s.addPath(&sol, root, t, graph.Inf) {
 			return Solution{}, fmt.Errorf("steiner: terminal %d unreachable from %d", t, root)
 		}
 	}
-	return sol.Pruned(terminals), nil
+	sol.prune(terminals)
+	return sol, nil
 }
 
 // RecursiveGreedy runs the Charikar et al. level-ℓ recursive greedy
@@ -518,7 +513,7 @@ func (s *Solver) RecursiveGreedy(root int, terminals []int, level int) (Solution
 		return Solution{}, fmt.Errorf("steiner: level %d needs quadratic distance caching; graph has %d > %d vertices",
 			level, s.g.N(), maxLevel3Vertices)
 	}
-	rootDist := s.from(root).dist
+	rootDist := s.from(root, graph.Inf).dist
 	for _, t := range terminals {
 		if math.IsInf(rootDist[t], 1) {
 			return Solution{}, fmt.Errorf("steiner: terminal %d unreachable from %d", t, root)
@@ -537,7 +532,8 @@ func (s *Solver) RecursiveGreedy(root int, terminals []int, level int) (Solution
 		sol.merge(sub)
 		remaining = s.subtract(remaining, covered)
 	}
-	return sol.Pruned(terminals), nil
+	sol.prune(terminals)
+	return sol, nil
 }
 
 // rg is the recursive density-greedy A_level(k, r, X): it returns a
@@ -554,7 +550,7 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 	var cost float64
 	//tmedbvet:ignore hotalloc recursion works on a disjoint copy: sibling rg calls at the same level must not share the shrinking terminal list
 	rem := append([]int(nil), X...)
-	distR := s.from(r).dist
+	distR := s.from(r, graph.Inf).dist
 	for k > 0 && len(rem) > 0 {
 		if !s.check() {
 			break
@@ -562,8 +558,10 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 		var bestV int
 		var bestCov []int
 		var bestCost float64
+		// A level >= 3 winner was swept in full as a recursion root.
+		reach := graph.Inf
 		if level == 2 {
-			bestV, bestCov, bestCost = s.scanLevel2(k, distR, rem)
+			bestV, bestCov, bestCost, reach = s.scanLevel2(k, distR, rem)
 		} else {
 			bestV, bestCov, bestCost = s.scanRecursive(level, k, distR, rem)
 		}
@@ -571,10 +569,8 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 			break
 		}
 		// materialize: path r→bestV plus paths bestV→covered terminals
-		s.addPath(sol, r, bestV)
-		for _, x := range bestCov {
-			s.addPath(sol, bestV, x)
-		}
+		s.addPath(&sol, r, bestV, graph.Inf)
+		s.materialize(&sol, bestV, bestCov, sweepLimit(reach))
 		cost += distR[bestV] + bestCost
 		//tmedbvet:ignore hotalloc per-call result accumulation: the coverage escapes to the recursive caller, which holds it across later rounds
 		covered = append(covered, bestCov...)
@@ -584,22 +580,39 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 	return sol, covered, cost
 }
 
+// materialize adds the paths from v to each covered terminal, read from
+// a forward sweep of v bounded at limit. The level-2 bound is v's
+// largest reverse label in the winning prefix, widened by revSlack, so
+// the sweep reaches every covered terminal (DESIGN.md §11, "Targeted
+// forward sweeps"). Should it still miss one, v sweeps again in full:
+// a dropped path would leave its terminal uncovered.
+func (s *Solver) materialize(sol *Solution, v int, cov []int, limit float64) {
+	for _, x := range cov {
+		if !s.addPath(sol, v, x, limit) {
+			limit = graph.Inf
+			s.addPath(sol, v, x, limit)
+		}
+	}
+}
+
 // scanLevel2 finds the vertex v and prefix size k' minimizing the A_1
 // density (d(r,v) + Σ_{k' nearest} d(v,x)) / k', using reverse-graph
-// distances to the remaining terminals. It returns (-1, nil, 0) when no
-// vertex can reach any terminal.
+// distances to the remaining terminals. Besides the winner, its
+// coverage and cost it returns its reach, the largest reverse label in
+// the winning prefix. It returns (-1, nil, 0, 0) when no vertex can
+// reach any terminal.
 //
 // The vertex scan is embarrassingly parallel: the space is split into
 // contiguous chunks, each chunk runs the serial scan code, and the
 // per-chunk winners merge in ascending chunk order with a strictly-less
 // density comparison — exactly reproducing the serial "first vertex
 // achieving the global minimum wins" tie-break for every worker count.
-func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, float64) {
+func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, float64, float64) {
 	s.obs.Counter("steiner.level2.scans").Inc()
 	s.obs.Counter("steiner.level2.vertices_scanned").Add(int64(s.g.N()))
 	dTo := s.distToAll(distR, rem) // dTo[xi][v] = dist(v, rem[xi]), root-bounded
 	if dTo == nil {
-		return -1, nil, 0 // cancellation latched in distToAll
+		return -1, nil, 0, 0 // cancellation latched in distToAll
 	}
 	ranges := parallel.ChunkRanges(s.workers, s.g.N())
 	if cap(s.cands) < len(ranges) {
@@ -609,7 +622,7 @@ func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, floa
 	}
 	if len(ranges) == 1 {
 		best := s.scanLevel2Range(k, distR, rem, dTo, 0, ranges[0])
-		return best.v, best.cov, best.cost
+		return best.v, best.cov, best.cost, best.reach
 	}
 	locals := s.locals[:len(ranges)]
 	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
@@ -622,15 +635,17 @@ func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, floa
 			best = l
 		}
 	}
-	return best.v, best.cov, best.cost
+	return best.v, best.cov, best.cost, best.reach
 }
 
-// level2Best is one (local) winner of the level-2 density scan.
+// level2Best is one (local) winner of the level-2 density scan; reach
+// is the largest label of its prefix.
 type level2Best struct {
 	v       int
 	cov     []int
 	cost    float64
 	density float64
+	reach   float64
 }
 
 // td is one candidate (terminal index, distance) pair of the density
@@ -713,6 +728,7 @@ func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]floa
 				best.density = dens
 				best.v = v
 				best.cost = prefix
+				best.reach = cands[kp-1].d
 				bestCov = bestCov[:0]
 				for _, c := range cands[:kp] {
 					bestCov = append(bestCov, rem[c.xi])
@@ -765,7 +781,7 @@ func (s *Solver) scanRecursive(level, k int, distR []float64, rem []int) (int, [
 // rgBase is A_1(k, r, X): connect r to the k nearest reachable terminals
 // by direct shortest paths.
 func (s *Solver) rgBase(k, r int, X []int) (Solution, []int, float64) {
-	dist := s.from(r).dist
+	dist := s.from(r, graph.Inf).dist
 	if cap(s.baseCands) < len(X) {
 		s.baseCands = make([]td, 0, len(X))
 	}
@@ -795,7 +811,7 @@ func (s *Solver) rgBase(k, r int, X []int) (Solution, []int, float64) {
 	var cost float64
 	for _, c := range cands[:k] {
 		t := X[c.xi]
-		s.addPath(sol, r, t)
+		s.addPath(&sol, r, t, graph.Inf)
 		//tmedbvet:ignore hotalloc per-call result accumulation: the coverage escapes to the recursive caller, which holds it across later rounds
 		covered = append(covered, t)
 		cost += c.d

@@ -1,13 +1,60 @@
 package steiner
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 )
+
+// Verify checks that the solution is sound for the instance: every edge
+// is a graph edge whose claimed weight is the cheapest parallel u→v
+// weight bit for bit (the solver copies weights from g.W, so no slack
+// is due), and every terminal is reachable from the root through
+// solution edges.
+func (s Solution) Verify(g *graph.CSR, terminals []int) error {
+	for _, e := range s.edges {
+		cheapest := math.Inf(1)
+		for ei := g.Off[e.u]; ei < g.Off[e.u+1]; ei++ {
+			if g.To[ei] == e.v && g.W[ei] < cheapest {
+				cheapest = g.W[ei]
+			}
+		}
+		if math.IsInf(cheapest, 1) {
+			return fmt.Errorf("steiner: edge (%d,%d,w=%g) not in graph", e.u, e.v, e.w)
+		}
+		if math.Float64bits(cheapest) != math.Float64bits(e.w) {
+			return fmt.Errorf("steiner: edge (%d,%d) claims weight %g, the graph's cheapest is %g", e.u, e.v, e.w, cheapest)
+		}
+	}
+	reach := s.reachableFromRoot()
+	for _, t := range terminals {
+		if !reach[t] {
+			return fmt.Errorf("steiner: terminal %d not reachable from root %d", t, s.Root)
+		}
+	}
+	return nil
+}
+
+// reachableFromRoot returns the vertices reachable from the root using
+// only solution edges.
+func (s Solution) reachableFromRoot() map[int]bool {
+	seen := map[int]bool{s.Root: true}
+	for grew := true; grew; {
+		grew = false
+		for _, e := range s.edges {
+			if seen[int(e.u)] && !seen[int(e.v)] {
+				seen[int(e.v)] = true
+				grew = true
+			}
+		}
+	}
+	return seen
+}
 
 // starGadget: hub structure where the greedy-density approach pays off.
 // root 0 → hub 1 (cost 10), hub 1 → terminals 2,3,4 (cost 1 each);
@@ -171,6 +218,34 @@ func TestVerifyCatchesFakeEdge(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesUnderclaimedTinyWeight solves the star gadget with
+// every weight scaled by 1e-18, the scale of the auxiliary graph's
+// positive weights on a 20-node static instance. A claimed weight half
+// the graph's must fail; an absolute slack such as 1e-12 would accept
+// any weight at this scale.
+func TestVerifyCatchesUnderclaimedTinyWeight(t *testing.T) {
+	g, terms := starGadget()
+	for i := range g.W {
+		g.W[i] *= 1e-18
+	}
+	s := NewSolver(g)
+	defer s.Release()
+	sol, err := s.RecursiveGreedy(0, terms, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sol.Verify(g, terms); err != nil {
+		t.Fatal(err)
+	}
+	for i := range sol.edges {
+		bad := Solution{Root: sol.Root, edges: slices.Clone(sol.edges)}
+		bad.edges[i].w /= 2
+		if bad.Verify(g, terms) == nil {
+			t.Errorf("Verify accepted edge (%d,%d) at half its weight %g", bad.edges[i].u, bad.edges[i].v, sol.edges[i].w)
+		}
+	}
+}
+
 func randomInstance(r *rand.Rand, n, m, k int) (*graph.CSR, []int) {
 	var el graph.EdgeList
 	// a random backbone guaranteeing reachability from 0
@@ -269,25 +344,66 @@ func TestPrunedRemovesDeadBranch(t *testing.T) {
 	sol.addEdge(1, 2, 1)
 	sol.addEdge(1, 3, 5) // dead branch: 3 is not a terminal
 	sol.addEdge(4, 2, 7) // unreachable tail: 4 not reachable from root
-	pruned := sol.Pruned([]int{2})
-	if pruned.NumEdges() != 2 {
-		t.Fatalf("pruned edges = %v", pruned.Edges())
+	sol.prune([]int{2})
+	if sol.NumEdges() != 2 {
+		t.Fatalf("pruned edges = %v", sol.Edges())
 	}
-	if pruned.Cost() != 2 {
-		t.Errorf("pruned cost = %g, want 2", pruned.Cost())
+	if sol.Cost() != 2 {
+		t.Errorf("pruned cost = %g, want 2", sol.Cost())
 	}
 }
 
+// TestPrunedFixpointCascade prunes the dead chain 1→5→6. A prune that
+// tested heads against the solution minus removed edges would have
+// needed a second pass for 1→5 once 5→6 was gone; the one-pass test
+// drops both at once, as neither 5 nor 6 reaches a terminal.
 func TestPrunedFixpointCascade(t *testing.T) {
-	// chain 1→5→6 is dead; removing 5→6 exposes 1→5 as dead too
 	sol := newSolution(0)
 	sol.addEdge(0, 1, 1)
 	sol.addEdge(1, 2, 1)
 	sol.addEdge(1, 5, 3)
 	sol.addEdge(5, 6, 3)
-	pruned := sol.Pruned([]int{2})
-	if pruned.NumEdges() != 2 {
-		t.Fatalf("pruned edges = %v, want the 0→1→2 chain", pruned.Edges())
+	sol.prune([]int{2})
+	if sol.NumEdges() != 2 {
+		t.Fatalf("pruned edges = %v, want the 0→1→2 chain", sol.Edges())
+	}
+}
+
+// TestPruneKeepsCheapestFirstAddedDuplicate pins canonicalization to
+// the retired edge map's rule: of the edges added for one (u, v) pair
+// the cheapest survives, and of equal weights the first added. The
+// signed zeros compare equal but differ in their bits, so they show
+// which edge survived.
+func TestPruneKeepsCheapestFirstAddedDuplicate(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, tc := range []struct {
+		name string
+		ws   []float64 // weights added for the pairs 0→1 and 1→2, in order
+		want float64
+	}{
+		{"cheaper later", []float64{2, 1, 3}, 1},
+		{"tie, +0 first", []float64{0, negZero}, 0},
+		{"tie, -0 first", []float64{negZero, 0}, negZero},
+		{"tie after a dearer edge", []float64{4, negZero, 0, 1}, negZero},
+	} {
+		sol := newSolution(0)
+		ref := newRefSolution(0)
+		sol.addEdge(0, 2, 5)
+		ref.addEdge(0, 2, 5)
+		for _, w := range tc.ws {
+			sol.addEdge(0, 1, w)
+			ref.addEdge(0, 1, w)
+			sol.addEdge(1, 2, w)
+			ref.addEdge(1, 2, w)
+		}
+		sol.prune([]int{1, 2})
+		want := [][3]float64{{0, 1, tc.want}, {0, 2, 5}, {1, 2, tc.want}}
+		if !sameEdges(sol.Edges(), want) {
+			t.Errorf("%s: edges %v, want %v", tc.name, sol.Edges(), want)
+		}
+		if refEdges := ref.pruned([]int{1, 2}).sortedEdges(); !sameEdges(refEdges, want) {
+			t.Errorf("%s: the edge map keeps %v, want %v", tc.name, refEdges, want)
+		}
 	}
 }
 
