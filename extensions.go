@@ -40,14 +40,18 @@ type (
 // NewRecorder returns an enabled metrics recorder.
 func NewRecorder() *Recorder { return obs.New() }
 
-// CacheStats is a point-in-time view of a graph's cost-cache counters
-// (MinCost and DCS memo tables plus the shared channel-inversion memo).
+// CacheStats is a point-in-time view of a graph's cost-cache counters:
+// MinCost and DCS queries answered from an already filled cost-set piece
+// (hits) or by filling one (misses), the number of pieces filled, and
+// the Rician/Nakagami channel-inversion memo.
 type CacheStats = tveg.CacheStats
 
 // RecordCacheStats samples g's cost-cache counters into rec under the
 // cache.tveg.min_cost / cache.tveg.dcs / cache.channel.memo gauge
-// families (run reports derive a .hit_rate per family). No-op when rec
-// is nil or the graph's cache is disabled.
+// families (run reports derive a .hit_rate per family). The tveg.dcs
+// size is the number of cost-set pieces filled; MinCost reads those
+// pieces, so the tveg.min_cost size is 0. No-op when rec is nil or the
+// graph's cache is disabled.
 func RecordCacheStats(rec *Recorder, g *Graph) {
 	st, ok := g.CostCacheStats()
 	if !ok || rec == nil {

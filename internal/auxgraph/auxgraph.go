@@ -213,7 +213,7 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 		t      float64
 		levels []tveg.CostLevel
 	}
-	var cands []tx
+	cands := make([]tx, 0, total)
 	candOff := make([]int32, n+1)
 	tau := g.Tau()
 	for i := 0; i < n; i++ {
@@ -288,9 +288,11 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 		}
 	}
 	powerVerts := 0
+	payCap := 0          // paying edges: at most one per level
 	edgeCap := total - n // wait edges
 	for _, x := range txs {
 		L := len(x.levels)
+		payCap += L
 		if advantage {
 			powerVerts += L
 			edgeCap += L + L*(L+1)/2 // paying edges + coverage fan-out bound
@@ -319,10 +321,8 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 	// candidate — the coverage fan-out reuses it across power levels
 	// instead of redoing the partition binary search per (level, covered)
 	// pair.
-	var (
-		payPos []int32
-		metas  []TxMeta
-	)
+	payPos := make([]int32, 0, payCap)
+	metas := make([]TxMeta, 0, payCap)
 	fs := ar.I32(maxLevels)
 	next := int32(total)
 	for _, x := range txs {

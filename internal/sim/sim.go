@@ -94,6 +94,27 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 	gamma := g.Params.GammaTh
 	tau := g.Tau()
 	res := Result{PlannedEnergy: ordered.NormalizedCost(gamma), Trials: trials, Workers: 1}
+
+	// The in-range receivers of each transmission and their failure
+	// probabilities do not depend on the trial: build them once, in
+	// EverNeighbors order, so every trial draws its random numbers in
+	// the same order as a per-trial scan would. Transmission k's links
+	// are links[off[k]:off[k+1]].
+	type link struct {
+		j       tvg.NodeID
+		failure float64
+	}
+	var links []link
+	off := make([]int, len(ordered)+1)
+	for k, x := range ordered {
+		for _, j := range g.EverNeighbors(x.Relay) {
+			if g.RhoTau(x.Relay, j, x.T) {
+				links = append(links, link{j, g.EDAt(x.Relay, j, x.T).FailureProb(x.W)})
+			}
+		}
+		off[k+1] = len(links)
+	}
+
 	var sumDelivery, sumSqDelivery, sumEnergy float64
 	recvAt := make([]float64, g.N())
 	for trial := 0; trial < trials; trial++ {
@@ -102,7 +123,7 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 		}
 		recvAt[src] = math.Inf(-1)
 		var energy float64
-		for _, x := range ordered {
+		for k, x := range ordered {
 			if recvAt[x.Relay] > x.T+schedule.TimeTol {
 				// A relay whose packet has not arrived (t_recv = t_k + τ
 				// of some earlier reception) cannot forward it: a node
@@ -115,15 +136,14 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 			}
 			txFired.Inc()
 			energy += x.W
-			for _, j := range g.EverNeighbors(x.Relay) {
-				if recvAt[j] <= x.T || !g.RhoTau(x.Relay, j, x.T) {
-					continue // holds the packet already, or out of range
+			for _, l := range links[off[k]:off[k+1]] {
+				if recvAt[l.j] <= x.T {
+					continue // holds the packet already
 				}
-				failure := g.EDAt(x.Relay, j, x.T).FailureProb(x.W)
-				if failure <= 0 || rng.Float64() >= failure {
+				if l.failure <= 0 || rng.Float64() >= l.failure {
 					rxOK.Inc()
-					if t := x.T + tau; t < recvAt[j] {
-						recvAt[j] = t
+					if t := x.T + tau; t < recvAt[l.j] {
+						recvAt[l.j] = t
 					}
 				} else {
 					rxFailed.Inc()

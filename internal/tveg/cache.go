@@ -1,163 +1,168 @@
 package tveg
 
 import (
-	"sync"
+	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/channel"
 	"repro/internal/tvg"
 )
 
-// costCache memoizes the ψ cost queries the planners issue repeatedly at
-// identical coordinates: MinCost per (edge, time, model, ε) and the full
-// discrete cost set per (node, time, model, ε). Both are pure functions
-// of the graph's contacts and parameters, so the cache is invisible to
-// results; it exists because the auxiliary-graph construction, the greedy
-// backbones, and the candidate evaluation all re-query the same DTS
-// points, and under Rician/Nakagami models each miss pays a bisection
-// over special functions.
+// costCache answers DCS and MinCost from one cost-set timeline per
+// node. Node i's discrete cost set W_{i,t}^di is piecewise constant in
+// t: it changes only where one of i's links appears, disappears or
+// changes its channel segment. A timeline holds those piece starts and
+// one slot per piece and channel model, which the first query landing
+// in the piece fills by CompareAndSwap; every later query in the piece
+// is a binary search plus an atomic load, with no lock and no hash.
+// MinCost(i, j, t) reads j's entry of the same cost set. Timelines are
+// built on their node's first query and filled lazily (DESIGN.md §6).
 //
-// The tables are split per sender node: nodes[i] holds every cached
-// query whose sender is i, so a lookup hashes a small concrete key in
-// one node's map and an edit touches only its endpoints' tables.
-//
-// Invalidation rules (documented in DESIGN.md):
-//   - AddContact/RemoveContact/RetimeChannel invalidate selectively:
-//     an edit to the pair (a, b) drops the DCS tables of nodes a and b
-//     (a node's cost set depends only on its own incident edges) and
-//     the MinCost entries of that pair, across every model. The
-//     ED-function memo survives — it keys on channel parameters (β, ε),
-//     not coordinates.
-//   - WithModel views share the cache; the model is part of every key.
-//   - Params are assumed frozen once planning starts. Mutating
-//     Params.Eps is still safe (ε is part of every key); mutating the
-//     physical constants mid-flight requires InvalidateCostCache.
+// Invalidation rules:
+//   - An edit to the pair (a, b) drops the timelines of a and b; a
+//     node's cost sets depend only on its own incident links. The
+//     ED-function memo keys on channel parameters (β, ε) and survives.
+//   - WithModel views created after EnableCostCache share the cache;
+//     each slot belongs to one model.
+//   - A timeline records the Params it was built under. A query through
+//     a graph or view with other Params is answered uncached.
 type costCache struct {
-	nodes  []nodeCache
+	nodes  []atomic.Pointer[timeline]
 	edMemo channel.Memo
 
-	// Per-family hit/miss counters feed the observability layer. Purely
-	// additive: no planner reads them back, so cached results (and
-	// therefore schedules) are unaffected.
+	// Hit/miss counters for the observability layer; no planner reads
+	// them back.
 	minCostHits, minCostMisses atomic.Int64
 	dcsHits, dcsMisses         atomic.Int64
 }
 
-// nodeCache holds the cached queries of one sender node. The maps are
-// created on first store; mu guards both.
-type nodeCache struct {
-	mu      sync.RWMutex
-	dcs     map[dcsKey][]CostLevel // treat values as read-only
-	minCost map[minCostKey]float64
+// numModels is the number of channel models, and so of slots per piece.
+const numModels = int(NakagamiFading) + 1
+
+// timeline is one node's cost sets over time. Piece p holds the times
+// with exactly p starts at or below them. Within a piece every incident
+// link's ρ_τ and channel segment stay constant, so one dcsUncached call
+// answers the whole piece.
+type timeline struct {
+	params Params
+	starts []float64
+	// sets[p*numModels+m] is piece p's cost set under model m, nil until
+	// filled. Filled sets are shared with callers and never modified.
+	sets []atomic.Pointer[[]CostLevel]
 }
 
-type dcsKey struct {
-	t     float64
-	model Model
-	eps   float64
-}
-
-type minCostKey struct {
-	j     tvg.NodeID
-	t     float64
-	model Model
-	eps   float64
-}
-
-// loadDCS returns node i's cached cost set for k, counting the query as
-// a hit or a miss.
-func (c *costCache) loadDCS(i tvg.NodeID, k dcsKey) ([]CostLevel, bool) {
-	nc := &c.nodes[i]
-	nc.mu.RLock()
-	v, ok := nc.dcs[k]
-	nc.mu.RUnlock()
-	if ok {
-		c.dcsHits.Add(1)
-	} else {
-		c.dcsMisses.Add(1)
-	}
-	return v, ok
-}
-
-func (c *costCache) storeDCS(i tvg.NodeID, k dcsKey, v []CostLevel) {
-	nc := &c.nodes[i]
-	nc.mu.Lock()
-	if nc.dcs == nil {
-		nc.dcs = make(map[dcsKey][]CostLevel)
-	}
-	nc.dcs[k] = v
-	nc.mu.Unlock()
-}
-
-// loadMinCost returns the cached MinCost from node i for k, counting the
-// query as a hit or a miss.
-func (c *costCache) loadMinCost(i tvg.NodeID, k minCostKey) (float64, bool) {
-	nc := &c.nodes[i]
-	nc.mu.RLock()
-	w, ok := nc.minCost[k]
-	nc.mu.RUnlock()
-	if ok {
-		c.minCostHits.Add(1)
-	} else {
-		c.minCostMisses.Add(1)
-	}
-	return w, ok
-}
-
-func (c *costCache) storeMinCost(i tvg.NodeID, k minCostKey, w float64) {
-	nc := &c.nodes[i]
-	nc.mu.Lock()
-	if nc.minCost == nil {
-		nc.minCost = make(map[minCostKey]float64)
-	}
-	nc.minCost[k] = w
-	nc.mu.Unlock()
-}
-
-// invalidatePair deletes every cached result an edit to the edge (a, b)
-// could change: the DCS tables of the two endpoint nodes and the pair's
-// MinCost entries (both orientations, every model and ε). Entries of
-// other nodes stay — their cost sets depend only on their own incident
-// edges. Hit/miss counters keep accumulating across selective
-// invalidations so cache-effectiveness metrics span edit sequences.
-func (c *costCache) invalidatePair(a, b tvg.NodeID) {
-	c.nodes[a].drop(b)
-	c.nodes[b].drop(a)
-}
-
-// drop forgets the node's cost sets and its MinCost entries toward j.
-func (nc *nodeCache) drop(j tvg.NodeID) {
-	nc.mu.Lock()
-	defer nc.mu.Unlock()
-	nc.dcs = nil
-	for k := range nc.minCost {
-		if k.j == j {
-			delete(nc.minCost, k)
+// newTimeline collects node i's piece starts: the points where ρ_τ or
+// the channel segment of one of its links can change. ρ_τ over a
+// presence interval [S, E) holds iff S <= t and t+τ < E, so it flips at
+// S and at windowEnd(E, τ); SegmentAt flips at each segment's Start and
+// End.
+func (g *Graph) newTimeline(i tvg.NodeID) *timeline {
+	tau := g.Tau()
+	var starts []float64
+	for _, j := range g.EverNeighbors(i) {
+		for _, iv := range g.Presence(i, j).Intervals() {
+			starts = append(starts, iv.Start, windowEnd(iv.End, tau))
+		}
+		for _, s := range g.segs[tvg.MakeEdgeKey(i, j)] {
+			starts = append(starts, s.Iv.Start, s.Iv.End)
 		}
 	}
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	return &timeline{
+		params: g.Params,
+		starts: starts,
+		sets:   make([]atomic.Pointer[[]CostLevel], (len(starts)+1)*numModels),
+	}
 }
 
-func (c *costCache) reset() {
-	for i := range c.nodes {
-		nc := &c.nodes[i]
-		nc.mu.Lock()
-		nc.dcs, nc.minCost = nil, nil
-		nc.mu.Unlock()
+// windowEnd returns the first float64 c at which ContainsWindow's test
+// c+τ < end turns false. At τ = 0 that is end itself. For τ > 0 the
+// rounded end−τ can sit an ulp off that point, so step from it:
+// rounding keeps fl(t+τ) non-decreasing in t, so the flip point is
+// unique — the c at which the test fails while it holds one ulp below.
+// The p < c guard stops the walk at -Inf and on NaN.
+func windowEnd(end, tau float64) float64 {
+	if tau == 0 {
+		return end
 	}
-	c.edMemo.Reset()
-	c.minCostHits.Store(0)
-	c.minCostMisses.Store(0)
-	c.dcsHits.Store(0)
-	c.dcsMisses.Store(0)
+	c := end - tau
+	for c+tau < end {
+		c = math.Nextafter(c, math.Inf(1))
+	}
+	for {
+		p := math.Nextafter(c, math.Inf(-1))
+		if p+tau < end || !(p < c) {
+			return c
+		}
+		c = p
+	}
+}
+
+// piece returns the index of t's piece: the position of the first start
+// greater than t.
+func (tl *timeline) piece(t float64) int {
+	lo, hi := 0, len(tl.starts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if tl.starts[m] > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// costSet returns node i's cost set at t under g's model, counting the
+// query as one hit when its piece was already filled and one miss
+// otherwise. The first query on a node builds its timeline. A query the
+// timeline cannot answer (g's Params differ from the timeline's, or the
+// model has no slot) is computed uncached.
+func (c *costCache) costSet(g *Graph, i tvg.NodeID, t float64, hits, misses *atomic.Int64) []CostLevel {
+	tl := c.nodes[i].Load()
+	if tl == nil {
+		tl = g.newTimeline(i)
+		if !c.nodes[i].CompareAndSwap(nil, tl) {
+			tl = c.nodes[i].Load()
+		}
+	}
+	if tl.params != g.Params || uint(g.Model) >= uint(numModels) {
+		misses.Add(1)
+		return g.dcsUncached(i, t)
+	}
+	slot := &tl.sets[tl.piece(t)*numModels+int(g.Model)]
+	if p := slot.Load(); p != nil {
+		hits.Add(1)
+		return *p
+	}
+	misses.Add(1)
+	out := g.dcsUncached(i, t)
+	slot.CompareAndSwap(nil, &out)
+	return out
+}
+
+// invalidatePair drops the timelines of a and b, the only nodes whose
+// cost sets an edit to the edge (a, b) can change. Hit/miss counters
+// keep accumulating across edits so cache-effectiveness metrics span
+// edit sequences.
+func (c *costCache) invalidatePair(a, b tvg.NodeID) {
+	c.nodes[a].Store(nil)
+	c.nodes[b].Store(nil)
 }
 
 // CacheStats is a point-in-time view of the cost cache's effectiveness:
-// one hit/miss/size triple per memoized query family.
+// one hit/miss/size triple per query family. Each DCS or MinCost query
+// counts one hit when its piece was already filled and one miss
+// otherwise. DCSSize is the number of pieces filled, whichever family
+// filled them; MinCost reads those pieces and holds no entries of its
+// own, so MinCostSize is 0.
 type CacheStats struct {
 	MinCostHits, MinCostMisses, MinCostSize int64
 	DCSHits, DCSMisses, DCSSize             int64
-	// EDMemo is the underlying MinCost-inversion memo shared by all
-	// coordinate keys.
+	// EDMemo is the underlying Rician/Nakagami MinCost-inversion memo
+	// shared by all pieces.
 	EDMemo channel.MemoStats
 }
 
@@ -177,34 +182,23 @@ func (g *Graph) CostCacheStats() (CacheStats, bool) {
 		EDMemo:        c.edMemo.Stats(),
 	}
 	for i := range c.nodes {
-		nc := &c.nodes[i]
-		nc.mu.RLock()
-		st.MinCostSize += int64(len(nc.minCost))
-		st.DCSSize += int64(len(nc.dcs))
-		nc.mu.RUnlock()
+		if tl := c.nodes[i].Load(); tl != nil {
+			for k := range tl.sets {
+				if tl.sets[k].Load() != nil {
+					st.DCSSize++
+				}
+			}
+		}
 	}
 	return st, true
 }
 
-// EnableCostCache attaches a memo cache for MinCost/DCS queries to the
-// graph and returns the graph for chaining. Views created by WithModel
-// before or after share the same cache (the model is part of every key).
-// Safe for concurrent readers; idempotent.
+// EnableCostCache attaches the cost-set timelines to the graph and
+// returns the graph for chaining. Views created by WithModel afterwards
+// share them. Safe for concurrent readers; idempotent.
 func (g *Graph) EnableCostCache() *Graph {
 	if g.cache == nil {
-		g.cache = &costCache{nodes: make([]nodeCache, g.N())}
+		g.cache = &costCache{nodes: make([]atomic.Pointer[timeline], g.N())}
 	}
 	return g
-}
-
-// CostCacheEnabled reports whether the graph memoizes cost queries.
-func (g *Graph) CostCacheEnabled() bool { return g.cache != nil }
-
-// InvalidateCostCache empties the cache (for callers that mutate Params
-// after planning started; edits invalidate their own pair
-// automatically).
-func (g *Graph) InvalidateCostCache() {
-	if g.cache != nil {
-		g.cache.reset()
-	}
 }

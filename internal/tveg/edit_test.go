@@ -126,8 +126,8 @@ func TestRetimeOverlappingFromRejected(t *testing.T) {
 }
 
 // TestEditInvalidatesOnlyAffectedCacheEntries pins the selective
-// invalidation contract: an edit to (a, b) flushes that pair's MinCost
-// and the endpoints' DCS entries and nothing else.
+// invalidation contract: an edit to (a, b) drops the cost-set timelines
+// of a and b and nothing else.
 func TestEditInvalidatesOnlyAffectedCacheEntries(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 200}, 0, DefaultParams(), Static)
 	g.EnableCostCache()
@@ -161,11 +161,13 @@ func TestEditInvalidatesOnlyAffectedCacheEntries(t *testing.T) {
 	if st2.MinCostHits == st.MinCostHits {
 		t.Error("untouched pair should have served a cache hit")
 	}
-	// DCS of an edited endpoint recomputes (0 lost its only neighbor);
-	// DCS of an untouched node still hits.
+	// DCS of an edited endpoint reads the piece the MinCost query above
+	// refilled (0 lost its only neighbor); DCS of an untouched node
+	// still hits.
 	if lv := g.DCS(0, 20); len(lv) != 0 {
 		t.Errorf("DCS(0) after removal = %v, want empty", lv)
 	}
+	st2, _ = g.CostCacheStats()
 	dcsHits := st2.DCSHits
 	g.DCS(2, 20)
 	st3, _ := g.CostCacheStats()

@@ -102,7 +102,7 @@ type Graph struct {
 	Params Params
 	Model  Model
 	segs   map[tvg.EdgeKey][]Segment
-	// cache memoizes pure cost queries; nil = disabled. Shared (by
+	// cache holds the cost-set timelines; nil = disabled. Shared (by
 	// pointer) with every WithModel view. See EnableCostCache.
 	cache *costCache
 }
@@ -145,7 +145,7 @@ func (g *Graph) AddContact(i, j tvg.NodeID, iv interval.Interval, dist float64) 
 	sort.SliceStable(g.segs[k], func(a, b int) bool { return g.segs[k][a].Iv.Start < g.segs[k][b].Iv.Start })
 	if g.cache != nil {
 		// A new contact only changes ρ_τ, segments, and cost sets at its
-		// own pair; everything else cached stays valid.
+		// own endpoints; every other timeline stays valid.
 		g.cache.invalidatePair(i, j)
 	}
 }
@@ -198,16 +198,16 @@ func (g *Graph) EDAt(i, j tvg.NodeID, t float64) channel.EDFunction {
 // MinCost returns the smallest cost at which a transmission i→j at time t
 // satisfies the per-hop error rate ε: the step threshold for static
 // channels, or the w0 of §VI-B (φ(w0) = ε) for fading channels. +Inf
-// when the edge is absent.
+// when the edge is absent. With the cost cache enabled it reads j's
+// entry of i's cost set at t.
 func (g *Graph) MinCost(i, j tvg.NodeID, t float64) float64 {
-	if g.cache != nil {
-		k := minCostKey{j, t, g.Model, g.Params.Eps}
-		if w, ok := g.cache.loadMinCost(i, k); ok {
-			return w
+	if c := g.cache; c != nil {
+		for _, lvl := range c.costSet(g, i, t, &c.minCostHits, &c.minCostMisses) {
+			if lvl.Node == j {
+				return lvl.W
+			}
 		}
-		w := g.minCostUncached(i, j, t)
-		g.cache.storeMinCost(i, k, w)
-		return w
+		return math.Inf(1)
 	}
 	return g.minCostUncached(i, j, t)
 }
@@ -218,7 +218,9 @@ func (g *Graph) minCostUncached(i, j tvg.NodeID, t float64) float64 {
 		return math.Inf(1)
 	}
 	var w float64
-	if g.cache != nil {
+	if g.cache != nil && (g.Model == RicianFading || g.Model == NakagamiFading) {
+		// Only these two invert by bisection; Step and Rayleigh are
+		// closed forms.
 		w = g.cache.edMemo.MinCost(ed, g.Params.Eps)
 	} else {
 		w = ed.MinCost(g.Params.Eps)
@@ -246,24 +248,13 @@ type CostLevel struct {
 // When the cost cache is enabled the returned slice may be shared with
 // other callers and must not be modified.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
-	if g.cache != nil {
-		k := dcsKey{t, g.Model, g.Params.Eps}
-		if v, ok := g.cache.loadDCS(i, k); ok {
-			return v
-		}
-		out := g.dcsUncached(i, t)
-		g.cache.storeDCS(i, k, out)
-		return out
+	if c := g.cache; c != nil {
+		return c.costSet(g, i, t, &c.dcsHits, &c.dcsMisses)
 	}
 	return g.dcsUncached(i, t)
 }
 
 func (g *Graph) dcsUncached(i tvg.NodeID, t float64) []CostLevel {
-	// Per-link costs go through minCostUncached, not MinCost: the DCS
-	// cache already memoizes the composite result per (i, t), so writing
-	// every (i, j, t) into the fine-grained MinCost map during the sweep
-	// is pure map traffic. The ED-function memo inside minCostUncached
-	// still deduplicates the expensive channel inversions per segment.
 	var out []CostLevel
 	for _, j := range g.EverNeighbors(i) {
 		w := g.minCostUncached(i, j, t)
