@@ -187,12 +187,12 @@ func BenchmarkAblationDTSPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNLPSolver compares the three energy allocators
-// (greedy constraint-fixing, penalty/projected-gradient, Lagrangian
-// dual) on FR-EEDCB instances.
+// BenchmarkAblationNLPSolver compares the two energy allocators
+// (greedy constraint-fixing with coordinate descent, Lagrangian dual)
+// on FR-EEDCB instances.
 func BenchmarkAblationNLPSolver(b *testing.B) {
 	g := benchGraph(Rayleigh)
-	for _, alloc := range []core.Allocator{core.AllocGreedy, core.AllocPenalty, core.AllocDual} {
+	for _, alloc := range []core.Allocator{core.AllocGreedy, core.AllocDual} {
 		b.Run(alloc.String(), func(b *testing.B) {
 			var energy float64
 			for i := 0; i < b.N; i++ {

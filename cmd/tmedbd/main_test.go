@@ -563,6 +563,39 @@ func TestSolveRequestValidation(t *testing.T) {
 	}
 }
 
+// TestMalformedTraceRejected: an inline trace whose contact distance is
+// negative or NaN is malformed input, so /solve and /edit answer 400
+// instead of dropping the connection or failing with a 500. The same
+// requests with a valid distance answer 200.
+func TestMalformedTraceRejected(t *testing.T) {
+	srv := newServer(defaultConfig())
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	in := instance{alg: "fr-eedcb", model: "rayleigh"}
+	edits := []editSpec{{Op: "add", I: 0, J: 1, Start: 10, End: 20, Dist: 2}}
+	for _, tc := range []struct {
+		trace string
+		want  int
+	}{
+		{"0 1 5 50 3\n", http.StatusOK},
+		{"0 1 5 50 -3\n", http.StatusBadRequest},
+		{"0 1 5 50 NaN\n", http.StatusBadRequest},
+	} {
+		inline := func(r *solveRequest) {
+			r.Synthetic, r.Trace = nil, tc.trace
+			r.T0, r.Delay = 0, 40
+		}
+		code, _, err := postSolve(ts.Client(), ts.URL, solveBody(in, inline))
+		if err != nil || code != tc.want {
+			t.Errorf("/solve with trace %q: status %d (err %v), want %d", tc.trace, code, err, tc.want)
+		}
+		code, _, raw, err := postEdit(ts.Client(), ts.URL, editBody(in, edits, inline))
+		if err != nil || code != tc.want {
+			t.Errorf("/edit with trace %q: status %d (err %v), want %d: %s", tc.trace, code, err, tc.want, raw)
+		}
+	}
+}
+
 // TestCacheServesIdenticalSchedule pins hit/miss equivalence directly:
 // the second identical request is a hit and returns the same envelope
 // transmissions.

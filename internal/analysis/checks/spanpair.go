@@ -14,9 +14,9 @@ import (
 // it — either a `defer sp.End()` right after the start, or explicit
 // End calls covering each return and the fall-through.
 //
-// An unclosed span corrupts the phase tree for the rest of the run:
-// every later StartPhase nests under the leaked span, and reported
-// durations extend to whenever the recorder is next snapshotted.
+// An unclosed span never records its end: its reported duration runs
+// to whenever the recorder is next snapshotted, so the phase tree
+// overstates where the time went.
 //
 // The analysis is a per-function, path-sensitive walk over the
 // statement list that `sp := X.StartPhase(...)` binds into (so it

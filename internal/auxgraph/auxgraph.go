@@ -170,7 +170,9 @@ func Build(g *tveg.Graph, d *dts.DTS, opts Options) (*Aux, error) {
 			opts.Obs.Counter("auxgraph.patch.misses").Inc()
 		}
 	}
-	c, err := buildCore(g, d, advantage, opts, parent, edited)
+	inner := opts
+	inner.Obs = sp.Recorder()
+	c, err := buildCore(g, d, advantage, inner, parent, edited)
 	if err != nil {
 		return nil, err
 	}

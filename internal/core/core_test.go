@@ -228,19 +228,6 @@ func TestFRSchedulesSatisfyEpsOnRandomFadingTraces(t *testing.T) {
 	}
 }
 
-func TestFREEDCBPenaltyNotWorseThanGreedyAllocator(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	g := randomTrace(r, 6, tveg.RayleighFading, 800)
-	a, errA := FREEDCB{}.Schedule(g, 0, 0, 800)
-	b, errB := FREEDCB{UsePenalty: true}.Schedule(g, 0, 0, 800)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	if b.TotalCost() > a.TotalCost()*(1+1e-9) {
-		t.Errorf("penalty allocation %g worse than greedy %g", b.TotalCost(), a.TotalCost())
-	}
-}
-
 func TestTighterDeadlineNeverCheaper(t *testing.T) {
 	// Fig. 4 shape: energy is non-increasing in the delay constraint.
 	r := rand.New(rand.NewSource(13))

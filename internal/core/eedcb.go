@@ -29,7 +29,8 @@ type EEDCB struct {
 	// Schedules are byte-identical for every value; <= 1 (the zero
 	// value) runs the fully serial paths.
 	Workers int
-	// DTSOpts and AuxOpts tune the reduction (ablation hooks).
+	// DTSOpts and AuxOpts tune the reduction (ablation hooks). Their
+	// Obs is replaced by the planner's phase scope.
 	DTSOpts dts.Options
 	AuxOpts auxgraph.Options
 	// Obs receives the phase tree (eedcb → dts/auxgraph/steiner) and the
@@ -60,7 +61,7 @@ func (e EEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t
 	sp := e.Obs.StartPhase("eedcb")
 	defer sp.End()
 	view := plannerView(g, false)
-	return solveViaAux(view, src, nil, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, e.Obs)
+	return solveViaAux(view, src, nil, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, sp.Recorder())
 }
 
 // Multicast plans a minimum-energy delay-constrained multicast: only the
@@ -77,7 +78,7 @@ func (e EEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 	sp := e.Obs.StartPhase("eedcb")
 	defer sp.End()
 	view := plannerView(g, false)
-	return solveViaAux(view, src, targets, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, e.Obs)
+	return solveViaAux(view, src, targets, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, sp.Recorder())
 }
 
 // solveViaAux runs the §VI-A pipeline on the given planner view for the
@@ -86,6 +87,7 @@ func (e EEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 // bounds every stage's internal pool; explicit per-stage Workers in the
 // option structs win over the scheduler-level knob, and likewise an
 // explicit per-stage Cancel wins over tok (nil tok = uncancellable).
+// Every stage records into rec, the calling planner's phase scope.
 func solveViaAux(view *tveg.Graph, src tvg.NodeID, targets []tvg.NodeID, t0, deadline float64, level, workers int, tok *cancel.Token, dOpts dts.Options, aOpts auxgraph.Options, rec *obs.Recorder) (schedule.Schedule, error) {
 	if dOpts.Workers == 0 {
 		dOpts.Workers = workers
@@ -93,12 +95,8 @@ func solveViaAux(view *tveg.Graph, src tvg.NodeID, targets []tvg.NodeID, t0, dea
 	if aOpts.Workers == 0 {
 		aOpts.Workers = workers
 	}
-	if dOpts.Obs == nil {
-		dOpts.Obs = rec
-	}
-	if aOpts.Obs == nil {
-		aOpts.Obs = rec
-	}
+	dOpts.Obs = rec
+	aOpts.Obs = rec
 	if dOpts.Cancel == nil {
 		dOpts.Cancel = tok
 	}

@@ -28,8 +28,6 @@ const (
 	// AllocGreedy is the greedy constraint-fixing pass with coordinate
 	// descent (the default).
 	AllocGreedy Allocator = iota
-	// AllocPenalty is the penalty/projected-gradient refiner.
-	AllocPenalty
 	// AllocDual is the Lagrangian dual decomposition with subgradient
 	// ascent.
 	AllocDual
@@ -39,8 +37,6 @@ func (a Allocator) String() string {
 	switch a {
 	case AllocGreedy:
 		return "greedy"
-	case AllocPenalty:
-		return "penalty"
 	case AllocDual:
 		return "dual"
 	default:
@@ -59,18 +55,9 @@ type FREEDCB struct {
 	AuxOpts auxgraph.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
-	// UsePenalty is a deprecated alias for Allocator = AllocPenalty.
-	UsePenalty bool
 	// Obs receives the phase tree (fr-eedcb → dts/auxgraph/steiner/
 	// nlp-alloc) and per-stage metrics. Write-only; nil records nothing.
 	Obs *obs.Recorder
-}
-
-func (f FREEDCB) allocator() Allocator {
-	if f.UsePenalty {
-		return AllocPenalty
-	}
-	return f.Allocator
 }
 
 // Name implements Scheduler.
@@ -95,11 +82,12 @@ func (f FREEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID,
 	defer sp.End()
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
-	backbone, incErr := solveViaAux(view, src, nil, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, f.Obs)
+	rec := sp.Recorder()
+	backbone, incErr := solveViaAux(view, src, nil, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, rec)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.allocator(), f.Workers, tok, f.Obs)
+	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
 }
 
 // Multicast plans a fading-resistant multicast to the target subset:
@@ -116,11 +104,12 @@ func (f FREEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	defer sp.End()
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
-	backbone, incErr := solveViaAux(view, src, targets, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, f.Obs)
+	rec := sp.Recorder()
+	backbone, incErr := solveViaAux(view, src, targets, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, rec)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, targets, incErr, f.allocator(), f.Workers, tok, f.Obs)
+	return allocateEnergy(g, backbone, src, targets, incErr, f.Allocator, f.Workers, tok, rec)
 }
 
 // FRGreedy is FR-GREED: the coverage-greedy backbone on the fading view
@@ -132,17 +121,8 @@ type FRGreedy struct {
 	DTSOpts dts.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
-	// UsePenalty is a deprecated alias for Allocator = AllocPenalty.
-	UsePenalty bool
 	// Obs receives the phase tree and metrics; nil records nothing.
 	Obs *obs.Recorder
-}
-
-func (f FRGreedy) allocator() Allocator {
-	if f.UsePenalty {
-		return AllocPenalty
-	}
-	return f.Allocator
 }
 
 // Name implements Scheduler.
@@ -160,15 +140,14 @@ func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	defer sp.End()
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
+	rec := sp.Recorder()
 	dOpts := f.DTSOpts
-	if dOpts.Obs == nil {
-		dOpts.Obs = f.Obs
-	}
+	dOpts.Obs = rec
 	backbone, incErr := greedyBackbone(view, src, t0, deadline, tok, dOpts)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.allocator(), f.Workers, tok, f.Obs)
+	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
 }
 
 // FRRandom is FR-RAND: the random-relay backbone on the fading view +
@@ -181,17 +160,8 @@ type FRRandom struct {
 	DTSOpts dts.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
-	// UsePenalty is a deprecated alias for Allocator = AllocPenalty.
-	UsePenalty bool
 	// Obs receives the phase tree and metrics; nil records nothing.
 	Obs *obs.Recorder
-}
-
-func (f FRRandom) allocator() Allocator {
-	if f.UsePenalty {
-		return AllocPenalty
-	}
-	return f.Allocator
 }
 
 // Name implements Scheduler.
@@ -209,15 +179,14 @@ func (f FRRandom) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	defer sp.End()
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
+	rec := sp.Recorder()
 	dOpts := f.DTSOpts
-	if dOpts.Obs == nil {
-		dOpts.Obs = f.Obs
-	}
+	dOpts.Obs = rec
 	backbone, incErr := randomBackbone(view, src, t0, deadline, f.Seed, tok, dOpts)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.allocator(), f.Workers, tok, f.Obs)
+	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
 }
 
 // onlyIncomplete passes through nil and *IncompleteError, returning any
@@ -251,6 +220,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	}
 	sp := rec.StartPhase("nlp-alloc")
 	defer sp.End()
+	scope := sp.Recorder()
 	uncov := make(map[tvg.NodeID]bool)
 	if incErr != nil {
 		var ie *IncompleteError
@@ -275,7 +245,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	// term lists depend only on the backbone and the graph, never on
 	// each other, so they build in parallel; skip/degrade decisions
 	// happen in the serial ordering pass below.
-	asmSpan := rec.StartPhase("assemble")
+	asmSpan := scope.StartPhase("assemble")
 	asmPool := rec.Pool("nlp.assemble")
 	coverTerms := make([][]nlp.Term, len(targets))
 	asmErr := parallel.ForEach(asmPool, tok, workers, len(targets), func(ti int) {
@@ -355,7 +325,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	asmSpan.SetInt("constraints", len(p.Constraints))
 	asmSpan.End()
 
-	solveSpan := rec.StartPhase("solve")
+	solveSpan := scope.StartPhase("solve")
 	solveSpan.SetStr("allocator", alloc.String())
 	p.Obs = rec
 	p.Cancel = tok
@@ -364,8 +334,6 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 		err error
 	)
 	switch alloc {
-	case AllocPenalty:
-		w, err = nlp.SolvePenalty(p, nlp.PenaltyOptions{})
 	case AllocDual:
 		w, err = nlp.SolveDual(p, nlp.DualOptions{})
 	default:

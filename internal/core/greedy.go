@@ -39,9 +39,7 @@ func (gr Greedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID,
 	defer sp.End()
 	view := plannerView(g, false)
 	dOpts := gr.DTSOpts
-	if dOpts.Obs == nil {
-		dOpts.Obs = gr.Obs
-	}
+	dOpts.Obs = sp.Recorder()
 	return greedyBackbone(view, src, t0, deadline, cancel.FromContext(ctx), dOpts)
 }
 

@@ -105,7 +105,7 @@ func TestFRAllocatorsAllFeasible(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := randomTrace(r, 7, tveg.RayleighFading, 1000)
 	costs := map[Allocator]float64{}
-	for _, alloc := range []Allocator{AllocGreedy, AllocPenalty, AllocDual} {
+	for _, alloc := range []Allocator{AllocGreedy, AllocDual} {
 		sch, err := FREEDCB{Allocator: alloc}.Schedule(g, 0, 0, 1000)
 		if err != nil {
 			t.Fatalf("%v: %v", alloc, err)
@@ -115,11 +115,8 @@ func TestFRAllocatorsAllFeasible(t *testing.T) {
 		}
 		costs[alloc] = sch.TotalCost()
 	}
-	// penalty and dual both fall back to the greedy solution, so neither
-	// may end up more expensive
-	if costs[AllocPenalty] > costs[AllocGreedy]*(1+1e-9) {
-		t.Errorf("penalty %g worse than greedy %g", costs[AllocPenalty], costs[AllocGreedy])
-	}
+	// dual falls back to the greedy solution, so it may not end up more
+	// expensive
 	if costs[AllocDual] > costs[AllocGreedy]*(1+1e-9) {
 		t.Errorf("dual %g worse than greedy %g", costs[AllocDual], costs[AllocGreedy])
 	}

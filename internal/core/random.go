@@ -42,9 +42,7 @@ func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 	defer sp.End()
 	view := plannerView(g, false)
 	dOpts := r.DTSOpts
-	if dOpts.Obs == nil {
-		dOpts.Obs = r.Obs
-	}
+	dOpts.Obs = sp.Recorder()
 	return randomBackbone(view, src, t0, deadline, r.Seed, cancel.FromContext(ctx), dOpts)
 }
 

@@ -199,15 +199,16 @@ func (o *Outcome) Annotate(m *schedule.Meta) {
 
 // planner materializes the rung's scheduler for the graph's channel
 // model: fading graphs get the fading-resistant family so every rung's
-// schedule satisfies the ε-bound, static graphs the static family.
-func (o Options) planner(rung Rung, fading bool, d *dts.DTS) core.ContextScheduler {
+// schedule satisfies the ε-bound, static graphs the static family. The
+// scheduler records into rec, the rung's phase scope.
+func (o Options) planner(rung Rung, fading bool, d *dts.DTS, rec *obs.Recorder) core.ContextScheduler {
 	// The ladder opts out of the process-wide DTS/auxgraph memos: its
 	// budget accounting (and the fault-injection harness checking it)
 	// needs every rung to do work proportional to the instance,
 	// independent of process history, and a cancelled rung must discard
 	// its work wholesale. Deliberate artifact sharing goes through the
 	// explicit Reuse seam instead.
-	dOpts := dts.Options{Workers: o.Workers, Obs: o.Obs, Reuse: d, NoMemo: true}
+	dOpts := dts.Options{Workers: o.Workers, Reuse: d, NoMemo: true}
 	aOpts := auxgraph.Options{NoMemo: true}
 	level := o.Level
 	if rung == RungSPT {
@@ -216,19 +217,19 @@ func (o Options) planner(rung Rung, fading bool, d *dts.DTS) core.ContextSchedul
 	switch rung {
 	case RungFull, RungSPT:
 		if fading {
-			return core.FREEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Allocator: o.Allocator, Obs: o.Obs}
+			return core.FREEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Allocator: o.Allocator, Obs: rec}
 		}
-		return core.EEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Obs: o.Obs}
+		return core.EEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Obs: rec}
 	case RungGreed:
 		if fading {
-			return core.FRGreedy{Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: o.Obs}
+			return core.FRGreedy{Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: rec}
 		}
-		return core.Greedy{DTSOpts: dOpts, Obs: o.Obs}
+		return core.Greedy{DTSOpts: dOpts, Obs: rec}
 	default:
 		if fading {
-			return core.FRRandom{Seed: o.Seed, Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: o.Obs}
+			return core.FRRandom{Seed: o.Seed, Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: rec}
 		}
-		return core.Random{Seed: o.Seed, DTSOpts: dOpts, Obs: o.Obs}
+		return core.Random{Seed: o.Seed, DTSOpts: dOpts, Obs: rec}
 	}
 }
 
@@ -241,6 +242,7 @@ func (o Options) planner(rung Rung, fading bool, d *dts.DTS) core.ContextSchedul
 func Solve(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64, opts Options) (schedule.Schedule, *Outcome, error) {
 	sp := opts.Obs.StartPhase("degrade")
 	defer sp.End()
+	scope := sp.Recorder()
 	lg := obs.LoggerFrom(ctx)
 	ladder := opts.Ladder
 	if len(ladder) == 0 {
@@ -258,7 +260,7 @@ func Solve(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline floa
 	// under the caller's context: without it no rung can answer, so it
 	// gets no smaller budget of its own.
 	d, err := dts.Build(g.Graph, t0, deadline, dts.Options{
-		Workers: opts.Workers, Obs: opts.Obs, Cancel: cancel.FromContext(ctx), NoMemo: true,
+		Workers: opts.Workers, Obs: scope, Cancel: cancel.FromContext(ctx), NoMemo: true,
 	})
 	if err != nil {
 		countCancel(opts.Obs, err)
@@ -289,8 +291,8 @@ func Solve(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline floa
 		if opts.Inject != nil {
 			rungCtx = opts.Inject(rung, rungCtx)
 		}
-		alg := opts.planner(rung, fading, d)
-		rs := opts.Obs.StartPhase("degrade.rung")
+		rs := scope.StartPhase("degrade.rung")
+		alg := opts.planner(rung, fading, d, rs.Recorder())
 		rs.SetStr("rung", rung.String())
 		rs.SetStr("algorithm", alg.Name())
 		s, err := alg.ScheduleCtx(rungCtx, g, src, t0, deadline)

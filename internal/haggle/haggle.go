@@ -92,7 +92,9 @@ func (t *Trace) Write(w io.Writer) error {
 
 // Read parses a trace written by Write. Lines starting with '#' other
 // than the header are ignored; a missing distance column defaults to
-// 10 m (proximity-only traces like the original Haggle dumps).
+// 10 m (proximity-only traces like the original Haggle dumps). A
+// non-finite horizon and any contact checkContact rejects fail the
+// parse.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -102,7 +104,7 @@ func Read(r io.Reader) (*Trace, error) {
 		lineNo++
 		line := sc.Text()
 		if lineNo == 1 {
-			if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 {
+			if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 || !finite(t.Horizon) {
 				return nil, fmt.Errorf("haggle: bad header %q", line)
 			}
 			continue
@@ -124,8 +126,8 @@ func Read(r io.Reader) (*Trace, error) {
 		if c.I > c.J {
 			c.I, c.J = c.J, c.I
 		}
-		if c.End <= c.Start {
-			return nil, fmt.Errorf("haggle: line %d: empty contact [%g,%g)", lineNo, c.Start, c.End)
+		if err := checkContact(lineNo, c); err != nil {
+			return nil, err
 		}
 		t.Contacts = append(t.Contacts, c)
 	}
@@ -137,6 +139,21 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	return t, nil
 }
+
+// checkContact rejects a contact the graph cannot hold: a non-finite
+// start or end, an empty interval, or a distance that is not finite
+// and positive.
+func checkContact(lineNo int, c Contact) error {
+	if !finite(c.Start) || !finite(c.End) || c.End <= c.Start {
+		return fmt.Errorf("haggle: line %d: empty or non-finite contact [%g,%g)", lineNo, c.Start, c.End)
+	}
+	if !finite(c.Dist) || c.Dist <= 0 {
+		return fmt.Errorf("haggle: line %d: distance %g is not finite and positive", lineNo, c.Dist)
+	}
+	return nil
+}
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // GenOptions tunes the synthetic generator. Zero values take the
 // defaults noted per field, which match the §VII setting.

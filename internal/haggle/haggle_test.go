@@ -63,6 +63,16 @@ func TestReadErrors(t *testing.T) {
 		"# haggle-trace v1 nodes=2 horizon=50\n0 5 1 2 3\n", // out of range
 		"# haggle-trace v1 nodes=2 horizon=50\n0 1 9 2 3\n", // empty interval
 		"", // no header
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 50 -3\n",   // negative distance
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 50 0\n",    // zero distance
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 50 NaN\n",  // NaN distance
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 50 +Inf\n", // infinite distance
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 NaN 3\n",   // NaN end
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 NaN 9 3\n",   // NaN start
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 -Inf 9 3\n",  // infinite start
+		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 +Inf 3\n",  // infinite end
+		"# haggle-trace v1 nodes=2 horizon=NaN\n0 1 5 9 3\n",    // NaN horizon
+		"# haggle-trace v1 nodes=2 horizon=+Inf\n0 1 5 9 3\n",   // infinite horizon
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

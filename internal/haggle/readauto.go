@@ -62,8 +62,8 @@ func readHeaderless(r io.Reader) (*Trace, error) {
 		if c.I == c.J || c.I < 0 || c.J < 0 {
 			return nil, fmt.Errorf("haggle: line %d: bad pair (%d,%d)", lineNo, c.I, c.J)
 		}
-		if c.End <= c.Start {
-			return nil, fmt.Errorf("haggle: line %d: empty contact [%g,%g)", lineNo, c.Start, c.End)
+		if err := checkContact(lineNo, c); err != nil {
+			return nil, err
 		}
 		if c.I > c.J {
 			c.I, c.J = c.J, c.I

@@ -73,6 +73,10 @@ func TestReadAutoHeaderlessErrors(t *testing.T) {
 		"0 0 1 2\n",      // self loop
 		"0 1 5 5\n",      // empty interval
 		"garbage line\n", // unparseable
+		"0 1 5 50 -3\n",  // negative distance
+		"0 1 5 50 NaN\n", // NaN distance
+		"0 1 5 +Inf 3\n", // infinite end, so an infinite horizon
+		"0 1 NaN 9 3\n",  // NaN start
 	}
 	for _, in := range cases {
 		if _, err := ReadAuto(strings.NewReader(in)); err == nil {

@@ -10,9 +10,8 @@
 // exploits twice: a greedy constraint-fixing pass (raise the single
 // cheapest variable until each constraint holds; raising a variable never
 // breaks another constraint), then coordinate descent (shrink every
-// variable to its minimal feasible value given the others). A
-// penalty-based projected-gradient solver is provided as the ablation
-// comparator.
+// variable to its minimal feasible value given the others). A Lagrangian
+// dual decomposition (SolveDual) is the alternative allocator.
 package nlp
 
 import (
@@ -43,12 +42,12 @@ type Problem struct {
 	NumVars     int
 	WMin, WMax  float64
 	Constraints []Constraint
-	// Obs counts solver iterations (greedy repairs, descent sweeps,
-	// penalty steps). Write-only: allocations are identical with or
-	// without it. Nil records nothing.
+	// Obs counts solver iterations (greedy repairs, descent sweeps).
+	// Write-only: allocations are identical with or without it. Nil
+	// records nothing.
 	Obs *obs.Recorder
 	// Cancel is the cancellation checkpoint token, polled once per
-	// repair / sweep / gradient step. Nil is the zero-overhead
+	// repair / sweep / dual step. Nil is the zero-overhead
 	// uncancellable path; a completed solve is byte-identical for every
 	// value.
 	Cancel *cancel.Token
@@ -278,116 +277,4 @@ func CoordinateDescent(p *Problem, w []float64, maxSweeps int) error {
 		}
 	}
 	return nil
-}
-
-// PenaltyOptions tunes SolvePenalty.
-type PenaltyOptions struct {
-	// MaxOuter is the number of penalty escalations (default 12).
-	MaxOuter int
-	// MaxInner is the gradient steps per escalation (default 400).
-	MaxInner int
-	// Mu0 is the initial penalty weight (default 1).
-	Mu0 float64
-}
-
-func (o *PenaltyOptions) fill() {
-	if o.MaxOuter == 0 {
-		o.MaxOuter = 12
-	}
-	if o.MaxInner == 0 {
-		o.MaxInner = 400
-	}
-	if o.Mu0 == 0 {
-		o.Mu0 = 1
-	}
-}
-
-// SolvePenalty minimizes Σw + μ·Σ max(0, residual)² by projected
-// gradient descent with escalating μ, starting from the greedy solution
-// when available (otherwise from w_min). It returns a feasible allocation
-// or ErrInfeasible.
-func SolvePenalty(p *Problem, opts PenaltyOptions) ([]float64, error) {
-	opts.fill()
-	w, err := SolveGreedy(p)
-	if err != nil {
-		return nil, err
-	}
-	best := append([]float64(nil), w...)
-	bestCost := p.Cost(best)
-
-	scale := bestCost / float64(len(w)+1)
-	if scale <= 0 {
-		scale = 1
-	}
-	mu := opts.Mu0
-	grad := make([]float64, p.NumVars)
-	outerSteps := p.Obs.Counter("nlp.penalty.outer")
-	innerSteps := p.Obs.Counter("nlp.penalty.inner")
-	for outer := 0; outer < opts.MaxOuter; outer++ {
-		outerSteps.Inc()
-		step := scale * 0.1
-		for inner := 0; inner < opts.MaxInner; inner++ {
-			if err := p.Cancel.Check(); err != nil {
-				return nil, fmt.Errorf("nlp: penalty descent: %w", err)
-			}
-			innerSteps.Inc()
-			objGrad(p, w, mu, grad, scale)
-			moved := false
-			for v := range w {
-				nw := w[v] - step*grad[v]
-				if nw < p.WMin {
-					nw = p.WMin
-				}
-				if nw > p.WMax {
-					nw = p.WMax
-				}
-				//tmedbvet:ignore floateq exact fixed-point test: descent must stop only when the clamped iterate is bitwise stationary
-				if nw != w[v] {
-					moved = true
-				}
-				w[v] = nw
-			}
-			if !moved {
-				break
-			}
-			if inner%50 == 49 {
-				step *= 0.5
-			}
-		}
-		if p.Feasible(w) && p.Cost(w) < bestCost {
-			bestCost = p.Cost(w)
-			copy(best, w)
-		}
-		mu *= 4
-	}
-	if !p.Feasible(best) {
-		return nil, ErrInfeasible
-	}
-	return best, nil
-}
-
-// objGrad fills grad with the numeric gradient of the penalized
-// objective Σw/scale + μ·Σ max(0,res)².
-func objGrad(p *Problem, w []float64, mu float64, grad []float64, scale float64) {
-	h := scale * 1e-6
-	if h <= 0 {
-		h = 1e-12
-	}
-	base := penalized(p, w, mu, scale)
-	for v := range w {
-		old := w[v]
-		w[v] = old + h
-		grad[v] = (penalized(p, w, mu, scale) - base) / h
-		w[v] = old
-	}
-}
-
-func penalized(p *Problem, w []float64, mu, scale float64) float64 {
-	obj := p.Cost(w) / scale
-	for _, c := range p.Constraints {
-		if r := c.Residual(w); r > 0 {
-			obj += mu * r * r
-		}
-	}
-	return obj
 }

@@ -144,28 +144,6 @@ func TestCoordinateDescentNeverBreaksFeasibility(t *testing.T) {
 	}
 }
 
-func TestPenaltyAtLeastAsFeasible(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 10; trial++ {
-		p := randomProblem(r, 4, 6)
-		wg, errG := SolveGreedy(p)
-		wp, errP := SolvePenalty(p, PenaltyOptions{MaxOuter: 4, MaxInner: 100})
-		if (errG == nil) != (errP == nil) {
-			t.Fatalf("solvers disagree on feasibility: %v vs %v", errG, errP)
-		}
-		if errG != nil {
-			continue
-		}
-		if !p.Feasible(wp) {
-			t.Errorf("penalty result infeasible: %v", wp)
-		}
-		// penalty starts from greedy, so it never ends worse
-		if p.Cost(wp) > p.Cost(wg)*(1+1e-9) {
-			t.Errorf("penalty cost %g worse than greedy %g", p.Cost(wp), p.Cost(wg))
-		}
-	}
-}
-
 func TestViolationZeroWhenFeasible(t *testing.T) {
 	ed := channel.Rayleigh{Beta: 1}
 	p := NewProblem(1, 0, math.Inf(1))

@@ -34,6 +34,7 @@ func TestAllocsPerRunDisabledHotPaths(t *testing.T) {
 		r.Gauge("y").Set(1)
 		r.Pool("z").Observe(1, 1, 0)
 		r.RecordCache("memo", 1, 2, 3)
+		sp.Recorder().StartPhase("child").End()
 		sp.End()
 	})
 	if allocs != 0 {

@@ -17,12 +17,14 @@
 //     planned schedules are byte-identical with observability enabled or
 //     disabled. Guarded by the determinism test in internal/core.
 //
-// Counters and gauges are safe for concurrent use (atomics); spans form
-// a tree via per-goroutine current-phase stacks, so concurrent Schedule
-// calls sharing one recorder each get a correctly nested subtree (their
-// top-level phases become siblings under the root). Within one call the
-// phases run sequentially on the calling goroutine; worker pools inside
-// a phase only touch counters and pool stats, never spans.
+// Counters and gauges are safe for concurrent use (atomics). Spans form
+// a tree through explicit scopes: a Recorder is a handle on one run plus
+// the span its phases open under, and (*Span).Recorder is the handle
+// for that span's children. A stage whose phase covers later stages
+// hands them its span's handle, so the tree follows the call structure
+// whatever goroutine a phase runs on, and concurrent Schedule calls
+// sharing one recorder each get their own subtree (their top-level
+// phases become siblings under the root).
 package obs
 
 import (
@@ -33,17 +35,20 @@ import (
 	"time"
 )
 
-// Recorder is one run's metric sink. The nil Recorder is the disabled
-// default: every method no-ops. Create an enabled one with New.
+// Recorder is a handle on one run's metric sink, scoped to the span its
+// phases open under. Every handle on a run shares its metrics and phase
+// tree. The nil Recorder is the disabled default: every method no-ops.
+// Create an enabled one with New.
 type Recorder struct {
+	*run
+	scope *Span
+}
+
+// run is the state every handle on one run shares.
+type run struct {
 	mu    sync.Mutex
 	clock func() time.Time
 	root  *Span
-	// cur maps goroutine id -> that goroutine's innermost open phase.
-	// Absent entry = no open phase (StartPhase attaches to the root).
-	// Entries are deleted when a goroutine pops back to the root, so the
-	// map stays bounded by the number of concurrently planning callers.
-	cur map[uint64]*Span
 
 	counters sync.Map // string -> *Counter
 	gauges   sync.Map // string -> *Gauge
@@ -52,11 +57,12 @@ type Recorder struct {
 	rollings sync.Map // string -> *Rolling
 }
 
-// New returns an enabled recorder whose implicit root span starts now.
+// New returns an enabled recorder scoped to its run's implicit root
+// span, which starts now.
 func New() *Recorder {
-	r := &Recorder{clock: time.Now, cur: make(map[uint64]*Span)}
-	r.root = &Span{r: r, name: "run", start: r.clock()}
-	return r
+	rn := &run{clock: time.Now}
+	rn.root = &Span{run: rn, name: "run", start: rn.clock()}
+	return rn.root.Recorder()
 }
 
 // Enabled reports whether the recorder records anything.
@@ -75,9 +81,9 @@ func (r *Recorder) SetClock(clock func() time.Time) {
 	r.mu.Unlock()
 }
 
-// now returns the recorder's current time; callers hold r.mu or accept
-// the benign race on clock replacement (SetClock is test-only setup).
-func (r *Recorder) now() time.Time { return r.clock() }
+// now returns the run's current time; callers hold mu or accept the
+// benign race on clock replacement (SetClock is test-only setup).
+func (r *run) now() time.Time { return r.clock() }
 
 // Counter is a monotonically increasing event count. The nil Counter
 // (from a nil Recorder) discards writes.

@@ -114,11 +114,11 @@ func TestPhaseTreeNesting(t *testing.T) {
 	r := New()
 	r.SetClock(fakeClock(time.Millisecond))
 	outer := r.StartPhase("eedcb")
-	d := r.StartPhase("dts")
+	d := outer.Recorder().StartPhase("dts")
 	d.SetInt("points", 42)
 	d.End()
-	a := r.StartPhase("auxgraph")
-	dcs := r.StartPhase("dcs-construct")
+	a := outer.Recorder().StartPhase("auxgraph")
+	dcs := a.Recorder().StartPhase("dcs-construct")
 	dcs.End()
 	a.End()
 	outer.End()
@@ -272,12 +272,13 @@ func TestExpvarSnapshot(t *testing.T) {
 
 func TestPhaseDepthBounded(t *testing.T) {
 	r := New()
-	// Open far more nested phases than the cap without ever ending them —
-	// the worst case of interleaved concurrent Start/End sharing one
-	// recorder. The snapshot tree must stay bounded so JSON consumers
-	// (including recursive decoders) never see unbounded nesting.
+	// Nest far more phases than the cap, each opened through its
+	// parent's scope — a recursive stage opening a span per level. The
+	// snapshot tree must stay bounded so JSON consumers (including
+	// recursive decoders) never see unbounded nesting.
+	scope := r
 	for i := 0; i < 10*maxPhaseDepth; i++ {
-		r.StartPhase("p")
+		scope = scope.StartPhase("p").Recorder()
 	}
 	rep := r.Snapshot(nil)
 	var depth func(p PhaseReport) int
@@ -295,17 +296,21 @@ func TestPhaseDepthBounded(t *testing.T) {
 			t.Fatalf("phase tree depth %d exceeds cap %d", d, maxPhaseDepth)
 		}
 	}
-	// Every opened phase is still accounted for somewhere in the tree.
-	if got := len(rep.PhaseWallMS()); got == 0 {
-		t.Fatal("no phases reported")
+	// The chain reaches the cap, and the phases past it restart under
+	// the root instead of being dropped.
+	if d := depth(rep.Phases[0]); d != maxPhaseDepth {
+		t.Fatalf("first chain depth %d, want the cap %d", d, maxPhaseDepth)
+	}
+	if got, want := len(rep.Phases), 10; got != want {
+		t.Fatalf("top-level phases = %d, want %d", got, want)
 	}
 }
 
-// TestConcurrentPhaseIsolation pins the per-goroutine span stacks: two
+// TestConcurrentPhaseIsolation pins explicit scopes under concurrency:
 // goroutines interleaving planner-style phase trees on one recorder must
-// produce two independent top-level subtrees, never splice one call's
-// spans under the other's open phase (the duplicated eedcb→dts→eedcb
-// nesting that corrupted concurrent sweep reports' attribution).
+// produce independent top-level subtrees, never splice one call's spans
+// under another's open phase (the duplicated eedcb→dts→eedcb nesting
+// that would corrupt concurrent sweep reports' attribution).
 func TestConcurrentPhaseIsolation(t *testing.T) {
 	r := New()
 	start := make(chan struct{})
@@ -317,10 +322,10 @@ func TestConcurrentPhaseIsolation(t *testing.T) {
 			<-start
 			for i := 0; i < 50; i++ {
 				outer := r.StartPhase("eedcb")
-				d := r.StartPhase("dts")
+				d := outer.Recorder().StartPhase("dts")
 				d.End()
-				a := r.StartPhase("auxgraph")
-				dcs := r.StartPhase("dcs-construct")
+				a := outer.Recorder().StartPhase("auxgraph")
+				dcs := a.Recorder().StartPhase("dcs-construct")
 				dcs.End()
 				a.End()
 				outer.End()
@@ -357,29 +362,4 @@ func TestConcurrentPhaseIsolation(t *testing.T) {
 		}
 	}
 	check(rep.Phases)
-}
-
-// TestGoroutineStackEntryCleared verifies the cur map shrinks back to
-// empty once every phase on a goroutine is closed, so long-lived
-// recorders do not accumulate entries for finished goroutines.
-func TestGoroutineStackEntryCleared(t *testing.T) {
-	r := New()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp := r.StartPhase("p")
-			inner := r.StartPhase("q")
-			inner.End()
-			sp.End()
-		}()
-	}
-	wg.Wait()
-	r.mu.Lock()
-	n := len(r.cur)
-	r.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("cur map has %d stale entries, want 0", n)
-	}
 }

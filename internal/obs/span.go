@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Attr is one key/value annotation on a span. Exactly one of Num/Str is
 // meaningful, selected by IsStr; the split (instead of an `any` field)
@@ -19,10 +16,9 @@ type Attr struct {
 // Span is one phase of a run: a named interval with attributes and child
 // phases. The nil Span (from a nil Recorder) discards everything.
 type Span struct {
-	r        *Recorder
+	run      *run
 	name     string
 	depth    int
-	parent   *Span
 	start    time.Time
 	end      time.Time
 	attrs    []Attr
@@ -36,76 +32,45 @@ type Span struct {
 // consumers.
 const maxPhaseDepth = 16
 
-// StartPhase opens a phase as a child of the innermost phase open on the
-// calling goroutine (the root when none is open) and makes it that
-// goroutine's current phase. The per-goroutine stacks are what keep
-// concurrent Schedule calls sharing one recorder honest: each call's
-// pipeline (dts → auxgraph → steiner) runs serially on its own
-// goroutine, so its spans nest correctly, while spans from other
-// goroutines become siblings under the root instead of splicing into a
-// foreign call's open phase (the duplicated eedcb→dts→eedcb nesting
-// that double-counted planner wall time in concurrent sweep reports).
+// StartPhase opens a phase as a child of the handle's scope: the root
+// for a recorder from New, the span for one from (*Span).Recorder.
 // Returns nil on a nil recorder.
 func (r *Recorder) StartPhase(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	g := goroutineID()
 	r.mu.Lock()
-	parent := r.cur[g]
-	if parent == nil || parent.depth >= maxPhaseDepth {
+	parent := r.scope
+	if parent.depth >= maxPhaseDepth {
 		parent = r.root
 	}
-	sp := &Span{r: r, name: name, depth: parent.depth + 1, parent: parent, start: r.now()}
+	sp := &Span{run: r.run, name: name, depth: parent.depth + 1, start: r.now()}
 	parent.children = append(parent.children, sp)
-	r.cur[g] = sp
 	r.mu.Unlock()
 	return sp
 }
 
-// End closes the phase, recording its wall time. Ending a phase that is
-// not the goroutine's current one (mismatched nesting under concurrent
-// misuse) still stamps the end time; the current pointer only pops when
-// it matches, so a stray End cannot corrupt the stack.
+// Recorder returns a handle on the span's run whose phases open as the
+// span's children. A stage whose phase covers later stages hands this
+// handle to them. Nil on a nil span.
+func (sp *Span) Recorder() *Recorder {
+	if sp == nil {
+		return nil
+	}
+	return &Recorder{run: sp.run, scope: sp}
+}
+
+// End closes the phase, recording its wall time. Ending a phase twice
+// keeps the first end time.
 func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
-	g := goroutineID()
-	r := sp.r
-	r.mu.Lock()
+	sp.run.mu.Lock()
 	if sp.end.IsZero() {
-		sp.end = r.now()
+		sp.end = sp.run.now()
 	}
-	if r.cur[g] == sp {
-		if sp.parent == nil || sp.parent == r.root {
-			delete(r.cur, g) // keep the map from growing with dead goroutines
-		} else {
-			r.cur[g] = sp.parent
-		}
-	}
-	r.mu.Unlock()
-}
-
-// goroutineID extracts the current goroutine's id from the runtime stack
-// header ("goroutine 123 [running]:"). ~1µs per call — spans are opened
-// a handful of times per solve, never inside the per-vertex hot loops,
-// so the cost is noise; in exchange the span tree is correct under
-// concurrent recorder sharing. The id is only ever used as a map key:
-// no ordering or planner decision ever depends on it (determinism
-// contract: spans are write-only).
-func goroutineID() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine " (10 bytes), parse digits up to the next space.
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
+	sp.run.mu.Unlock()
 }
 
 // SetFloat attaches a numeric attribute.
@@ -113,9 +78,9 @@ func (sp *Span) SetFloat(key string, v float64) {
 	if sp == nil {
 		return
 	}
-	sp.r.mu.Lock()
+	sp.run.mu.Lock()
 	sp.attrs = append(sp.attrs, Attr{Key: key, Num: v})
-	sp.r.mu.Unlock()
+	sp.run.mu.Unlock()
 }
 
 // SetInt attaches an integer attribute (stored as a float64 — run
@@ -127,9 +92,9 @@ func (sp *Span) SetStr(key, v string) {
 	if sp == nil {
 		return
 	}
-	sp.r.mu.Lock()
+	sp.run.mu.Lock()
 	sp.attrs = append(sp.attrs, Attr{Key: key, Str: v, IsStr: true})
-	sp.r.mu.Unlock()
+	sp.run.mu.Unlock()
 }
 
 // Duration returns the span's wall time: end-start when closed, zero on
@@ -138,14 +103,14 @@ func (sp *Span) Duration() time.Duration {
 	if sp == nil {
 		return 0
 	}
-	sp.r.mu.Lock()
-	defer sp.r.mu.Unlock()
+	sp.run.mu.Lock()
+	defer sp.run.mu.Unlock()
 	return sp.durationLocked()
 }
 
 func (sp *Span) durationLocked() time.Duration {
 	if sp.end.IsZero() {
-		return sp.r.now().Sub(sp.start)
+		return sp.run.now().Sub(sp.start)
 	}
 	return sp.end.Sub(sp.start)
 }

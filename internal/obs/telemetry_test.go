@@ -274,7 +274,7 @@ func TestTraceEvents(t *testing.T) {
 
 	outer := r.StartPhase("eedcb")
 	now = now.Add(2 * time.Millisecond)
-	inner := r.StartPhase("dts")
+	inner := outer.Recorder().StartPhase("dts")
 	inner.SetInt("points", 42)
 	now = now.Add(3 * time.Millisecond)
 	inner.End()

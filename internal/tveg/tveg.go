@@ -131,8 +131,8 @@ func (g *Graph) WithModel(m Model) *Graph {
 // dist. The presence function and the channel segments are updated
 // together; ψ is piecewise constant over each contact.
 func (g *Graph) AddContact(i, j tvg.NodeID, iv interval.Interval, dist float64) {
-	if dist <= 0 {
-		panic(fmt.Sprintf("tveg: non-positive distance %g", dist))
+	if !(dist > 0) {
+		panic(fmt.Sprintf("tveg: distance %g is not positive", dist))
 	}
 	if iv.Empty() {
 		return

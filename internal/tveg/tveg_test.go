@@ -59,13 +59,17 @@ func TestModelString(t *testing.T) {
 }
 
 func TestAddContactRejectsBadDistance(t *testing.T) {
-	g := New(2, iv(0, 10), 0, testParams(), Static)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for zero distance")
-		}
-	}()
-	g.AddContact(0, 1, iv(0, 5), 0)
+	for _, d := range []float64{0, -3, math.NaN()} {
+		func() {
+			g := New(2, iv(0, 10), 0, testParams(), Static)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic for distance %g", d)
+				}
+			}()
+			g.AddContact(0, 1, iv(0, 5), d)
+		}()
+	}
 }
 
 func TestSegmentAt(t *testing.T) {

@@ -196,8 +196,6 @@ const (
 	// AllocGreedy is the greedy constraint-fixing pass + coordinate
 	// descent (the default).
 	AllocGreedy = core.AllocGreedy
-	// AllocPenalty is the penalty / projected-gradient refiner.
-	AllocPenalty = core.AllocPenalty
 	// AllocDual is the Lagrangian dual decomposition.
 	AllocDual = core.AllocDual
 )
