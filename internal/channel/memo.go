@@ -30,16 +30,16 @@ type Memo struct {
 // MemoStats is a point-in-time view of the memo's effectiveness.
 type MemoStats struct {
 	// Hits and Misses count MinCost calls answered from / absent from
-	// the table since construction or the last Reset.
+	// the table since construction.
 	Hits, Misses int64
 	// Size is the current number of memoized entries.
 	Size int64
 }
 
 // Stats returns the memo's hit/miss/size counters. Safe for concurrent
-// use with MinCost and Reset; the three numbers are individually atomic
-// but not mutually consistent under concurrent writes (good enough for
-// metrics, which is all this feeds).
+// use with MinCost; the three numbers are individually atomic but not
+// mutually consistent under concurrent writes (good enough for metrics,
+// which is all this feeds).
 func (c *Memo) Stats() MemoStats {
 	return MemoStats{
 		Hits:   c.hits.Load(),
@@ -71,22 +71,6 @@ func (c *Memo) MinCost(f EDFunction, eps float64) float64 {
 	v := f.MinCost(eps)
 	c.m.Store(k, v)
 	return v
-}
-
-// Reset empties the memo and zeroes its hit/miss statistics — a reset
-// memo is indistinguishable from a fresh one, so stats from before an
-// invalidation cannot leak into the next run's cache-effectiveness
-// numbers. Callers invalidate whenever the mapping behind an ED-function
-// value could have changed — in this package it cannot (the key embeds
-// every parameter), so Reset exists for the higher-level caches that key
-// by graph coordinates instead.
-func (c *Memo) Reset() {
-	c.m.Range(func(k, _ any) bool {
-		c.m.Delete(k)
-		return true
-	})
-	c.hits.Store(0)
-	c.misses.Store(0)
 }
 
 // Len reports the number of memoized entries (for tests and stats).

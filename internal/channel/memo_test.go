@@ -41,25 +41,6 @@ type funcED func(eps float64) float64
 func (f funcED) FailureProb(w float64) float64 { return 1 }
 func (f funcED) MinCost(eps float64) float64   { return f(eps) }
 
-func TestMemoResetClearsEntriesAndStats(t *testing.T) {
-	var m Memo
-	ed := Rayleigh{Beta: 2e-15}
-	m.MinCost(ed, 0.01)
-	m.MinCost(ed, 0.01)
-	m.Reset()
-	if st := m.Stats(); st != (MemoStats{}) {
-		t.Fatalf("stats after Reset = %+v, want zero", st)
-	}
-	if m.Len() != 0 {
-		t.Fatalf("entries after Reset = %d", m.Len())
-	}
-	// A fresh miss after Reset recomputes and counts from zero.
-	m.MinCost(ed, 0.01)
-	if st := m.Stats(); st.Hits != 0 || st.Misses != 1 || st.Size != 1 {
-		t.Fatalf("stats after Reset+miss = %+v", st)
-	}
-}
-
 func TestMemoStatsConcurrent(t *testing.T) {
 	var m Memo
 	eds := []EDFunction{

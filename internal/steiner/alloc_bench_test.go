@@ -21,14 +21,19 @@ func steadyStateInstance() (*graph.CSR, []int) {
 // re-solves against them. This is the serving-tier shape (one solver
 // per graph epoch, many candidate evaluations) that the hotalloc
 // contract protects: steady-state B/op here is scan-loop garbage, not
-// cache fills.
+// cache fills. It also reports the level-2 scan's work counters per
+// solve: candidate sorts (sorted/op) and vertices skipped by a floor or
+// a tier bound (pruned/op).
 func BenchmarkRecursiveGreedySteadyState(b *testing.B) {
 	g, terms := steadyStateInstance()
-	s := NewSolver(g)
+	rec := obs.New()
+	s := NewSolver(g).SetObs(rec)
 	defer s.Release()
 	if _, err := s.RecursiveGreedy(0, terms, 2); err != nil {
 		b.Fatal(err)
 	}
+	sorted, pruned := rec.Counter("steiner.level2.sorted"), rec.Counter("steiner.level2.pruned")
+	sorted0, pruned0 := sorted.Value(), pruned.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,6 +41,8 @@ func BenchmarkRecursiveGreedySteadyState(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(sorted.Value()-sorted0)/float64(b.N), "sorted/op")
+	b.ReportMetric(float64(pruned.Value()-pruned0)/float64(b.N), "pruned/op")
 }
 
 // TestRecursiveGreedySteadyStateAllocs holds the allocations of one

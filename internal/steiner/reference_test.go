@@ -407,6 +407,108 @@ func TestRecursiveGreedyMatchesUnprunedReference(t *testing.T) {
 	t.Logf("%d runs on %d instances", runs, instances)
 }
 
+// TestTier2BoundAllowsForRounding solves an instance on which tier 2,
+// undeflated, skipped the winner. Root 1 reaches vertex 0 at cost 0;
+// vertex 0 reaches terminal 2 at d, and the root reaches terminals 2, 3
+// and 4 at d each. The bounded reverse sweeps cut off vertex 0's labels
+// to 3 and 4 (1 > d), so vertex 0 covers terminal 2 alone at density d.
+// The root covers all three at (d+d+d)/3, which rounds to
+// 0.17222940924298472, below d; but its tier-2 bound 0/3 + d is d
+// itself, which the unmargined bound took as proof that it cannot win.
+func TestTier2BoundAllowsForRounding(t *testing.T) {
+	d := 0.17222940924298474
+	if (d+d+d)/3 >= d {
+		t.Fatalf("(d+d+d)/3 = %v does not round below d = %v", (d+d+d)/3, d)
+	}
+	var el graph.EdgeList
+	el.Add(1, 0, 0)
+	el.Add(0, 2, d)
+	el.Add(0, 3, 1)
+	el.Add(0, 4, 1)
+	el.Add(1, 2, d)
+	el.Add(1, 3, d)
+	el.Add(1, 4, d)
+	g := csrOf(5, &el)
+	terms := []int{2, 3, 4}
+	want := [][3]float64{{1, 2, d}, {1, 3, d}, {1, 4, d}}
+	ref := newRefGreedy(g)
+	defer graph.PutScratch(ref.sc)
+	refSol, err := ref.solve(1, terms, 2)
+	if err != nil || !sameEdges(refSol.sortedEdges(), want) {
+		t.Fatalf("reference: edges %v (error %v), want %v", refSol.sortedEdges(), err, want)
+	}
+	for _, workers := range []int{1, 3} {
+		s := NewSolver(g).SetWorkers(workers)
+		sol, err := s.RecursiveGreedy(1, terms, 2)
+		s.Release()
+		if err != nil || !sameEdges(sol.Edges(), want) {
+			t.Fatalf("workers %d: edges %v (error %v), want the reference's %v", workers, sol.Edges(), err, want)
+		}
+	}
+}
+
+// minDensity is the smallest density (dR + prefix)/kp over the prefixes
+// of at most k sorted candidates, summed in the scan's order; +Inf
+// without candidates.
+func minDensity(k int, dR float64, cands []td) float64 {
+	m, prefix := math.Inf(1), 0.0
+	for kp := 1; kp <= min(k, len(cands)); kp++ {
+		prefix += cands[kp-1].d
+		m = math.Min(m, (dR+prefix)/float64(kp))
+	}
+	return m
+}
+
+// TestLevel2FloorsBoundEveryRound checks the invariant that makes the
+// floor skip exact: after every level-2 scan, each reachable vertex's
+// floor is at most the minimum density an unpruned evaluation of that
+// round computes for it from the same root-bounded labels. It runs on
+// seeded instances of the reference test's weight families, at levels 2
+// and 3, with one worker and with three. Level 3 opens a level-2 rg call
+// per (vertex, budget), each with its own root and k, so a floor that
+// leaked from one call into the next shows here, as does a floor
+// recorded above a vertex's minimum density.
+func TestLevel2FloorsBoundEveryRound(t *testing.T) {
+	const instances = 400
+	rng := rand.New(rand.NewSource(29))
+	var checked, tight int
+	for i := 0; i < instances; i++ {
+		fam := weightFamilies[i%len(weightFamilies)]
+		n := 2 + rng.Intn(23)
+		g, terms := referenceInstance(rng, n, 1+rng.Intn(min(5, n-1)), fam.w)
+		for _, level := range []int{2, 3} {
+			for _, workers := range []int{1, 3} {
+				s := NewSolver(g).SetWorkers(workers)
+				s.afterScan = func(k int, distR []float64, rem []int) {
+					for v, f := range s.floor {
+						if math.IsInf(distR[v], 1) {
+							continue
+						}
+						dens := minDensity(k, distR[v], sortedCands(rem, func(x int) float64 { return s.bwd[x].dist[v] }))
+						if f > dens {
+							t.Fatalf("instance %d (%s) level %d workers %d: vertex %d has floor %v above its density %v (k %d, remaining %v)",
+								i, fam.name, level, workers, v, f, dens, k, rem)
+						}
+						checked++
+						if f == dens && !math.IsInf(dens, 1) {
+							tight++
+						}
+					}
+				}
+				_, err := s.RecursiveGreedy(0, terms, level)
+				s.Release()
+				if err != nil {
+					t.Fatalf("instance %d (%s) level %d workers %d: %v", i, fam.name, level, workers, err)
+				}
+			}
+		}
+	}
+	if tight == 0 {
+		t.Fatalf("no floor of %d equals its density: the check cannot see a floor set too high", checked)
+	}
+	t.Logf("%d floors checked, %d equal to their density", checked, tight)
+}
+
 // TestDistToAllSweepsAgainForALargerLimit is the white-box test of the
 // bwd cache rule. On the chain 0→1→2→3 (weight 1 each) with terminal 3,
 // a scan from root 2 needs d(·, 3) only up to 1, so its sweep cuts off
@@ -414,7 +516,8 @@ func TestRecursiveGreedyMatchesUnprunedReference(t *testing.T) {
 // must sweep again rather than read the short entry, and then see the
 // labels the first sweep cut off. Every vertex ties at density 3 from
 // root 0, so the first, vertex 0, wins; reading the short entry would
-// pick vertex 2 instead.
+// pick vertex 2 instead. Each scan stands for a round of its own rg
+// call, so it starts from cleared floors.
 func TestDistToAllSweepsAgainForALargerLimit(t *testing.T) {
 	var el graph.EdgeList
 	el.Add(0, 1, 1)
@@ -425,21 +528,25 @@ func TestDistToAllSweepsAgainForALargerLimit(t *testing.T) {
 	defer s.Release()
 	sweeps := func() int64 { return rec.Counter("steiner.dijkstra.bwd").Value() }
 	rem := []int{3}
+	scanFrom := func(root int) (int, []int, float64, float64) {
+		s.clearFloors()
+		return s.scanLevel2(1, s.from(root, graph.Inf).dist, rem)
+	}
 
-	if v, cov, _, _ := s.scanLevel2(1, s.from(2, graph.Inf).dist, rem); v != 2 || !slices.Equal(cov, rem) {
+	if v, cov, _, _ := scanFrom(2); v != 2 || !slices.Equal(cov, rem) {
 		t.Fatalf("scan from root 2 chose vertex %d covering %v, want 2 covering %v", v, cov, rem)
 	}
 	if d := s.bwd[3].dist; !math.IsInf(d[1], 1) || !math.IsInf(d[0], 1) {
 		t.Fatalf("sweep bounded at root 2's distance kept d(1,3) = %v, d(0,3) = %v; want both cut off", d[1], d[0])
 	}
-	if v, cov, cost, _ := s.scanLevel2(1, s.from(0, graph.Inf).dist, rem); v != 0 || !slices.Equal(cov, rem) || math.Float64bits(cost) != math.Float64bits(3) {
+	if v, cov, cost, _ := scanFrom(0); v != 0 || !slices.Equal(cov, rem) || math.Float64bits(cost) != math.Float64bits(3) {
 		t.Fatalf("scan from root 0 chose vertex %d covering %v at cost %v, want vertex 0 covering %v at cost 3", v, cov, cost, rem)
 	}
 	if got := sweeps(); got != 2 {
 		t.Fatalf("%d reverse sweeps after the farther root, want 2 (one sweep again)", got)
 	}
 	// The longer entry serves the nearer root again without a sweep.
-	if v, _, _, _ := s.scanLevel2(1, s.from(2, graph.Inf).dist, rem); v != 2 || sweeps() != 2 {
+	if v, _, _, _ := scanFrom(2); v != 2 || sweeps() != 2 {
 		t.Fatalf("repeat scan from root 2: vertex %d after %d sweeps, want vertex 2 after 2", v, sweeps())
 	}
 }

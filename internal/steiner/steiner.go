@@ -20,9 +20,10 @@
 // the farthest terminal it covers; their predecessors materialize
 // paths. Each terminal gets one distance-only reverse-graph sweep,
 // stopped at the scan root's own distance to it. The level-2 density
-// scan prunes dominated candidate vertices with an admissible lower
-// bound before paying for their candidate sort. Levels >= 3 need
-// forward distances from arbitrary vertices and are therefore
+// scan prunes dominated candidate vertices with admissible lower
+// bounds, among them a per-vertex floor carried across the rounds of
+// one greedy call, before paying for their candidate sort. Levels >= 3
+// need forward distances from arbitrary vertices and are therefore
 // restricted to small graphs.
 package steiner
 
@@ -93,12 +94,12 @@ func (s *Solution) merge(other Solution) {
 	s.edges = append(s.edges, other.edges...)
 }
 
-// canonicalize sorts the edges by (u, v) and keeps one edge per pair:
-// the cheapest, and on a tie the first added. The sort is stable, so
-// each pair's edges stay in the order they were added, and the strict
-// < keeps the earliest of equal weights.
+// canonicalize sorts the edges by (u, v) and keeps one edge per pair,
+// of the pair's smallest weight. Every copy of a pair carries
+// minEdge(u, v), bit for bit, so which copy survives is unobservable
+// and the sort need not be stable.
 func (s *Solution) canonicalize() {
-	slices.SortStableFunc(s.edges, func(a, b solEdge) int {
+	slices.SortFunc(s.edges, func(a, b solEdge) int {
 		if c := cmp.Compare(a.u, b.u); c != 0 {
 			return c
 		}
@@ -260,6 +261,15 @@ type Solver struct {
 	baseCands []td         // rgBase candidate pairs (serial only)
 	rmBits    []bool       // subtract scratch bit-set, kept all-clear between calls
 	pathBuf   []int        // addPath reconstruction buffer
+	// floor holds, per vertex, a lower bound on the density the level-2
+	// scan computes for it in every later round of the current level-2
+	// rg call (scanLevel2Range); clearFloors starts each call at 0. A
+	// parallel chunk reads and writes only its own vertices.
+	floor []float64
+
+	// afterScan, when set, runs after every level-2 scan with the
+	// scan's inputs (the floor invariant test reads floor there).
+	afterScan func(k int, distR []float64, rem []int)
 }
 
 // check polls the cancellation token, latching the first error. It
@@ -551,6 +561,9 @@ func (s *Solver) rg(level, k, r int, X []int) (Solution, []int, float64) {
 	//tmedbvet:ignore hotalloc recursion works on a disjoint copy: sibling rg calls at the same level must not share the shrinking terminal list
 	rem := append([]int(nil), X...)
 	distR := s.from(r, graph.Inf).dist
+	if level == 2 {
+		s.clearFloors()
+	}
 	for k > 0 && len(rem) > 0 {
 		if !s.check() {
 			break
@@ -595,6 +608,18 @@ func (s *Solver) materialize(sol *Solution, v int, cov []int, limit float64) {
 	}
 }
 
+// clearFloors starts the density floors of one level-2 rg call at 0,
+// which bounds every density: labels and distR are non-negative. Floors
+// never carry over to another call, whose root, labels or k may differ.
+func (s *Solver) clearFloors() {
+	n := s.g.N()
+	if cap(s.floor) < n {
+		s.floor = make([]float64, n)
+	}
+	s.floor = s.floor[:n]
+	clear(s.floor)
+}
+
 // scanLevel2 finds the vertex v and prefix size k' minimizing the A_1
 // density (d(r,v) + Σ_{k' nearest} d(v,x)) / k', using reverse-graph
 // distances to the remaining terminals. Besides the winner, its
@@ -607,6 +632,7 @@ func (s *Solver) materialize(sol *Solution, v int, cov []int, limit float64) {
 // per-chunk winners merge in ascending chunk order with a strictly-less
 // density comparison — exactly reproducing the serial "first vertex
 // achieving the global minimum wins" tie-break for every worker count.
+// It reads and raises the current rg call's floors (clearFloors).
 func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, float64, float64) {
 	s.obs.Counter("steiner.level2.scans").Inc()
 	s.obs.Counter("steiner.level2.vertices_scanned").Add(int64(s.g.N()))
@@ -620,20 +646,24 @@ func (s *Solver) scanLevel2(k int, distR []float64, rem []int) (int, []int, floa
 		s.covBuf = make([][]int, len(ranges))
 		s.locals = make([]level2Best, len(ranges))
 	}
+	var best level2Best
 	if len(ranges) == 1 {
-		best := s.scanLevel2Range(k, distR, rem, dTo, 0, ranges[0])
-		return best.v, best.cov, best.cost, best.reach
-	}
-	locals := s.locals[:len(ranges)]
-	//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
-	_ = parallel.ForEach(s.obs.Pool("steiner.scan"), nil, s.workers, len(ranges), func(c int) {
-		locals[c] = s.scanLevel2Range(k, distR, rem, dTo, c, ranges[c])
-	}) // nil token: never fails
-	best := level2Best{v: -1, density: math.Inf(1)}
-	for _, l := range locals {
-		if l.v != -1 && l.density < best.density {
-			best = l
+		best = s.scanLevel2Range(k, distR, rem, dTo, 0, ranges[0])
+	} else {
+		locals := s.locals[:len(ranges)]
+		//tmedbvet:ignore hotalloc one capturing closure per pool fan-out, not per work item; the fan-out itself costs goroutine spawns
+		_ = parallel.ForEach(s.obs.Pool("steiner.scan"), nil, s.workers, len(ranges), func(c int) {
+			locals[c] = s.scanLevel2Range(k, distR, rem, dTo, c, ranges[c])
+		}) // nil token: never fails
+		best = level2Best{v: -1, density: math.Inf(1)}
+		for _, l := range locals {
+			if l.v != -1 && l.density < best.density {
+				best = l
+			}
 		}
+	}
+	if s.afterScan != nil {
+		s.afterScan(k, distR, rem)
 	}
 	return best.v, best.cov, best.cost, best.reach
 }
@@ -655,35 +685,65 @@ type td struct {
 	d  float64
 }
 
+// compareTD is the canonical (d, xi) order: an exact compare on the
+// Dijkstra labels themselves, not a tolerance test — any widening would
+// make the order depend on neighbors. cmp.Compare treats -0 and +0 as
+// equal, as == does; labels are never NaN.
+func compareTD(a, b td) int {
+	if c := cmp.Compare(a.d, b.d); c != 0 {
+		return c
+	}
+	return a.xi - b.xi
+}
+
+// tier2Margin deflates the tier-2 bound of a vertex with kv candidates
+// so that it stays below every density the prefix loop rounds to
+// (DESIGN.md §11, "Cross-round density floors").
+func tier2Margin(kv int) float64 { return 1 - float64(kv+4)*0x1p-52 }
+
 // scanLevel2Range runs the serial density scan over vertices [r.Lo, r.Hi).
 //
-// Two admissible lower bounds prune dominated vertices before their
+// Three admissible lower bounds prune dominated vertices before their
 // candidate sort. For any prefix size kp <= kv := min(k, |cands(v)|):
 //
 //	density(v, kp) = (distR[v] + Σ_{kp nearest} d) / kp
-//	              >= distR[v]/k                    (tier 1: d >= 0, kp <= k)
-//	              >= distR[v]/kv + min_x d(v, x)   (tier 2)
+//	density(v, kp) >= floor[v]                     (an earlier round's bound)
+//	density(v, kp) >= distR[v]/k                   (tier 1: d >= 0, kp <= k)
+//	density(v, kp) >= distR[v]/kv + min_x d(v, x)  (tier 2)
 //
 // A vertex whose bound already reaches the best density seen cannot win
 // — winners update on strictly-less — so skipping it never changes the
-// selected (vertex, prefix). Tier 1 costs one division; tier 2 falls out
-// of the candidate-collection pass and skips the sort. The root-bounded
-// reverse sweeps (distToAll) shrink candidate lists, and with them kv,
-// but never below the winner's prefix size, so tier 2 stays admissible
-// for the winner. Each parallel chunk starts from its own +Inf best, so
-// chunks prune less than the serial scan but select identical winners.
+// selected (vertex, prefix). The floor test costs one load and tier 1
+// one division; tier 2 falls out of the candidate-collection pass,
+// deflated by tier2Margin against the prefix loop's rounding, and skips
+// the sort. An evaluated vertex records as its floor the bound that
+// skipped it, its exact minimum density, or +Inf without candidates: a
+// later round of the same rg call scans a subset of the terminals with
+// a k no larger, so it cannot compute a smaller density (DESIGN.md §11,
+// "Cross-round density floors"). The root-bounded reverse sweeps
+// (distToAll) shrink candidate lists, and with them kv, but never below
+// the winner's prefix size, so tier 2 stays admissible for the winner.
+// Each parallel chunk starts from its own +Inf best and touches only its
+// own floors, so chunks prune less than the serial scan but select
+// identical winners.
 func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]float64, chunk int, r parallel.Range) level2Best {
 	best := level2Best{v: -1, density: math.Inf(1)}
 	// Chunk-owned buffers: first scan grows them, every later scan runs
 	// allocation-free. Written back below so growth sticks.
 	bestCov := s.covBuf[chunk][:0]
-	var pruned int64
+	var pruned, sorted int64
 	cands := s.cands[chunk][:0]
+	floor := s.floor
 	for v := r.Lo; v < r.Hi; v++ {
 		if math.IsInf(distR[v], 1) {
 			continue
 		}
-		if distR[v]/float64(k) >= best.density {
+		if floor[v] >= best.density {
+			pruned++
+			continue
+		}
+		if lb := distR[v] / float64(k); lb >= best.density {
+			floor[v] = lb
 			pruned++
 			continue
 		}
@@ -698,33 +758,28 @@ func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]floa
 			}
 		}
 		if len(cands) == 0 {
+			floor[v] = math.Inf(1)
 			continue
 		}
 		kv := k
 		if kv > len(cands) {
 			kv = len(cands)
 		}
-		if distR[v]/float64(kv)+dmin >= best.density {
+		if lb := (distR[v]/float64(kv) + dmin) * tier2Margin(kv); lb >= best.density {
+			floor[v] = lb
 			pruned++
 			continue
 		}
-		slices.SortFunc(cands, func(a, b td) int {
-			// Canonical (distance, terminal-index) order: exact compare on
-			// the Dijkstra labels themselves, not a tolerance test — any
-			// widening would make the sort order depend on neighbors.
-			//tmedbvet:ignore floateq deterministic tie-break sorts on exact Dijkstra labels
-			if a.d != b.d {
-				if a.d < b.d {
-					return -1
-				}
-				return 1
-			}
-			return a.xi - b.xi
-		})
-		prefix := 0.0
+		slices.SortFunc(cands, compareTD)
+		sorted++
+		prefix, vmin := 0.0, math.Inf(1)
 		for kp := 1; kp <= kv; kp++ {
 			prefix += cands[kp-1].d
-			if dens := (distR[v] + prefix) / float64(kp); dens < best.density {
+			dens := (distR[v] + prefix) / float64(kp)
+			if dens < vmin {
+				vmin = dens
+			}
+			if dens < best.density {
 				best.density = dens
 				best.v = v
 				best.cost = prefix
@@ -735,8 +790,10 @@ func (s *Solver) scanLevel2Range(k int, distR []float64, rem []int, dTo [][]floa
 				}
 			}
 		}
+		floor[v] = vmin
 	}
 	s.obs.Counter("steiner.level2.pruned").Add(pruned)
+	s.obs.Counter("steiner.level2.sorted").Add(sorted)
 	s.cands[chunk] = cands
 	s.covBuf[chunk] = bestCov
 	if best.v == -1 {
@@ -791,17 +848,7 @@ func (s *Solver) rgBase(k, r int, X []int) (Solution, []int, float64) {
 			cands = append(cands, td{xi, d})
 		}
 	}
-	slices.SortFunc(cands, func(a, b td) int {
-		// Same canonical exact-label tie-break as scanLevel2Range.
-		//tmedbvet:ignore floateq deterministic tie-break sorts on exact Dijkstra labels
-		if a.d != b.d {
-			if a.d < b.d {
-				return -1
-			}
-			return 1
-		}
-		return a.xi - b.xi
-	})
+	slices.SortFunc(cands, compareTD)
 	if k > len(cands) {
 		k = len(cands)
 	}

@@ -369,22 +369,27 @@ func TestPrunedFixpointCascade(t *testing.T) {
 	}
 }
 
-// TestPruneKeepsCheapestFirstAddedDuplicate pins canonicalization to
-// the retired edge map's rule: of the edges added for one (u, v) pair
-// the cheapest survives, and of equal weights the first added. The
-// signed zeros compare equal but differ in their bits, so they show
-// which edge survived.
-func TestPruneKeepsCheapestFirstAddedDuplicate(t *testing.T) {
-	negZero := math.Copysign(0, -1)
+// TestPruneKeepsCheapestDuplicate pins canonicalization to the retired
+// edge map's rule: of the edges added for one (u, v) pair, the one of
+// smallest weight survives. The solver adds every copy of a pair with
+// minEdge(u, v)'s weight, so its equal-weight copies are identical and
+// the sort need not be stable; these cases add distinct weights by
+// hand. The long case gives each pair 40 copies, past the length up to
+// which slices.SortFunc sorts by insertion, so its unstable path runs.
+func TestPruneKeepsCheapestDuplicate(t *testing.T) {
+	long := make([]float64, 40)
+	for i := range long {
+		long[i] = float64((i*17)%40 + 1) // 1..40 in scrambled order
+	}
 	for _, tc := range []struct {
 		name string
 		ws   []float64 // weights added for the pairs 0→1 and 1→2, in order
 		want float64
 	}{
 		{"cheaper later", []float64{2, 1, 3}, 1},
-		{"tie, +0 first", []float64{0, negZero}, 0},
-		{"tie, -0 first", []float64{negZero, 0}, negZero},
-		{"tie after a dearer edge", []float64{4, negZero, 0, 1}, negZero},
+		{"cheaper first", []float64{1, 3, 2}, 1},
+		{"repeated minimum", []float64{4, 1, 1, 2}, 1},
+		{"long run", long, 1},
 	} {
 		sol := newSolution(0)
 		ref := newRefSolution(0)

@@ -125,10 +125,6 @@ func TestChannelMemoMatchesDirect(t *testing.T) {
 	if memo.Len() != len(fns)*2 {
 		t.Errorf("memo holds %d entries, want %d", memo.Len(), len(fns)*2)
 	}
-	memo.Reset()
-	if memo.Len() != 0 {
-		t.Errorf("memo holds %d entries after Reset", memo.Len())
-	}
 }
 
 // TestCostCacheConcurrentQueries runs DCS and MinCost over every
