@@ -99,7 +99,7 @@ var editWorkload = struct {
 
 // TestEditSolveMatchesColdSolve is the daemon-tier byte-identity gate:
 // every prefix of the edit sequence, solved via POST /edit (live
-// instance, patched structures), must equal a direct facade solve of a
+// instance, reused cost sets), must equal a direct facade solve of a
 // fresh graph with the same edits replayed — and growing sequences must
 // reuse the live instance instead of rebuilding.
 func TestEditSolveMatchesColdSolve(t *testing.T) {

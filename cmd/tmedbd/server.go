@@ -608,9 +608,9 @@ func (s *server) handleEdit(w http.ResponseWriter, r *http.Request) {
 
 // serveEdit is the solve-with-delta path: resolve the base trace,
 // reconcile the live instance with the request's edit sequence, apply
-// the missing suffix (the incremental path — the edited versions'
-// DTS/auxgraph cores derive from their memoized ancestors), and solve
-// the patched graph under the same cache, admission, and ladder
+// the missing suffix (the incremental path — each edit drops only its
+// pair's cost-set timelines, so the solve reuses the rest), and solve
+// the edited graph under the same cache, admission, and ladder
 // machinery as /solve.
 func (s *server) serveEdit(w http.ResponseWriter, r *http.Request, st *reqState) {
 	lg := tmedb.LoggerFrom(r.Context())
@@ -828,10 +828,10 @@ func (s *server) instance(key instanceKey) *editInstance {
 
 // applyEdits reconciles the live instance with the requested edit
 // sequence: when the sequence extends what is already applied, only the
-// suffix runs and the solve rides the patched structures; anything else
-// rebuilds the graph from the base trace first. A rejected edit leaves
-// the instance on the successfully applied prefix — a state a shorter
-// valid sequence still reaches — and fails the request. Callers hold
+// suffix runs and the solve reuses the live graph's cost sets; anything
+// else rebuilds the graph from the base trace first. A rejected edit
+// leaves the instance on the successfully applied prefix — a state a
+// shorter valid sequence still reaches — and fails the request. Callers hold
 // inst.mu.
 func (s *server) applyEdits(inst *editInstance, tr *tmedb.Trace, params tmedb.Params, model tmedb.Model, edits []editSpec, rec *tmedb.Recorder) (editSummary, error) {
 	span := rec.StartPhase("edit.apply")
@@ -904,7 +904,7 @@ func solveParams(req *solveRequest) tmedb.Params {
 }
 
 // solveGraph runs the planner stack against an already-materialized
-// graph — the seam /edit uses to solve its live (incrementally patched)
+// graph — the seam /edit uses to solve its live (incrementally edited)
 // instance with the same admission, budget, and ladder semantics as
 // /solve.
 func (s *server) solveGraph(ctx context.Context, req *solveRequest, g *tmedb.Graph, shed int, rec *tmedb.Recorder) (tmedb.Schedule, *tmedb.DegradeOutcome, int, []int, error) {

@@ -17,9 +17,9 @@ import (
 
 // This file is the edit-sequence differential harness: seeded random
 // edit sequences applied to one long-lived graph (whose solves ride the
-// version-keyed memo layer and its DTS/auxgraph patch paths) are checked
-// after every step against a cold Build+solve on a fresh replay of the
-// edited trace. The invariant is byte-identity — the incremental solve
+// version-keyed memos and the cost-set timelines that each edit drops
+// only at its pair's two endpoints) are checked after every step
+// against a cold Build+solve on a fresh replay of the edited trace. The invariant is byte-identity — the incremental solve
 // must return the exact schedule the cold solve returns, agree on the
 // error taxonomy, and behave identically under the reference executor.
 
@@ -263,9 +263,10 @@ func drawEditOp(rng *rand.Rand, g *tveg.Graph, mix string) EditOp {
 }
 
 // CompareEditCase replays the case's edit sequence on one long-lived
-// graph — memoized solves, DTS/auxgraph patch paths engaged — against a
-// fresh cold rebuild of the edited trace after every step, and returns
-// one line per disagreement (nil when incremental ≡ cold throughout).
+// graph — memoized solves, cost-set timelines kept across edits —
+// against a fresh cold rebuild of the edited trace after every step,
+// and returns one line per disagreement (nil when incremental ≡ cold
+// throughout).
 func CompareEditCase(c EditCase) []string {
 	var diffs []string
 	report := func(format string, args ...any) {
@@ -273,8 +274,9 @@ func CompareEditCase(c EditCase) []string {
 	}
 
 	inc := c.BaseGraph()
-	// The pre-edit solve seeds the memo layer, giving every edited
-	// version an ancestor to derive from.
+	// The pre-edit solve seeds the memos and fills the timelines, so
+	// every edited version's solve answers the unedited nodes' cost
+	// sets from pieces filled before the edit.
 	sPrev, _ := c.Alg.Schedule(inc, c.Src, c.T0, c.Deadline)
 	for k, op := range c.Ops {
 		changed, editErr := op.Apply(inc)

@@ -85,17 +85,6 @@ type auxCore struct {
 	power     int  // number of power vertices
 	advantage bool // built with the power-vertex expansion
 
-	// Candidate table: candOff[i]..candOff[i+1] indexes the contiguous,
-	// time-ascending run of node i's candidate slots; candT holds each
-	// candidate's transmission time and candLevels its computed discrete
-	// cost set (possibly empty — empty means "computed, no reachable
-	// neighbor", not "unknown"). An edit patch derives the next version's
-	// core by inheriting the levels of every unedited node's exact-time
-	// match instead of re-running its ψ-heavy DCS query.
-	candOff    []int32
-	candT      []float64
-	candLevels [][]tveg.CostLevel
-
 	revOnce sync.Once
 	rev     *graph.CSR
 }
@@ -158,21 +147,9 @@ func Build(g *tveg.Graph, d *dts.DTS, opts Options) (*Aux, error) {
 		memoMisses.Add(1)
 		opts.Obs.Counter("auxgraph.memo.misses").Inc()
 	}
-	var parent *auxCore
-	var edited []bool
-	if useMemo {
-		parent, edited = findParentCore(g, d, key)
-		if parent != nil {
-			patchHits.Add(1)
-			opts.Obs.Counter("auxgraph.patch.hits").Inc()
-		} else {
-			patchMisses.Add(1)
-			opts.Obs.Counter("auxgraph.patch.misses").Inc()
-		}
-	}
 	inner := opts
 	inner.Obs = sp.Recorder()
-	c, err := buildCore(g, d, advantage, inner, parent, edited)
+	c, err := buildCore(g, d, advantage, inner)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +172,7 @@ func annotate(sp *obs.Span, c *auxCore) {
 // receiver-index buffer, the counting-sort cursors, the payload
 // permutation) come from a pooled arena; the core's own arrays are plain
 // heap allocations so the memo can share them indefinitely.
-func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *auxCore, edited []bool) (*auxCore, error) {
+func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options) (*auxCore, error) {
 	tok := opts.Cancel
 	n := g.N()
 	base := make([]int32, n)
@@ -216,10 +193,8 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 		levels []tveg.CostLevel
 	}
 	cands := make([]tx, 0, total)
-	candOff := make([]int32, n+1)
 	tau := g.Tau()
 	for i := 0; i < n; i++ {
-		candOff[i] = int32(len(cands))
 		for l, t := range d.Points[i] {
 			//tmedbvet:ignore floateq DTS points and the deadline are exact partition breakpoints, never TimeTol-skewed planner emissions
 			if t+tau > d.Deadline {
@@ -228,55 +203,15 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 			cands = append(cands, tx{i: tvg.NodeID(i), l: l, t: t})
 		}
 	}
-	candOff[n] = int32(len(cands))
 
-	// Derive from the parent core, when one was found: a node not
-	// incident to any edited pair has an unchanged cost function, so its
-	// candidates inherit the parent's computed levels at every exact-time
-	// match (a shifted DTS point simply misses and is computed fresh).
-	// Only inherited slots are skipped by the sweep below.
-	prefilled := 0
-	var done []bool
-	if parent != nil {
-		done = make([]bool, len(cands))
-		for k := range cands {
-			i := int(cands[k].i)
-			if edited[i] {
-				continue
-			}
-			lo, hi := int(parent.candOff[i]), int(parent.candOff[i+1])
-			t := cands[k].t
-			j := lo + sort.SearchFloat64s(parent.candT[lo:hi], t)
-			//tmedbvet:ignore floateq levels reuse requires bitwise-identical candidate times: a tolerant match could inherit a cost set computed at a different point
-			if j < hi && parent.candT[j] == t {
-				cands[k].levels = parent.candLevels[j]
-				done[k] = true
-				prefilled++
-			}
-		}
-	}
 	dcsSpan := opts.Obs.StartPhase("dcs-construct")
 	err := parallel.ForEach(opts.Obs.Pool("auxgraph.dcs"), tok, opts.Workers, len(cands), func(k int) {
-		if done != nil && done[k] {
-			return
-		}
 		cands[k].levels = g.DCS(cands[k].i, cands[k].t)
 	})
 	dcsSpan.SetInt("candidates", len(cands))
-	dcsSpan.SetInt("prefilled", prefilled)
 	dcsSpan.End()
 	if err != nil {
 		return nil, fmt.Errorf("auxgraph: dcs sweep: %w", err)
-	}
-
-	// Snapshot the candidate table before the in-place filter below
-	// scrambles the slot order — it is what the NEXT version's patch
-	// inherits from. The levels slices are shared read-only.
-	candT := make([]float64, len(cands))
-	candLevels := make([][]tveg.CostLevel, len(cands))
-	for k, x := range cands {
-		candT[k] = x.t
-		candLevels[k] = x.levels
 	}
 
 	txs := cands[:0]
@@ -376,15 +311,12 @@ func buildCore(g *tveg.Graph, d *dts.DTS, advantage bool, opts Options, parent *
 	opts.Obs.Counter("graph.arena.reuses").Add(st.Reuses)
 	opts.Obs.Counter("graph.arena.allocs").Add(st.Allocs)
 	return &auxCore{
-		csr:        csr,
-		base:       base,
-		metaIdx:    metaIdx,
-		metas:      metas,
-		power:      powerVerts,
-		advantage:  advantage,
-		candOff:    candOff,
-		candT:      candT,
-		candLevels: candLevels,
+		csr:       csr,
+		base:      base,
+		metaIdx:   metaIdx,
+		metas:     metas,
+		power:     powerVerts,
+		advantage: advantage,
 	}, nil
 }
 

@@ -33,9 +33,6 @@ import (
 
 // Options tunes the DTS construction.
 type Options struct {
-	// MaxHops bounds the +kτ propagation depth. Zero means N-1 (the
-	// maximum circle-free non-stop journey length). Ignored when τ = 0.
-	MaxHops int
 	// NoPrune disables the zero-degree point pruning (used by the
 	// ablation benchmarks; the pruned and unpruned DTS admit the same
 	// optimal schedules).
@@ -89,17 +86,6 @@ type DTS struct {
 	// version of it this DTS was built from. The Options.Reuse gate
 	// checks them so a DTS from before an edit is never reused after it.
 	gid, gver uint64
-	// parentID/parentVersion record the memoized ancestor this DTS was
-	// patched from (zero for cold builds). The auxiliary-graph memo uses
-	// the lineage to derive a patched core from the ancestor's.
-	parentID, parentVersion uint64
-	// global is the deduplicated global point list (steps 1–2 of the
-	// construction) and member[i] the per-node filter bitset over it:
-	// bit p set means global[p] survived node i's degree pruning. They
-	// let an edit patch recompute only the points an edited pair could
-	// have changed, reusing every other filter decision bit-for-bit.
-	global []float64
-	member [][]uint64
 }
 
 // nextDTSID hands out process-unique DTS identities; 0 is reserved for
@@ -115,14 +101,6 @@ func (d *DTS) ID() uint64 { return d.id }
 // prove a cache keyed on recycled identities serves stale artifacts;
 // production code must never call it.
 func (d *DTS) SetIDForTest(id uint64) { d.id = id }
-
-// DerivedFrom returns the identity and build-time graph version of the
-// memoized ancestor this DTS was patched from. ok = false for cold
-// builds and hand-constructed values — there is no ancestor whose
-// derived artifacts downstream caches could patch.
-func (d *DTS) DerivedFrom() (id, gver uint64, ok bool) {
-	return d.parentID, d.parentVersion, d.parentID != 0
-}
 
 // timeEps is the tolerance for deduplicating time points.
 const timeEps = 1e-9
@@ -152,30 +130,11 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	if t0 < span.Start || deadline > span.End || deadline <= t0 {
 		panic(fmt.Sprintf("dts: window [%g,%g] outside span [%g,%g]", t0, deadline, span.Start, span.End))
 	}
-	if !opts.NoMemo {
-		d, err := tryPatch(g, t0, deadline, key, opts)
-		if err != nil {
-			return nil, err
-		}
-		if d != nil {
-			patchHits.Add(1)
-			opts.Obs.Counter("dts.patch.hits").Inc()
-			memo.Put(key, d)
-			return d, nil
-		}
-		patchMisses.Add(1)
-		opts.Obs.Counter("dts.patch.misses").Inc()
-	}
 	sp := opts.Obs.StartPhase("dts")
 	defer sp.End()
 	tok := opts.Cancel
 	n := g.N()
-	maxHops := opts.MaxHops
-	if maxHops <= 0 {
-		maxHops = n - 1
-	}
-
-	base, global, err := globalPoints(g, t0, deadline, maxHops, tok)
+	base, global, err := globalPoints(g, t0, deadline, n-1, tok)
 	if err != nil {
 		return nil, err
 	}
@@ -183,22 +142,17 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	// 3. Per-node partitions: keep points where the node can act, plus
 	// the window endpoints. Each node's filter only reads the graph and
 	// writes its own slot, so the sweep parallelizes without changing
-	// the result. The filter decisions are additionally recorded as
-	// per-node bitsets over the global list, so a later edit can derive
-	// the next version's DTS without re-querying unedited nodes.
+	// the result.
 	pts := make([][]float64, n)
-	member := make([][]uint64, n)
 	err = parallel.ForEach(opts.Obs.Pool("dts.filter"), tok, opts.Workers, n, func(i int) {
-		mine, bits := filterNode(g, tvg.NodeID(i), global, opts.NoPrune)
-		mine = append(mine, t0, deadline)
-		pts[i] = dedupSorted(mine)
-		member[i] = bits
+		mine := filterNode(g, tvg.NodeID(i), global, opts.NoPrune)
+		pts[i] = dedupSorted(append(mine, t0, deadline))
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dts: filter sweep: %w", err)
 	}
 	d := &DTS{T0: t0, Deadline: deadline, Points: pts, id: nextDTSID.Add(1),
-		gid: g.ID(), gver: g.Version(), global: global, member: member}
+		gid: g.ID(), gver: g.Version()}
 	sp.SetInt("base_points", len(base))
 	sp.SetInt("global_points", len(global))
 	sp.SetInt("total_points", d.TotalPoints())
@@ -209,11 +163,8 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 }
 
 // globalPoints runs steps 1–2 of the construction: the adjacency
-// breakpoints of every pair clipped to the window, then the +kτ closure.
-// The cold build and the edit patch share it verbatim — the global list
-// is cheap relative to the per-node filter sweep, and recomputing it
-// from scratch guarantees the patched DTS picks exactly the same
-// deduplication representatives a cold build would.
+// breakpoints of every pair clipped to the window, then the +kτ closure
+// up to maxHops hops.
 func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.Token) (base, global []float64, err error) {
 	n := g.N()
 	tau := g.Tau()
@@ -263,27 +214,21 @@ func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.T
 	return base, global, nil
 }
 
-// filterNode runs step 3 for node i from scratch: it returns the global
-// points i keeps (those where i has a neighbor, or every point under
-// noPrune), with room for the two window endpoints, and their
-// membership bitset over global. One merge-walk of the sorted global
-// list against i's presence intervals answers every point
+// filterNode runs step 3 for node i: it returns the global points i
+// keeps (those where i has a neighbor, or every point under noPrune),
+// with room for the two window endpoints. One merge-walk of the sorted
+// global list against i's presence intervals answers every point
 // (tvg.Graph.ActivePoints).
-func filterNode(g *tvg.Graph, i tvg.NodeID, global []float64, noPrune bool) ([]float64, []uint64) {
-	bits := make([]uint64, (len(global)+63)/64)
+func filterNode(g *tvg.Graph, i tvg.NodeID, global []float64, noPrune bool) []float64 {
 	if noPrune {
-		for p := range global {
-			bits[p>>6] |= 1 << uint(p&63)
-		}
-		return append(make([]float64, 0, len(global)+2), global...), bits
+		return append(make([]float64, 0, len(global)+2), global...)
 	}
 	idx := g.ActivePoints(i, global, nil)
 	mine := make([]float64, 0, len(idx)+2)
 	for _, p := range idx {
 		mine = append(mine, global[p])
-		bits[p>>6] |= 1 << uint(p&63)
 	}
-	return mine, bits
+	return mine
 }
 
 func dedupSorted(xs []float64) []float64 {

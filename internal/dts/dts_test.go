@@ -23,6 +23,22 @@ func lineGraph(tau float64) *tvg.Graph {
 	return g
 }
 
+// randomGraph builds a dense-ish random TVG.
+func randomGraph(r *rand.Rand, n int, tau float64) *tvg.Graph {
+	g := tvg.New(n, iv(0, 200), tau)
+	contacts := 2 * n
+	for k := 0; k < contacts; k++ {
+		i := tvg.NodeID(r.Intn(n))
+		j := tvg.NodeID(r.Intn(n))
+		if i == j {
+			continue
+		}
+		start := r.Float64() * 150
+		g.AddContact(i, j, iv(start, start+5+r.Float64()*40))
+	}
+	return g
+}
+
 func TestBuildTauZeroContainsAdjacencyBreakpoints(t *testing.T) {
 	g := lineGraph(0)
 	d, _ := Build(g, 0, 100, Options{})
@@ -304,15 +320,27 @@ func TestMemoReturnsSharedIdenticalDTS(t *testing.T) {
 	}
 }
 
-// checkFilter asserts that d's membership bitsets keep exactly the
-// global points at which each node has a neighbor, the DegreeAt oracle
-// the merge-walk filter replaces.
+// checkFilter asserts that each node's points keep exactly the global
+// points at which the node has a neighbor, the DegreeAt oracle the
+// merge-walk filter replaces. The window endpoints are kept whatever
+// the node's degree, and no node keeps a point outside the global list.
 func checkFilter(t *testing.T, g *tvg.Graph, d *DTS, label string) {
 	t.Helper()
-	for i := 0; i < g.N(); i++ {
-		for p, x := range d.global {
-			got := d.member[i][p>>6]&(1<<uint(p&63)) != 0
-			if want := g.DegreeAt(tvg.NodeID(i), x) > 0; got != want {
+	_, global, err := globalPoints(g, d.T0, d.Deadline, g.N()-1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pts := range d.Points {
+		for _, x := range pts {
+			if x != d.T0 && x != d.Deadline && !hasPoint(global, x) {
+				t.Fatalf("%s: node %d keeps %v, which is no global point", label, i, x)
+			}
+		}
+		for _, x := range global {
+			if x == d.T0 || x == d.Deadline {
+				continue
+			}
+			if got, want := hasPoint(pts, x), g.DegreeAt(tvg.NodeID(i), x) > 0; got != want {
 				t.Fatalf("%s: node %d at global point %v (x+τ = %v): kept = %v, DegreeAt > 0 = %v",
 					label, i, x, x+g.Tau(), got, want)
 			}
@@ -320,44 +348,27 @@ func checkFilter(t *testing.T, g *tvg.Graph, d *DTS, label string) {
 	}
 }
 
+// hasPoint reports whether the sorted xs holds exactly x.
+func hasPoint(xs []float64, x float64) bool {
+	k := sort.SearchFloat64s(xs, x)
+	return k < len(xs) && xs[k] == x
+}
+
 // TestFilterMatchesDegreeOracle checks the per-node filter against
-// DegreeAt at every global point, on cold and patched builds: random
-// graphs for τ ∈ {0, 0.5, 3}, and crafted contacts whose ends sit
-// exactly on, or one ulp either side of, x+τ for a global point x,
-// with τ chosen so that ContainsWindow's x+τ < End and Erode's x <
-// End−τ round apart.
+// DegreeAt at every global point: random graphs for τ ∈ {0, 0.5, 3},
+// and crafted contacts whose ends sit exactly on, or one ulp either
+// side of, x+τ for a global point x, with τ chosen so that
+// ContainsWindow's x+τ < End and Erode's x < End−τ round apart.
 func TestFilterMatchesDegreeOracle(t *testing.T) {
-	PurgeMemo()
-	defer PurgeMemo()
 	for _, tau := range []float64{0, 0.5, 3} {
 		r := rand.New(rand.NewSource(int64(1 + 10*tau)))
 		for trial := 0; trial < 8; trial++ {
 			g := randomGraph(r, 8, tau)
-			cold, err := Build(g, 0, 200, Options{NoMemo: true})
+			d, err := Build(g, 0, 200, Options{NoMemo: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkFilter(t, g, cold, fmt.Sprintf("τ=%g trial %d cold", tau, trial))
-			if _, err := Build(g, 0, 200, Options{}); err != nil {
-				t.Fatal(err)
-			}
-			patched := 0
-			for step := 0; step < 8; step++ {
-				if !randomEdit(r, g) {
-					continue
-				}
-				d, err := Build(g, 0, 200, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, ok := d.DerivedFrom(); ok {
-					patched++
-				}
-				checkFilter(t, g, d, fmt.Sprintf("τ=%g trial %d step %d", tau, trial, step))
-			}
-			if patched == 0 {
-				t.Fatalf("τ=%g trial %d: no build went through the patch path", tau, trial)
-			}
+			checkFilter(t, g, d, fmt.Sprintf("τ=%g trial %d", tau, trial))
 		}
 	}
 
@@ -404,35 +415,25 @@ func TestFilterMatchesDegreeOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkFilter(t, g, d, label+" cold")
-					p := sort.Search(len(d.global), func(p int) bool { return d.global[p] >= q-timeEps })
-					if p == len(d.global) || math.Abs(d.global[p]-q) > timeEps {
-						t.Fatalf("%s: no global point at %v: %v", label, q, d.global)
+					checkFilter(t, g, d, label)
+					_, global, err := globalPoints(g, 0, 200, g.N()-1, nil)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if d.member[1][p>>6]&(1<<uint(p&63)) != 0 {
+					p := sort.Search(len(global), func(p int) bool { return global[p] >= q-timeEps })
+					if p == len(global) || math.Abs(global[p]-q) > timeEps {
+						t.Fatalf("%s: no global point at %v: %v", label, q, global)
+					}
+					if hasPoint(d.Points[1], global[p]) {
 						kept++
 					} else {
 						dropped++
 					}
-					for _, x := range d.global {
+					for _, x := range global {
 						if x >= s && (x+tau < end) != (x < end-tau) {
 							split++
 						}
 					}
-
-					PurgeMemo()
-					if _, err := Build(g, 0, 200, Options{}); err != nil {
-						t.Fatal(err)
-					}
-					g.AddContact(1, 3, iv(q+tau, q+70))
-					d, err = Build(g, 0, 200, Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, _, ok := d.DerivedFrom(); !ok {
-						t.Fatalf("%s: the edited build did not patch", label)
-					}
-					checkFilter(t, g, d, label+" patched")
 				}
 			}
 		}

@@ -41,9 +41,7 @@ type memoKey struct {
 	version  uint64
 	t0       float64
 	deadline float64
-	// maxHops is normalized: <= 0 (meaning N-1) is stored as 0.
-	maxHops int
-	noPrune bool
+	noPrune  bool
 }
 
 const memoCapacity = 32
@@ -54,11 +52,7 @@ var (
 )
 
 func keyFor(g *tvg.Graph, t0, deadline float64, opts Options) memoKey {
-	mh := opts.MaxHops
-	if mh <= 0 {
-		mh = 0
-	}
-	return memoKey{gid: g.ID(), version: g.Version(), t0: t0, deadline: deadline, maxHops: mh, noPrune: opts.NoPrune}
+	return memoKey{gid: g.ID(), version: g.Version(), t0: t0, deadline: deadline, noPrune: opts.NoPrune}
 }
 
 // MemoStats returns the process-wide memo hit/miss counters.

@@ -78,58 +78,6 @@ func TestRemoveContactEmptiesPairDropsNeighbors(t *testing.T) {
 	}
 }
 
-func TestEditsSinceTracksPairs(t *testing.T) {
-	g := New(5, interval.Interval{Start: 0, End: 100}, 1)
-	v0 := g.Version()
-	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40})
-	g.AddContact(2, 3, interval.Interval{Start: 0, End: 20})
-	v2 := g.Version()
-	g.RemoveContact(0, 1, interval.Interval{Start: 15, End: 20})
-	g.AddContact(1, 0, interval.Interval{Start: 70, End: 80})
-
-	pairs, ok := g.EditsSince(v2)
-	if !ok {
-		t.Fatal("EditsSince(v2) must succeed")
-	}
-	if len(pairs) != 1 || pairs[0] != (EdgeKey{0, 1}) {
-		t.Errorf("EditsSince(v2) = %v, want [{0 1}]", pairs)
-	}
-
-	pairs, ok = g.EditsSince(v0)
-	if !ok {
-		t.Fatal("EditsSince(v0) must succeed")
-	}
-	if len(pairs) != 2 || pairs[0] != (EdgeKey{0, 1}) || pairs[1] != (EdgeKey{2, 3}) {
-		t.Errorf("EditsSince(v0) = %v, want [{0 1} {2 3}]", pairs)
-	}
-
-	if pairs, ok := g.EditsSince(g.Version()); !ok || len(pairs) != 0 {
-		t.Errorf("EditsSince(current) = %v, %v, want empty, true", pairs, ok)
-	}
-	if _, ok := g.EditsSince(g.Version() + 1); ok {
-		t.Error("EditsSince(future version) must fail")
-	}
-}
-
-func TestEditsSinceTrimmedHistory(t *testing.T) {
-	g := New(3, interval.Interval{Start: 0, End: 1e6}, 1)
-	g.AddContact(0, 1, interval.Interval{Start: 0, End: 1})
-	v := g.Version()
-	// Overflow the journal so version v falls off the retained history.
-	for k := 0; k < journalCap+10; k++ {
-		g.AddContact(0, 2, interval.Interval{Start: float64(10 + 2*k), End: float64(11 + 2*k)})
-	}
-	if _, ok := g.EditsSince(v); ok {
-		t.Error("EditsSince must fail once the journal trimmed past v")
-	}
-	// Recent history still resolves.
-	recent := g.Version() - 5
-	pairs, ok := g.EditsSince(recent)
-	if !ok || len(pairs) != 1 || pairs[0] != (EdgeKey{0, 2}) {
-		t.Errorf("EditsSince(recent) = %v, %v, want [{0 2}], true", pairs, ok)
-	}
-}
-
 // presenceModel is the reference the per-node presence slots are
 // differentially tested against: one map entry per canonical pair, as
 // the graph stored presence before the slots.

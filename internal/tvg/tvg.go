@@ -59,16 +59,6 @@ type Graph struct {
 	// graph (also at version 0), and a pointer-keyed cache would then
 	// silently serve the dead graph's artifacts. IDs are never reused.
 	id uint64
-	// journal records recent presence mutations (newest last) so
-	// downstream caches can derive a patched artifact for the current
-	// version from a memoized ancestor instead of rebuilding cold. It is
-	// bounded: once trimmed, EditsSince reports the history as lost and
-	// callers fall back to a cold build.
-	journal []Edit
-	// journalBase is the graph version immediately before the oldest
-	// retained journal entry; EditsSince(v) for v < journalBase cannot
-	// reconstruct the edit set and reports ok = false.
-	journalBase uint64
 }
 
 // nextGraphID hands out process-unique graph identities; 0 is reserved
@@ -123,7 +113,6 @@ func (g *Graph) AddContact(i, j NodeID, iv interval.Interval) {
 	s := g.pres[i][a].Add(iv)
 	g.pres[i][a], g.pres[j][b] = s, s
 	g.version++
-	g.record(MakeEdgeKey(i, j))
 }
 
 // slot returns the position of j in neighbors[i] and whether j is

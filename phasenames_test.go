@@ -14,10 +14,12 @@ import (
 	"testing"
 )
 
-// TestPhaseNamesDocumented checks that every phase name the module's
-// non-test code opens with StartPhase("…") is listed in DESIGN.md §8's
-// phase table, so the table stays the one place a reader finds each
-// phase's parent and owner. Test files, testdata fixtures and nested
+// TestPhaseNamesDocumented checks that DESIGN.md §8's phase table lists
+// exactly the phase names the module's non-test code opens with
+// StartPhase("…"): every opened name is in the table, and every name
+// in the table is opened somewhere. The table so stays the one place a
+// reader finds each phase's parent and owner, with no row for a phase
+// that no longer exists. Test files, testdata fixtures and nested
 // modules (bench/) are skipped.
 func TestPhaseNamesDocumented(t *testing.T) {
 	documented := designPhaseNames(t)
@@ -86,6 +88,16 @@ func TestPhaseNamesDocumented(t *testing.T) {
 	sort.Strings(missing)
 	for _, m := range missing {
 		t.Errorf("phase %s is missing from the DESIGN.md §8 phase table", m)
+	}
+	var stale []string
+	for name := range documented {
+		if _, ok := used[name]; !ok {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		t.Errorf("phase %s is in the DESIGN.md §8 phase table, but no StartPhase literal opens it", name)
 	}
 }
 
