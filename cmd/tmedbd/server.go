@@ -95,7 +95,10 @@ type cacheEntry struct {
 // in front of the solver stack, the schedule cache, and the fleet
 // recorder backing /debug/vars.
 type server struct {
-	cfg   config
+	cfg config
+	// cache is segmented: schedules requested again since they were
+	// cached hold up to ¾ of it, so a run of one-off solves and edits
+	// evicts other one-offs before it evicts a schedule clients repeat.
 	cache *lru.Cache[cacheKey, cacheEntry]
 	// sem holds one token per running solve.
 	sem chan struct{}
@@ -169,7 +172,7 @@ func newServer(cfg config) *server {
 	}
 	srv := &server{
 		cfg:       cfg,
-		cache:     lru.New[cacheKey, cacheEntry](cfg.cacheSize),
+		cache:     lru.NewSegmented[cacheKey, cacheEntry](cfg.cacheSize, cfg.cacheSize*3/4),
 		sem:       make(chan struct{}, cfg.maxConcurrent),
 		proc:      tmedb.NewRecorder(),
 		flight:    tmedb.NewFlight(cfg.flightSize),

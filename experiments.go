@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"strings"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -317,7 +317,7 @@ func Fig6(cfg ExperimentConfig) (energy, delivery FigureResult) {
 					}
 				}
 				cfg.auditSchedule(alg, g, s, src, cfg.T0, deadline)
-				res := sim.EvaluateObs(g, s, src, cfg.Trials, rand.New(rand.NewSource(cfg.EvalSeed)), cfg.Obs)
+				res := sim.EvaluateObs(g, s, src, cfg.Trials, rng.New(cfg.EvalSeed), cfg.Obs)
 				energies = append(energies, s.NormalizedCost(g.Params.GammaTh))
 				deliveries = append(deliveries, res.MeanDelivery)
 			}

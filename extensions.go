@@ -6,7 +6,6 @@ package tmedb
 
 import (
 	"io"
-	"math/rand"
 
 	"repro/internal/audit"
 	"repro/internal/auxgraph"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/interference"
 	"repro/internal/ndtvg"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/tracestats"
@@ -65,7 +65,7 @@ func RecordCacheStats(rec *Recorder, g *Graph) {
 // EvaluateObs is Evaluate with sim transmission/reception counters
 // recorded into rec (nil records nothing; results are identical).
 func EvaluateObs(g *Graph, s Schedule, src NodeID, trials int, seed int64, rec *Recorder) Result {
-	return sim.EvaluateObs(g, s, src, trials, rand.New(rand.NewSource(seed)), rec)
+	return sim.EvaluateObs(g, s, src, trials, rng.New(seed), rec)
 }
 
 // EvaluateParallelObs is EvaluateParallel with per-worker busy time
@@ -130,7 +130,7 @@ func NewNDGraph(n int, span Interval, tau float64, params Params, model Model) *
 // NDFromTrace lifts a trace into a non-deterministic graph with
 // per-contact probabilities drawn uniformly from [pmin, pmax].
 func NDFromTrace(t *Trace, tau float64, params Params, model Model, pmin, pmax float64, seed int64) *NDGraph {
-	return ndtvg.FromTrace(t, tau, params, model, pmin, pmax, rand.New(rand.NewSource(seed)))
+	return ndtvg.FromTrace(t, tau, params, model, pmin, pmax, rng.New(seed))
 }
 
 // PlanRobust plans on the contacts with probability >= threshold and
@@ -167,7 +167,7 @@ func SerializeSchedule(g *Graph, s Schedule, slot float64) (Schedule, error) {
 // a receiver hearing two or more simultaneous transmitters decodes
 // nothing.
 func EvaluateWithInterference(g *Graph, s Schedule, src NodeID, slot float64, trials int, seed int64) float64 {
-	return interference.Evaluate(g, s, src, slot, trials, rand.New(rand.NewSource(seed)))
+	return interference.Evaluate(g, s, src, slot, trials, rng.New(seed))
 }
 
 // WriteScheduleJSON writes a schedule in the stable versioned JSON
@@ -225,7 +225,7 @@ type ExecResult = des.ExecResult
 // decode and forward within one airtime, and (optionally) concurrent
 // transmitters collide at shared receivers. Deterministic per seed.
 func ExecuteDES(g *Graph, s Schedule, src NodeID, start float64, opts ExecOptions, seed int64) (ExecResult, error) {
-	return des.Execute(g, s, src, start, opts, rand.New(rand.NewSource(seed)))
+	return des.Execute(g, s, src, start, opts, rng.New(seed))
 }
 
 // --- Differential schedule audit ------------------------------------------

@@ -3,8 +3,11 @@ package tmedb
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
+	"math"
 	"testing"
 )
 
@@ -72,5 +75,150 @@ func TestPlannerScheduleGolden(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExecutorOutputsGolden pins every executor's output bit for bit:
+// each case is the sha256 over the Float64bits (and integer counts) of
+// one executor's results on one planned schedule — EEDCB, FR-EEDCB,
+// FR-GREED and FR-RAND on the N=20 Rayleigh graphs of trace seeds 1 and
+// 1001, source 0, t0 = 9000, delay 2000. Executor changes that claim
+// identical output — a cheaper random source, a leaner event list —
+// must leave every hash unchanged.
+func TestExecutorOutputsGolden(t *testing.T) {
+	golden := map[string]string{
+		"EEDCB/seed1/evaluate-w1":                  "4d09ba5599f045ac96a91bbc98b31b33611604132981f6e14cb1a9ac8a91012e",
+		"EEDCB/seed1/evaluate-w3":                  "1439887d03a6d3f0dbcc38b2833ca66bfe2e5061e556baf6750fac6bce280a38",
+		"EEDCB/seed1/des-interference=true":        "ac89c4e8c762b733b2f93c8f24246aeef75e48c7bcd9737332acc25a2461dca7",
+		"EEDCB/seed1/des-interference=false":       "9b0bd2630e0a3ed90aa86ac3209b66e16981338c6e6e1b617ade2a66d133329d",
+		"EEDCB/seed1/interference":                 "13a5b0efc402373d6d89494e9e8ff26854ea6fdfac07c1e740105eaf08b3d06d",
+		"EEDCB/seed1/reference":                    "94ec8fc135afb16e1d8d34e766d676abad44c459da3f7bf45b5818ce1942c6e4",
+		"FR-EEDCB/seed1/evaluate-w1":               "93d04f9e76a52bfc2cee16def13fce3aebb660871acef5efcfcf1cff21dc08b5",
+		"FR-EEDCB/seed1/evaluate-w3":               "e0d56354962fdd5334110ee44187e5446f67a8f6aec321b97961478876a56647",
+		"FR-EEDCB/seed1/des-interference=true":     "987f82a6ce25379e0eb089c42eab7772fac855e99cfbd623d0f97d09986f2d9a",
+		"FR-EEDCB/seed1/des-interference=false":    "b6fb3b337f90b9bb3a99414968eaccac3d195f971572a234da79c822ea2bb859",
+		"FR-EEDCB/seed1/interference":              "b198472f0ad49aac7add6f75a95fcca1cf2015ff5c3ec8668d584f9cf61f6390",
+		"FR-EEDCB/seed1/reference":                 "d48ff176720c388b4547281e36d10a3a0510544f32768b8dc75d906ce537eed3",
+		"FR-GREED/seed1/evaluate-w1":               "5dc2020f44633398cb6f9908b8d175e70e8d8ace2a5579ee5715db6844cce752",
+		"FR-GREED/seed1/evaluate-w3":               "ede018bdaa0454c0bb0e0e884bae58e01e0d43bae95e747a1d57ee8ee9e6398c",
+		"FR-GREED/seed1/des-interference=true":     "9eb73581e05f30c961143a41fd467c42ea86c017235b9f0ef68ebe9d82105589",
+		"FR-GREED/seed1/des-interference=false":    "f5bcc1a2b10596c815269db03b20e43a82ecdf6ff3862b7ce611a15d9a347cbe",
+		"FR-GREED/seed1/interference":              "5456188b338750dce4526f4a0b78f49fd49dd30e04c4afaeb2489c3e5790781b",
+		"FR-GREED/seed1/reference":                 "2ac6b61d3ee8c5a6659bfe1276e56391bfa7cbda8e0c01f11627936cd9d12f30",
+		"FR-RAND/seed1/evaluate-w1":                "1b2117090e72b735494991cb7ccef0125f1d7f1ccd2246997bf15d029c4bad4e",
+		"FR-RAND/seed1/evaluate-w3":                "657dd4821c891ec50e5cefc2244c990eb6ba83a74aed713f6a5ef8c10483fc61",
+		"FR-RAND/seed1/des-interference=true":      "107d6923b503875e603131b2c8d7fdac61feebba029a3dab75a2f2c3bdf1d853",
+		"FR-RAND/seed1/des-interference=false":     "728f957dd3030089fd4dc226a2986abc131d2301532712723f28452823f9fc87",
+		"FR-RAND/seed1/interference":               "0ff5462ea6bd8780a497924b1b38549556534dba921cf91b1819b8e8030fb776",
+		"FR-RAND/seed1/reference":                  "f21ccd7636eb7011efa1664d76e866997a2b54b4b5f7dd5f300de1a470010d43",
+		"EEDCB/seed1001/evaluate-w1":               "ee3f03e65877d23be5fa99a9796887b66b9b7931a39ad5b2141f01489b57bfb1",
+		"EEDCB/seed1001/evaluate-w3":               "87821626a2131da6f2c81785617e2e01735658ebaec5d578847c99ae6d1fd956",
+		"EEDCB/seed1001/des-interference=true":     "183108a36d332490b1f14627cb444b4bcc8e0b00d83167ff2c082c5acf165ed8",
+		"EEDCB/seed1001/des-interference=false":    "fad91eaf5483b60653853a2956a286d02739f515199a723533c73a035ec519ab",
+		"EEDCB/seed1001/interference":              "297ef522f9ec1f43cf760004d48ed48a4bca024d5015a327a4e750ac441e1194",
+		"EEDCB/seed1001/reference":                 "4334286002a58d34cb76755ddc54de47a69535d116078b6e34f05f58dcd57924",
+		"FR-EEDCB/seed1001/evaluate-w1":            "970cd647d851ca6b466468ca5cc091b975b579069854be69630d74c33d9cda00",
+		"FR-EEDCB/seed1001/evaluate-w3":            "4aae7674cf9d4417091a441f7fda47716bf92d8d1cb20dc7919c52654f1e4ef6",
+		"FR-EEDCB/seed1001/des-interference=true":  "63004103239add0489ae0257b36c22b514ed9c937c2af7f785a060801a1592e0",
+		"FR-EEDCB/seed1001/des-interference=false": "65b93108086fcdf187f7e2d3afb2ff6d4f5653bdf70748e0aea4306de1bcd524",
+		"FR-EEDCB/seed1001/interference":           "757921a8d557dd00b355d3ee655bf6a1abe35ddb8641816476b3084f17355ce7",
+		"FR-EEDCB/seed1001/reference":              "ce681793af7f37a2eb91601d4e23b6f4ba0e39f83318db75a59c85e0f4306be8",
+		"FR-GREED/seed1001/evaluate-w1":            "a15cfc98b4f59f07854d4d0ca5441aaf60b82237cfd9cb51d841836268b69949",
+		"FR-GREED/seed1001/evaluate-w3":            "63b408580952f0a9c05820e6e8842ddeb20eb50d882851ead0d709d19125217c",
+		"FR-GREED/seed1001/des-interference=true":  "31eb5ccfc24cef63c88da02e018903b1e5f196d67c985d1adef9b413cd436b8d",
+		"FR-GREED/seed1001/des-interference=false": "5897b642452f6bd63ec878ff32df6ba252a42d46cb38277f0c1a3416df5c4973",
+		"FR-GREED/seed1001/interference":           "0aebd7682f6377266e847e437b24d2f11fd3d667c286edee8dc948e5347621a7",
+		"FR-GREED/seed1001/reference":              "f81a8b722a82bcb25b54b09b0a5a11050942a89ccbbe4d70b5c729ec1840fe2a",
+		"FR-RAND/seed1001/evaluate-w1":             "c6fc568e420cf35834ba4319c7bdbdc9d452f49d82edef4937720cfc0963fd48",
+		"FR-RAND/seed1001/evaluate-w3":             "d55ea7859aab90a6974e61dfc9c3618cc911e31bdbaba36cc5bb37e2f11f21b7",
+		"FR-RAND/seed1001/des-interference=true":   "3f9dbf516848a2c746688ef22b4c7772bd5b3fbba43566e903f9425c4e3b5a48",
+		"FR-RAND/seed1001/des-interference=false":  "3ede1ce9651e3ca9e378d4b47c3278b259e3917ac7101882f8c4e6ba3e86ff24",
+		"FR-RAND/seed1001/interference":            "0068572827f16e7897dbb545005acfb0efb6b35810f310d86d6c786785265d03",
+		"FR-RAND/seed1001/reference":               "cb1e8fd4b836cee61284f6df837bc75dc4955d7f584c461f6c9cddc117f881bf",
+	}
+	const (
+		t0      = 9000.0
+		airtime = 0.008
+	)
+	for _, seed := range []int64{1, 1001} {
+		g := GenerateTrace(TraceOptions{N: 20}, seed).ToTVEG(0, DefaultParams(), Rayleigh)
+		for _, plan := range []Scheduler{
+			EEDCB{Level: 2, Workers: 1},
+			FREEDCB{Level: 2, Workers: 1},
+			FRGreedy{Workers: 1},
+			FRRandom{Seed: seed, Workers: 1},
+		} {
+			s, err := plan.Schedule(g, 0, t0, t0+2000)
+			if onlyRealErr(err) != nil {
+				t.Fatalf("%s seed %d: %v", plan.Name(), seed, err)
+			}
+			check := func(executor string, write func(w *bitWriter)) {
+				t.Helper()
+				name := fmt.Sprintf("%s/seed%d/%s", plan.Name(), seed, executor)
+				w := bitWriter{h: sha256.New()}
+				write(&w)
+				if got, want := hex.EncodeToString(w.h.Sum(nil)), golden[name]; got != want {
+					t.Errorf("%s: sha256 %s, want %s", name, got, want)
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				check(fmt.Sprintf("evaluate-w%d", workers), func(w *bitWriter) {
+					r := EvaluateParallel(g, s, 0, 500, seed, workers)
+					w.floats(r.PlannedEnergy, r.MeanEnergy, r.MeanDelivery, r.StdDelivery)
+					w.ints(r.Trials, r.Workers)
+				})
+			}
+			// With interference each packet holds the channel for the
+			// benchmark's airtime. Without it the airtime defaults to the
+			// graph's τ = 0: a reception completes at its transmission's
+			// instant, and only the event classes let an equal-time relay
+			// forward it.
+			for _, c := range []struct {
+				opts ExecOptions
+				runs int
+			}{
+				{ExecOptions{Interference: true, Airtime: airtime}, 50},
+				{ExecOptions{}, 20},
+			} {
+				check(fmt.Sprintf("des-interference=%t", c.opts.Interference), func(w *bitWriter) {
+					for j := 0; j < c.runs; j++ {
+						res, err := ExecuteDES(g, s, 0, t0, c.opts, seed*1000+int64(j))
+						if err != nil {
+							t.Fatal(err)
+						}
+						w.floats(res.InformedAt...)
+						w.floats(res.ConsumedEnergy)
+						w.ints(res.Delivered, res.Collisions)
+					}
+				})
+			}
+			check("interference", func(w *bitWriter) {
+				w.floats(EvaluateWithInterference(g, s, 0, airtime, 50, seed))
+			})
+			check("reference", func(w *bitWriter) {
+				tr := ReferenceExecute(g, s, 0, t0, false)
+				w.floats(tr.RecvAt...)
+				w.floats(tr.ConsumedEnergy)
+				w.ints(tr.Delivered)
+				for _, fired := range tr.Fired {
+					w.ints(map[bool]int{false: 0, true: 1}[fired])
+				}
+			})
+		}
+	}
+}
+
+// bitWriter feeds exact bit patterns into a hash.
+type bitWriter struct{ h hash.Hash }
+
+func (w *bitWriter) floats(xs ...float64) {
+	for _, x := range xs {
+		w.h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
+	}
+}
+
+func (w *bitWriter) ints(xs ...int) {
+	for _, x := range xs {
+		w.h.Write(binary.LittleEndian.AppendUint64(nil, uint64(x)))
 	}
 }

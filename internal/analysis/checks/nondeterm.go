@@ -16,8 +16,8 @@ import (
 //     decisions must depend only on inputs; wall time belongs to the
 //     obs layer or an injected clock (degrade.Options.Clock);
 //   - the unseeded global math/rand source — randomized planners take
-//     an explicit seeded *rand.Rand (rand.New(rand.NewSource(seed)),
-//     split per worker with parallel.SplitSeed);
+//     an explicit seeded *rand.Rand (rng.New(seed), split per worker
+//     with parallel.SplitSeed);
 //   - raw `go` statements — goroutine completion order is
 //     nondeterministic, so ad-hoc result collection reorders output;
 //     parallel.ForEach (per-index result slots, atomic hand-out) is
@@ -72,7 +72,7 @@ func runNonDeterm(pass *analysis.Pass) {
 			// scope, and they are exactly the sanctioned alternative.
 			if globalRandFuncs[obj.Name()] && obj.Parent() == obj.Pkg().Scope() {
 				found = append(found, finding{id.Pos(),
-					"rand." + obj.Name() + " draws from the unseeded global source; construct rand.New(rand.NewSource(seed)) and thread it (parallel.SplitSeed per worker)"})
+					"rand." + obj.Name() + " draws from the unseeded global source; construct rng.New(seed) and thread it (parallel.SplitSeed per worker)"})
 			}
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/haggle"
 	"repro/internal/interval"
+	"repro/internal/rng"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
 )
@@ -109,15 +110,15 @@ func (c EditCase) String() string {
 // edit path relies on). Calling it twice yields independent graphs with
 // identical contacts.
 func (c EditCase) BaseGraph() *tveg.Graph {
-	rng := rand.New(rand.NewSource(c.BaseSeed))
+	rnd := rng.New(c.BaseSeed)
 	if c.Base == "haggle" {
 		tr := haggle.Generate(haggle.GenOptions{
 			N: c.N, Horizon: 200, MeanInterContact: 60, ParetoAlpha: 1.5,
 			MeanContact: 25, RampEnd: 40, KeepEarly: 0.3, DistMin: 5, DistMax: 12,
-		}, rng)
+		}, rnd)
 		return tr.ToTVEG(c.Tau, tveg.DefaultParams(), c.Model)
 	}
-	return randomTVEG(rng, c.N, c.Tau, c.Model).EnableCostCache()
+	return randomTVEG(rnd, c.N, c.Tau, c.Model).EnableCostCache()
 }
 
 // GraphAt replays the first k ops onto a fresh base graph: the cold
@@ -141,35 +142,35 @@ var editMixes = [...]string{"add-heavy", "remove-heavy", "retime-heavy"}
 // of every mix still produces no-op removals, identity retimes, and
 // adds outside the solve window).
 func GenerateEditCase(seed int64) EditCase {
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	c := EditCase{
 		Seed:     seed,
 		Mix:      editMixes[((seed%3)+3)%3],
-		BaseSeed: rng.Int63(),
-		N:        5 + rng.Intn(6),
-		Tau:      []float64{0, 0.5, 7}[rng.Intn(3)],
+		BaseSeed: rnd.Int63(),
+		N:        5 + rnd.Intn(6),
+		Tau:      []float64{0, 0.5, 7}[rnd.Intn(3)],
 		Base:     "synthetic",
 		Model:    tveg.Static,
 	}
-	if rng.Intn(3) == 0 {
+	if rnd.Intn(3) == 0 {
 		c.Base = "haggle"
 	}
-	if rng.Intn(3) == 0 {
+	if rnd.Intn(3) == 0 {
 		c.Model = tveg.RayleighFading
 	}
 	if c.Model.Fading() {
-		c.Alg = []core.Scheduler{core.FREEDCB{Level: 1}, core.FRGreedy{}}[rng.Intn(2)]
+		c.Alg = []core.Scheduler{core.FREEDCB{Level: 1}, core.FRGreedy{}}[rnd.Intn(2)]
 	} else {
-		c.Alg = []core.Scheduler{core.EEDCB{Level: 1}, core.EEDCB{Level: 2}, core.Greedy{}}[rng.Intn(3)]
+		c.Alg = []core.Scheduler{core.EEDCB{Level: 1}, core.EEDCB{Level: 2}, core.Greedy{}}[rnd.Intn(3)]
 	}
-	c.Src = tvg.NodeID(rng.Intn(c.N))
-	c.T0 = 20 * rng.Float64()
-	c.Deadline = c.T0 + 60 + 100*rng.Float64()
+	c.Src = tvg.NodeID(rnd.Intn(c.N))
+	c.T0 = 20 * rnd.Float64()
+	c.Deadline = c.T0 + 60 + 100*rnd.Float64()
 
 	g := c.BaseGraph()
-	nops := 3 + rng.Intn(4)
+	nops := 3 + rnd.Intn(4)
 	for len(c.Ops) < nops {
-		op := drawEditOp(rng, g, c.Mix)
+		op := drawEditOp(rnd, g, c.Mix)
 		op.Apply(g)
 		c.Ops = append(c.Ops, op)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/interval"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/tveg"
@@ -50,29 +51,29 @@ func (c Case) String() string {
 // (φ = 1 exactly) or at least 0.4× a minimum ε-cost (φ <= ~0.9 under
 // Rayleigh with the generator's distance range).
 func GenerateCase(seed int64) Case {
-	rng := rand.New(rand.NewSource(seed))
-	n := 4 + rng.Intn(7)
-	tau := []float64{0, 0.5, 7}[rng.Intn(3)]
+	rnd := rng.New(seed)
+	n := 4 + rnd.Intn(7)
+	tau := []float64{0, 0.5, 7}[rnd.Intn(3)]
 	model := tveg.Static
-	if rng.Intn(2) == 1 {
+	if rnd.Intn(2) == 1 {
 		model = tveg.RayleighFading
 	}
-	g := randomTVEG(rng, n, tau, model)
-	src := tvg.NodeID(rng.Intn(n))
-	t0 := 20 * rng.Float64()
-	deadline := t0 + 50 + 100*rng.Float64()
+	g := randomTVEG(rnd, n, tau, model)
+	src := tvg.NodeID(rnd.Intn(n))
+	t0 := 20 * rnd.Float64()
+	deadline := t0 + 50 + 100*rnd.Float64()
 
 	c := Case{Seed: seed, Graph: g, Src: src, T0: t0, Deadline: deadline, CostBound: math.Inf(1)}
-	if rng.Intn(4) == 3 {
-		c.Schedule, c.Kind = plannerSchedule(rng, g, src, t0, deadline)
+	if rnd.Intn(4) == 3 {
+		c.Schedule, c.Kind = plannerSchedule(rnd, g, src, t0, deadline)
 	}
 	if c.Schedule == nil {
-		c.Schedule, c.Kind = randomSchedule(rng, g, src, t0, deadline), "random"
+		c.Schedule, c.Kind = randomSchedule(rnd, g, src, t0, deadline), "random"
 	}
-	if rng.Intn(4) == 0 && len(c.Schedule) > 0 {
+	if rnd.Intn(4) == 0 && len(c.Schedule) > 0 {
 		// A finite budget between 30% and 130% of the actual cost
 		// exercises condition (iv) on both sides.
-		c.CostBound = c.Schedule.TotalCost() * (0.3 + rng.Float64())
+		c.CostBound = c.Schedule.TotalCost() * (0.3 + rnd.Float64())
 	}
 	return c
 }

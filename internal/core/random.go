@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/cancel"
 	"repro/internal/dts"
 	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
@@ -49,7 +49,7 @@ func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 // randomBackbone runs the random-relay selection on the given view,
 // polling tok once per selection round (nil = uncancellable).
 func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, tok *cancel.Token, dOpts dts.Options) (schedule.Schedule, error) {
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	if dOpts.Cancel == nil {
 		dOpts.Cancel = tok
 	}
@@ -82,7 +82,7 @@ func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed
 		if len(cands) == 0 {
 			break
 		}
-		pick := cands[rng.Intn(len(cands))]
+		pick := cands[rnd.Intn(len(cands))]
 		s = append(s, schedule.Transmission{Relay: pick.relay, T: pick.t, W: pick.w})
 		for _, j := range pick.newNodes {
 			inf.mark(j, pick.t+view.Tau())

@@ -1,13 +1,11 @@
 // Package des implements a small deterministic discrete-event simulation
-// engine: a future-event list ordered by (time, insertion sequence) with
-// support for cancelling pending events. It is the execution substrate
-// for the airtime-accurate broadcast executor in des/exec.go, and is
-// generic enough for any continuous-time protocol experiment on top of
-// the TVEG model.
+// engine: a future-event list ordered by (time, class, insertion
+// sequence). It is the execution substrate for the airtime-accurate
+// broadcast executor in des/exec.go, and is generic enough for any
+// continuous-time protocol experiment on top of the TVEG model.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -16,56 +14,38 @@ import (
 // to its firing time.
 type Action func(now float64)
 
-// EventID identifies a scheduled event for cancellation.
-type EventID int64
-
 type event struct {
 	t      float64
 	class  int
 	seq    int64
-	id     EventID
 	action Action
-	dead   bool
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+// before is the event list's total order: by time, then class (lower
+// first at equal times), then scheduling order (FIFO among simultaneous
+// same-class events).
+func (e *event) before(o *event) bool {
 	//tmedbvet:ignore floateq event-heap comparator: the (t, class, seq) total order must compare times bitwise to stay deterministic
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+	if e.t != o.t {
+		return e.t < o.t
 	}
-	if q[i].class != q[j].class {
-		return q[i].class < q[j].class // lower class first at equal times
+	if e.class != o.class {
+		return e.class < o.class
 	}
-	return q[i].seq < q[j].seq // FIFO among simultaneous same-class events
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
-// Sim is one simulation run. The zero value is not usable; create with
-// New.
+// Sim is one simulation run. The zero value is an empty run starting at
+// time 0, as New returns.
 type Sim struct {
-	now     float64
-	seq     int64
-	nextID  EventID
-	queue   eventQueue
-	pending map[EventID]*event
-	steps   int
+	now   float64
+	seq   int64
+	queue []event // binary min-heap under before
+	steps int
 }
 
 // New creates an empty simulation starting at time 0.
-func New() *Sim {
-	return &Sim{pending: make(map[EventID]*event)}
-}
+func New() *Sim { return &Sim{} }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.now }
@@ -76,15 +56,13 @@ func (s *Sim) Steps() int { return s.steps }
 // At schedules action to run at time t (>= Now) in the default class 0.
 // Events scheduled for the same instant run by (class, scheduling
 // order).
-func (s *Sim) At(t float64, action Action) EventID {
-	return s.AtClass(t, 0, action)
-}
+func (s *Sim) At(t float64, action Action) { s.AtClass(t, 0, action) }
 
 // AtClass schedules action at time t in the given class: at equal
 // times, lower classes run first. The broadcast executor uses class 0
 // for reception completions and class 1 for transmission starts, so a
 // packet received at instant t is available to forward at t.
-func (s *Sim) AtClass(t float64, class int, action Action) EventID {
+func (s *Sim) AtClass(t float64, class int, action Action) {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling at %g before now %g", t, s.now))
 	}
@@ -92,28 +70,45 @@ func (s *Sim) AtClass(t float64, class int, action Action) EventID {
 		panic("des: nil action")
 	}
 	s.seq++
-	s.nextID++
-	e := &event{t: t, class: class, seq: s.seq, id: s.nextID, action: action}
-	heap.Push(&s.queue, e)
-	s.pending[e.id] = e
-	return e.id
+	s.queue = append(s.queue, event{t: t, class: class, seq: s.seq, action: action})
+	q := s.queue
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
 }
 
 // After schedules action delay seconds from now (class 0).
-func (s *Sim) After(delay float64, action Action) EventID {
-	return s.At(s.now+delay, action)
-}
+func (s *Sim) After(delay float64, action Action) { s.At(s.now+delay, action) }
 
-// Cancel removes a pending event. Cancelling an already-fired or unknown
-// event is a no-op returning false.
-func (s *Sim) Cancel(id EventID) bool {
-	e, ok := s.pending[id]
-	if !ok {
-		return false
+// pop removes and returns the first event.
+func (s *Sim) pop() event {
+	q := s.queue
+	first := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // drop the fired action's closure
+	q = q[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+		i = c
 	}
-	e.dead = true
-	delete(s.pending, id)
-	return true
+	s.queue = q
+	return first
 }
 
 // Run executes events in order until the queue empties or the clock
@@ -121,31 +116,22 @@ func (s *Sim) Cancel(id EventID) bool {
 // call. Events scheduled exactly at `until` still run.
 func (s *Sim) Run(until float64) int {
 	ran := 0
-	for s.queue.Len() > 0 {
-		e := s.queue[0]
-		if e.dead {
-			heap.Pop(&s.queue)
-			continue
-		}
-		if e.t > until {
+	for len(s.queue) > 0 {
+		if s.queue[0].t > until {
 			break
 		}
-		heap.Pop(&s.queue)
-		delete(s.pending, e.id)
+		e := s.pop()
 		s.now = e.t
 		e.action(s.now)
 		s.steps++
 		ran++
 	}
-	if s.queue.Len() == 0 && s.now < until && !math.IsInf(until, 1) {
+	if len(s.queue) == 0 && s.now < until && !math.IsInf(until, 1) {
 		s.now = until
 	}
 	return ran
 }
 
-// RunAll executes every pending event (including those scheduled by
+// RunAll executes every scheduled event (including those scheduled by
 // earlier events) and returns the count.
 func (s *Sim) RunAll() int { return s.Run(math.Inf(1)) }
-
-// Pending returns the number of live scheduled events.
-func (s *Sim) Pending() int { return len(s.pending) }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -61,28 +62,11 @@ func TestRunUntilStops(t *testing.T) {
 	if n := s.Run(5); n != 2 {
 		t.Errorf("Run(5) executed %d, want 2 (event at exactly 5 runs)", n)
 	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", s.Pending())
+	if n := s.RunAll(); n != 1 {
+		t.Errorf("RunAll after Run(5) executed %d, want 1", n)
 	}
-	s.RunAll()
 	if ran != 3 {
 		t.Errorf("total = %d, want 3", ran)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	id := s.At(1, func(float64) { ran = true })
-	if !s.Cancel(id) {
-		t.Fatal("Cancel returned false")
-	}
-	if s.Cancel(id) {
-		t.Error("double Cancel should return false")
-	}
-	s.RunAll()
-	if ran {
-		t.Error("cancelled event ran")
 	}
 }
 
@@ -134,5 +118,43 @@ func TestClassOrderingAtEqualTimes(t *testing.T) {
 	s.RunAll()
 	if len(order) != 2 || order[0] != "end" || order[1] != "start" {
 		t.Errorf("order = %v, want [end start]", order)
+	}
+}
+
+// TestHeapOrderMatchesSort runs thousands of events with tied times and
+// classes, some scheduled by earlier events for later instants, and
+// checks that they fire in (time, class, scheduling order).
+func TestHeapOrderMatchesSort(t *testing.T) {
+	type key struct {
+		t     float64
+		class int
+		seq   int
+	}
+	r := rand.New(rand.NewSource(3))
+	s := New()
+	var scheduled, fired []key
+	var schedule func(at float64, class int)
+	schedule = func(at float64, class int) {
+		k := key{at, class, len(scheduled)}
+		scheduled = append(scheduled, k)
+		s.AtClass(at, class, func(now float64) {
+			fired = append(fired, k)
+			if len(scheduled) < 5000 && r.Intn(3) == 0 {
+				schedule(now+float64(1+r.Intn(4)), r.Intn(3))
+			}
+		})
+	}
+	for i := 0; i < 2000; i++ {
+		schedule(float64(r.Intn(50)), r.Intn(3))
+	}
+	s.RunAll()
+	if len(fired) != len(scheduled) {
+		t.Fatalf("fired %d of %d events", len(fired), len(scheduled))
+	}
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if a.t > b.t || a.t == b.t && (a.class > b.class || a.class == b.class && a.seq > b.seq) {
+			t.Fatalf("event %d %+v fired before %+v", i, a, b)
+		}
 	}
 }

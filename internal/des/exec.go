@@ -83,6 +83,10 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 		corrupted bool
 	}
 	current := make([]*reception, n)
+	// rx holds each fired transmission's in-range receivers, found once
+	// when it fires: RhoTau(relay, j, T) depends only on the
+	// transmission, so the end of its airtime reuses the list.
+	var rx []tvg.NodeID
 
 	sim := New()
 	ordered := make(schedule.Schedule, len(s))
@@ -126,10 +130,12 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 				return
 			}
 			// mark the channel busy at every in-range node
+			lo := len(rx)
 			for _, j := range g.EverNeighbors(x.Relay) {
 				if !g.RhoTau(x.Relay, j, x.T) {
 					continue
 				}
+				rx = append(rx, j)
 				audible[j]++
 				if audible[j] > 1 {
 					// collision: corrupt any ongoing reception too
@@ -150,12 +156,10 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 					current[j] = rec
 				}
 			}
+			hi := len(rx)
 			// end of this transmission's airtime
 			sim.After(airtime, func(end float64) {
-				for _, j := range g.EverNeighbors(x.Relay) {
-					if !g.RhoTau(x.Relay, j, x.T) {
-						continue
-					}
+				for _, j := range rx[lo:hi] {
 					audible[j]--
 					cur := current[j]
 					if cur == nil || cur.from != x.Relay {

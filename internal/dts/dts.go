@@ -223,7 +223,7 @@ func filterNode(g *tvg.Graph, i tvg.NodeID, global []float64, noPrune bool) []fl
 	if noPrune {
 		return append(make([]float64, 0, len(global)+2), global...)
 	}
-	idx := g.ActivePoints(i, global, nil)
+	idx := g.ActivePoints(i, global, make([]int, 0, len(global)))
 	mine := make([]float64, 0, len(idx)+2)
 	for _, p := range idx {
 		mine = append(mine, global[p])

@@ -2,6 +2,7 @@ package lru
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -101,5 +102,87 @@ func TestEvictionOrderIsLRU(t *testing.T) {
 		if _, ok := c.Get(k); !ok {
 			t.Fatalf("key %d missing", k)
 		}
+	}
+}
+
+// TestSegmentedKeepsHotEntries replays the daemon's traffic shape on a
+// 256-entry cache: 16 keys are primed and hit once, then every batch
+// reads 4 random hot keys and puts 6 keys never seen before. The
+// segmented cache never misses a hot key; a plain LRU of the same
+// capacity does on the same stream, once a hot key goes unread for
+// about 43 batches.
+func TestSegmentedKeepsHotEntries(t *testing.T) {
+	const capacity, hot, batches = 256, 16, 100_000
+	misses := func(c *Cache[int, int]) int {
+		for k := 0; k < hot; k++ {
+			c.Put(k, k)
+			c.Get(k)
+		}
+		rng := rand.New(rand.NewSource(1))
+		next, missed := hot, 0
+		for b := 0; b < batches; b++ {
+			for i := 0; i < 4; i++ {
+				k := rng.Intn(hot)
+				if v, ok := c.Get(k); !ok || v != k {
+					missed++
+					c.Put(k, k)
+				}
+			}
+			for i := 0; i < 6; i++ {
+				c.Put(next, next)
+				next++
+			}
+		}
+		return missed
+	}
+	if m := misses(NewSegmented[int, int](capacity, capacity*3/4)); m != 0 {
+		t.Errorf("segmented cache missed hot keys %d times, want 0", m)
+	}
+	m := misses(New[int, int](capacity))
+	if m == 0 {
+		t.Error("plain LRU never missed a hot key; the stream does not test eviction")
+	}
+	t.Logf("plain LRU: %d hot misses in %d batches", m, batches)
+}
+
+func TestSegmentedEvictionOrder(t *testing.T) {
+	c := NewSegmented[int, string](4, 2)
+	for i := 1; i <= 4; i++ {
+		c.Put(i, fmt.Sprint(i))
+	}
+	c.Get(1)
+	c.Get(2)      // protected: 2,1; probationary: 4,3
+	c.Put(5, "5") // evicts 3, the probationary LRU, not 1
+	if _, ok := c.Get(3); ok {
+		t.Fatal("3 was the stalest probationary entry and should have been evicted")
+	}
+	c.Get(4)      // protected overflows: 4,2 stay, 1 goes back to probationary: 1,5
+	c.Put(6, "6") // evicts 5
+	for k, want := range map[int]bool{1: true, 2: true, 4: true, 5: false, 6: true} {
+		if _, ok := c.Get(k); ok != want {
+			t.Errorf("Get(%d) found %t, want %t", k, ok, want)
+		}
+	}
+	if c.Len() != 4 {
+		t.Errorf("Len = %d, want 4", c.Len())
+	}
+	c.Purge()
+	if c.Len() != 0 {
+		t.Errorf("Len after Purge = %d", c.Len())
+	}
+}
+
+func TestSegmentedProtectedRoomClamps(t *testing.T) {
+	c := NewSegmented[int, int](2, 5) // protected room clamps to 1
+	c.Put(1, 1)
+	c.Get(1)
+	c.Put(2, 2)
+	c.Get(2) // protected: 2; 1 demoted to probationary
+	c.Put(3, 3)
+	if _, ok := c.Get(1); ok {
+		t.Error("1 should have been evicted")
+	}
+	if c.Len() != 2 {
+		t.Errorf("Len = %d, want 2", c.Len())
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/haggle"
 	"repro/internal/interval"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/tveg"
@@ -126,12 +127,12 @@ func EvaluateRobust(g *Graph, s schedule.Schedule, src tvg.NodeID, realizations,
 	if realizations <= 0 {
 		panic(fmt.Sprintf("ndtvg: non-positive realizations %d", realizations))
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rnd := rng.New(seed)
 	out := RobustResult{Realizations: realizations, WorstDelivery: 1}
 	var sum float64
 	for r := 0; r < realizations; r++ {
-		real := g.Sample(rng)
-		res := sim.Evaluate(real, s, src, trialsPer, rand.New(rand.NewSource(seed+int64(r)+1)))
+		real := g.Sample(rnd)
+		res := sim.Evaluate(real, s, src, trialsPer, rng.New(seed+int64(r)+1))
 		sum += res.MeanDelivery
 		if res.MeanDelivery < out.WorstDelivery {
 			out.WorstDelivery = res.MeanDelivery

@@ -2,10 +2,10 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
@@ -36,7 +36,7 @@ func EvaluateParallelObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, tri
 	counts := parallel.SplitCounts(trials, parallel.Resolve(workers))
 	results := make([]Result, len(counts))
 	_ = parallel.ForEach(rec.Pool("sim.evaluate"), nil, len(counts), len(counts), func(w int) {
-		results[w] = EvaluateObs(g, s, src, counts[w], rand.New(rand.NewSource(parallel.SplitSeed(seed, w))), rec)
+		results[w] = EvaluateObs(g, s, src, counts[w], rng.New(parallel.SplitSeed(seed, w)), rec)
 	}) // nil token: never fails
 	if len(results) == 1 {
 		return results[0]

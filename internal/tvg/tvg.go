@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 	"sync/atomic"
 
 	"repro/internal/interval"
@@ -215,11 +216,28 @@ func (g *Graph) DegreeAt(i NodeID, t float64) int {
 // ends after x+τ, i.e. iff x+τ lies below the running maximum End of
 // the intervals started by x. The test is ContainsWindow's own
 // expression, so the answer equals DegreeAt(i, x) > 0 bit for bit.
+// Only intervals that end after xs[0] and start by xs[len(xs)-1] can
+// decide a point; each pair's canonical set is binary-searched for that
+// run, so the walk and its sort skip the rest of the trace.
 func (g *Graph) ActivePoints(i NodeID, xs []float64, dst []int) []int {
 	g.checkNode(i)
-	var ivs []interval.Interval
+	if len(xs) == 0 {
+		return dst
+	}
+	first, last := xs[0], xs[len(xs)-1]
+	deciding := func(s interval.Set) []interval.Interval {
+		all := s.Intervals()
+		lo := sort.Search(len(all), func(k int) bool { return all[k].End > first })
+		hi := sort.Search(len(all), func(k int) bool { return all[k].Start > last })
+		return all[lo:max(lo, hi)]
+	}
+	total := 0
 	for _, s := range g.pres[i] {
-		ivs = append(ivs, s.Intervals()...)
+		total += len(deciding(s))
+	}
+	ivs := make([]interval.Interval, 0, total)
+	for _, s := range g.pres[i] {
+		ivs = append(ivs, deciding(s)...)
 	}
 	slices.SortFunc(ivs, func(a, b interval.Interval) int { return cmp.Compare(a.Start, b.Start) })
 	maxEnd := math.Inf(-1)

@@ -3,6 +3,7 @@ package tvg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +338,56 @@ func TestQuickEarliestArrivalRespectsTau(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestActivePointsMatchesDegreeAt checks the pruned merge-walk against
+// DegreeAt at every point, on point lists that start and end inside the
+// trace and land on interval boundaries, so intervals ending before the
+// first point or starting after the last are skipped while those
+// reaching into the list still decide it.
+func TestActivePointsMatchesDegreeAt(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, tau := range []float64{0, 0.5, 3} {
+		for trial := 0; trial < 20; trial++ {
+			g := New(6, interval.Interval{Start: 0, End: 400}, tau)
+			var edges []float64
+			for k := 0; k < 40; k++ {
+				i, j := NodeID(r.Intn(6)), NodeID(r.Intn(6))
+				if i == j {
+					continue
+				}
+				start := r.Float64() * 380
+				end := start + 1 + r.Float64()*30
+				g.AddContact(i, j, interval.Interval{Start: start, End: end})
+				edges = append(edges, start, end, end-tau)
+			}
+			lo, hi := r.Float64()*200, 200+r.Float64()*200
+			var xs []float64
+			for _, x := range append(edges, lo, hi) {
+				if x >= lo && x <= hi {
+					xs = append(xs, x)
+				}
+			}
+			for k := 0; k < 30; k++ {
+				xs = append(xs, lo+(hi-lo)*r.Float64())
+			}
+			slices.Sort(xs)
+			for i := NodeID(0); i < 6; i++ {
+				got := g.ActivePoints(i, xs, nil)
+				var want []int
+				for p, x := range xs {
+					if g.DegreeAt(i, x) > 0 {
+						want = append(want, p)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("τ=%g trial %d node %d: ActivePoints %v, DegreeAt > 0 at %v", tau, trial, i, got, want)
+				}
+			}
+		}
+	}
+	if got := New(2, interval.Interval{Start: 0, End: 1}, 0).ActivePoints(0, nil, nil); got != nil {
+		t.Errorf("no points: %v", got)
 	}
 }

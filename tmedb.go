@@ -21,13 +21,13 @@ package tmedb
 
 import (
 	"io"
-	"math/rand"
 
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/haggle"
 	"repro/internal/interval"
 	"repro/internal/mobility"
+	"repro/internal/rng"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -133,7 +133,7 @@ func DefaultMobilityModel() MobilityModel { return mobility.DefaultModel() }
 // within radius meters, and returns them as a contact trace whose
 // distances drive the fading ED-functions. Deterministic per seed.
 func MobilityTrace(m MobilityModel, n int, horizon, dt, radius float64, seed int64) *Trace {
-	tr := mobility.Simulate(m, n, horizon, dt, rand.New(rand.NewSource(seed)))
+	tr := mobility.Simulate(m, n, horizon, dt, rng.New(seed))
 	out := &Trace{N: n, Horizon: horizon}
 	for _, c := range tr.Contacts(radius, 0.5) {
 		out.Contacts = append(out.Contacts, Contact{
@@ -156,7 +156,7 @@ func NewGraph(n int, span Interval, tau float64, params Params, model Model) *Gr
 // GenerateTrace builds a synthetic Haggle-like contact trace,
 // deterministic per seed.
 func GenerateTrace(opts TraceOptions, seed int64) *Trace {
-	return haggle.Generate(opts, rand.New(rand.NewSource(seed)))
+	return haggle.Generate(opts, rng.New(seed))
 }
 
 // ReadTrace parses a contact trace: the native format written by
@@ -167,7 +167,7 @@ func ReadTrace(r io.Reader) (*Trace, error) { return haggle.ReadAuto(r) }
 // Evaluate executes the schedule on g for the given number of Monte
 // Carlo trials (deterministic per seed) and returns the §VII metrics.
 func Evaluate(g *Graph, s Schedule, src NodeID, trials int, seed int64) Result {
-	return sim.Evaluate(g, s, src, trials, rand.New(rand.NewSource(seed)))
+	return sim.Evaluate(g, s, src, trials, rng.New(seed))
 }
 
 // CheckFeasible verifies the four TMEDB feasibility conditions of §IV
