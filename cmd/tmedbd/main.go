@@ -16,13 +16,17 @@
 //
 //	POST /solve           JSON solve request -> schedule envelope + meta
 //	                      (?trace=1 answers the catapult trace instead)
+//	POST /edit            a /solve body plus its edit sequence -> the
+//	                      same, solved on the edited trace
 //	GET  /healthz         liveness + queue depth
 //	GET  /metrics         Prometheus text exposition of the fleet metrics
 //	GET  /debug/requests  flight recorder: the last N completed requests
 //
 // With -log, every request gets a process-unique req_id shared by its
 // structured log events (admission, shedding, cache, degradation rungs,
-// errors), its flight-recorder entry, and its response. With -debug,
+// errors; each also carries the route), its flight-recorder entry, and
+// its response. A panic while serving a request answers that request
+// 500; the daemon keeps serving. With -debug,
 // net/http/pprof, the expvar fleet metrics (expvar name "tmedbd" on
 // /debug/vars), and /metrics are served on the debug address too.
 package main

@@ -541,6 +541,7 @@ func TestSolveRequestValidation(t *testing.T) {
 		func(r *solveRequest) { r.Synthetic = nil },                                   // no source
 		func(r *solveRequest) { r.Trace = "x" },                                       // two sources
 		func(r *solveRequest) { r.Synthetic.N = 0 },                                   // empty synthetic
+		func(r *solveRequest) { r.Synthetic.N = 1025 },                                // above maxNodes
 		func(r *solveRequest) { r.Delay = 0 },                                         // no delay window
 		func(r *solveRequest) { r.Src = -1 },                                          // bad source
 		func(r *solveRequest) { r.Eps = 1 },                                           // eps out of range
@@ -564,9 +565,11 @@ func TestSolveRequestValidation(t *testing.T) {
 }
 
 // TestMalformedTraceRejected: an inline trace whose contact distance is
-// negative or NaN is malformed input, so /solve and /edit answer 400
-// instead of dropping the connection or failing with a 500. The same
-// requests with a valid distance answer 200.
+// negative or NaN, or whose header names fewer than 1 or more than
+// maxNodes nodes, is malformed input, so /solve and /edit answer 400
+// instead of dropping the connection, failing with a 500 or building a
+// graph of that size. The same requests with a valid distance answer
+// 200.
 func TestMalformedTraceRejected(t *testing.T) {
 	srv := newServer(defaultConfig())
 	ts := httptest.NewServer(srv.handler())
@@ -580,6 +583,8 @@ func TestMalformedTraceRejected(t *testing.T) {
 		{"0 1 5 50 3\n", http.StatusOK},
 		{"0 1 5 50 -3\n", http.StatusBadRequest},
 		{"0 1 5 50 NaN\n", http.StatusBadRequest},
+		{"# haggle-trace v1 nodes=2000000000 horizon=100\n", http.StatusBadRequest},
+		{"# haggle-trace v1 nodes=-5 horizon=100\n", http.StatusBadRequest},
 	} {
 		inline := func(r *solveRequest) {
 			r.Synthetic, r.Trace = nil, tc.trace
@@ -699,13 +704,13 @@ func TestAdmitFreeSlotNeverSheds(t *testing.T) {
 // planner-bounded ladder, not the absolute shed level.
 func TestShedRungsCountsDroppedRungs(t *testing.T) {
 	srv := newServer(defaultConfig())
-	tr := tmedb.GenerateTrace(tmedb.TraceOptions{N: 10}, 1)
+	g := tmedb.GenerateTrace(tmedb.TraceOptions{N: 10}, 1).ToTVEG(0, tmedb.DefaultParams(), tmedb.Static)
 	shed := int(tmedb.RungGreed)
 
 	// A greed request already starts at the greed rung: shedding to
 	// greed removes nothing and must report zero.
 	req := solveRequest{Alg: "greed", Src: 0, T0: soakT0, Delay: soakDelay}
-	_, outcome, dropped, _, err := srv.solve(context.Background(), &req, tr, shed, nil)
+	_, outcome, dropped, _, err := srv.solveGraph(context.Background(), &req, g, shed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -718,7 +723,7 @@ func TestShedRungsCountsDroppedRungs(t *testing.T) {
 
 	// The default planner's 4-rung ladder loses full and spt.
 	req = solveRequest{Src: 0, T0: soakT0, Delay: soakDelay}
-	_, outcome, dropped, _, err = srv.solve(context.Background(), &req, tr, shed, nil)
+	_, outcome, dropped, _, err = srv.solveGraph(context.Background(), &req, g, shed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -185,8 +186,12 @@ func (r *editRequest) validate() error {
 	return nil
 }
 
-// editsHash fingerprints an edit sequence for the schedule-cache key.
+// editsHash fingerprints an edit sequence for the schedule-cache key;
+// no edits (every /solve) hash to 0.
 func editsHash(edits []editSpec) uint64 {
+	if len(edits) == 0 {
+		return 0
+	}
 	h := fnv.New64a()
 	for _, e := range edits {
 		fmt.Fprintf(h, "%s|%d|%d|%x|%x|%x|%x|%x\n",
@@ -234,6 +239,9 @@ func (r *solveRequest) validate() error {
 	}
 	if r.Synthetic != nil && r.Synthetic.N <= 0 {
 		return fmt.Errorf("synthetic.n must be positive (got %d)", r.Synthetic.N)
+	}
+	if r.Synthetic != nil && r.Synthetic.N > maxNodes {
+		return fmt.Errorf("synthetic.n %d is above the %d-node bound", r.Synthetic.N, maxNodes)
 	}
 	if r.Src < 0 {
 		return fmt.Errorf("src must be >= 0 (got %d)", r.Src)
@@ -311,13 +319,32 @@ func parseModel(s string) (tmedb.Model, error) {
 	return 0, fmt.Errorf("unknown model %q", s)
 }
 
+// maxNodes bounds the node count a request may name. A trace is read,
+// or generated, before admission control sees the request; the graph
+// holds per-node slices of N entries, and a synthetic trace's contacts
+// grow as N². At 1,024 nodes a synthetic trace holds 1.9M contacts, the
+// order of the 1.1M native contact lines the default 64 MiB body lets
+// an inline trace carry, and far above the N ≤ 30 of the paper's
+// figures.
+const maxNodes = 1024
+
+// readTrace parses an inline or file trace, refusing one that names more
+// than maxNodes nodes before anything is built from it.
+func readTrace(rd io.Reader) (*tmedb.Trace, error) {
+	tr, err := tmedb.ReadTrace(rd)
+	if err == nil && tr.N > maxNodes {
+		return nil, fmt.Errorf("trace has %d nodes, above the %d-node bound", tr.N, maxNodes)
+	}
+	return tr, err
+}
+
 // resolveTrace materializes the request's trace source. File references
 // are confined to the daemon's trace root: a daemon without one rejects
 // them, and paths may not escape it.
 func (s *server) resolveTrace(r *solveRequest) (*tmedb.Trace, string, error) {
 	switch {
 	case r.Trace != "":
-		tr, err := tmedb.ReadTrace(strings.NewReader(r.Trace))
+		tr, err := readTrace(strings.NewReader(r.Trace))
 		if err != nil {
 			return nil, "", err
 		}
@@ -339,7 +366,7 @@ func (s *server) resolveTrace(r *solveRequest) (*tmedb.Trace, string, error) {
 			return nil, "", fmt.Errorf("trace_file: %w", err)
 		}
 		defer f.Close()
-		tr, err := tmedb.ReadTrace(f)
+		tr, err := readTrace(f)
 		if err != nil {
 			return nil, "", fmt.Errorf("trace_file %q: %w", r.TraceFile, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,8 +191,8 @@ func newServer(cfg config) *server {
 // their own listener (see config.debugAddr), not here.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/solve", s.handleSolve)
-	mux.HandleFunc("/edit", s.handleEdit)
+	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, solveRoute) })
+	mux.HandleFunc("/edit", func(w http.ResponseWriter, r *http.Request) { s.handle(w, r, editRoute) })
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/metrics", s.proc.PromHandler("tmedbd"))
 	mux.Handle("/debug/requests", s.flight)
@@ -334,20 +335,42 @@ func errKind(status int) string {
 	}
 }
 
-// handleSolve is the telemetry envelope around one solve: it mints the
-// request ID, binds it to the request-scoped logger threaded through
-// the solver via context, and on completion records the flight entry,
-// observes the latency distribution, and emits the solve.done /
-// solve.failed event — all tagged with the same req_id.
-func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// route is what tells POST /solve and POST /edit apart on their one
+// request path: the prefix of the request, cache and solved counters,
+// and whether the body carries an edit sequence for a live instance.
+type route struct {
+	prefix string
+	edits  bool
+}
+
+var (
+	solveRoute = route{prefix: "tmedbd."}
+	editRoute  = route{prefix: "tmedbd.edit.", edits: true}
+)
+
+// name is the route attr every log line of the request carries.
+func (rt route) name() string {
+	if rt.edits {
+		return "edit"
+	}
+	return "solve"
+}
+
+// handle is the telemetry envelope around one request on either route:
+// it mints the request ID, binds it and the route to the request-scoped
+// logger threaded through the solver via context, and on completion
+// records the flight entry, observes the latency distribution, and
+// emits the solve.done / solve.failed event — all tagged with the same
+// req_id. A panic anywhere below fails this request alone.
+func (s *server) handle(w http.ResponseWriter, r *http.Request, rt route) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
 		return
 	}
-	s.proc.Counter("tmedbd.requests").Inc()
+	s.proc.Counter(rt.prefix + "requests").Inc()
 	start := time.Now()
 	st := &reqState{id: tmedb.NewRequestID()}
-	lg := s.log.With(tmedb.LogStr("req_id", st.id))
+	lg := s.log.With(tmedb.LogStr("req_id", st.id), tmedb.LogStr("route", rt.name()))
 	sw := &statusWriter{ResponseWriter: w}
 	sw.onFirst = func(code int) {
 		s.flight.Record(tmedb.RequestRecord{
@@ -368,40 +391,71 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			PhaseMS:    st.phaseMS,
 		})
 	}
-	s.serveSolve(sw, r.WithContext(tmedb.WithLogger(r.Context(), lg)), st)
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	s.lat.Observe(ms)
-	if st.err != nil {
-		lg.Error("solve.failed", st.err,
-			tmedb.LogInt("status", sw.code),
-			tmedb.LogStr("kind", errKind(sw.code)),
-			tmedb.LogF64("ms", ms))
-	} else if lg.Enabled() {
-		lg.Event("solve.done",
-			tmedb.LogInt("status", sw.code),
-			tmedb.LogStr("cache", st.cache),
-			tmedb.LogStr("rung", st.rung),
-			tmedb.LogInt("shed_rungs", st.shedRungs),
-			tmedb.LogF64("ms", ms))
-	}
+	defer func() {
+		v := recover()
+		if v == http.ErrAbortHandler {
+			panic(v)
+		}
+		// The /edit instance lock and the solve slot were released by
+		// their own defers while the panic unwound to here. The panic
+		// and its stack go to the flight record and the log, not to the
+		// client.
+		started := sw.code != 0
+		if v != nil {
+			s.proc.Counter("tmedbd.errors").Inc()
+			st.err = fmt.Errorf("panic: %v\n%s", v, debug.Stack())
+			if !started {
+				writeError(sw, http.StatusInternalServerError, errors.New("internal error"))
+			}
+		}
+		ms := float64(time.Since(start)) / float64(time.Millisecond)
+		s.lat.Observe(ms)
+		if st.err != nil {
+			lg.Error("solve.failed", st.err,
+				tmedb.LogInt("status", sw.code),
+				tmedb.LogStr("kind", errKind(sw.code)),
+				tmedb.LogF64("ms", ms))
+		} else if lg.Enabled() {
+			lg.Event("solve.done",
+				tmedb.LogInt("status", sw.code),
+				tmedb.LogStr("cache", st.cache),
+				tmedb.LogStr("rung", st.rung),
+				tmedb.LogInt("shed_rungs", st.shedRungs),
+				tmedb.LogF64("ms", ms))
+		}
+		if v != nil && started {
+			// Too late for a status: drop the connection so the client
+			// cannot take a cut-off body for an answer.
+			panic(http.ErrAbortHandler)
+		}
+	}()
+	s.serve(sw, r.WithContext(tmedb.WithLogger(r.Context(), lg)), st, rt)
 }
 
-// serveSolve is the solve path proper: decode, validate, cache, admit,
-// plan, respond — recording what it learns into st as it goes.
-func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState) {
+// serve is the one request path of both routes: decode, validate,
+// (on /edit) bring the live instance to the request's edit sequence,
+// cache, admit, plan, respond — recording what it learns into st as it
+// goes.
+func (s *server) serve(w http.ResponseWriter, r *http.Request, st *reqState, rt route) {
 	lg := tmedb.LoggerFrom(r.Context())
-	var req solveRequest
+	// A /solve body decodes into the embedded solveRequest alone, so an
+	// edits field there is rejected as unknown.
+	var req editRequest
+	var body interface{ validate() error } = &req.solveRequest
+	if rt.edits {
+		body = &req
+	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(body); err != nil {
 		s.fail(st, w, http.StatusBadRequest, err)
 		return
 	}
-	if err := req.validate(); err != nil {
+	if err := body.validate(); err != nil {
 		s.fail(st, w, http.StatusBadRequest, err)
 		return
 	}
-	tr, traceName, err := s.resolveTrace(&req)
+	tr, traceName, err := s.resolveTrace(&req.solveRequest)
 	if err != nil {
 		s.fail(st, w, http.StatusBadRequest, err)
 		return
@@ -426,13 +480,67 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 			fmt.Errorf("window [%g,%g] outside trace horizon [0,%g]", req.T0, req.T0+req.Delay, tr.Horizon))
 		return
 	}
+	for k := range req.Edits {
+		if e := &req.Edits[k]; e.I >= tr.N || e.J >= tr.N {
+			s.fail(st, w, http.StatusBadRequest,
+				fmt.Errorf("edits[%d]: pair (%d,%d) outside [0,%d)", k, e.I, e.J, tr.N))
+			return
+		}
+	}
+	model, err := parseModel(req.model())
+	if err != nil {
+		s.fail(st, w, http.StatusBadRequest, err)
+		return
+	}
+	params := solveParams(&req.solveRequest)
 	// ?trace=1 asks for the catapult trace of this solve instead of the
 	// schedule envelope: it forces a per-request recorder and bypasses
 	// the cache lookup (a cache hit plans nothing, so it has no trace).
 	traceReq := r.URL.Query().Get("trace") == "1"
+	var rec *tmedb.Recorder
+	if req.Report || traceReq {
+		rec = tmedb.NewRecorder()
+	}
+	traceHash := tmedb.TraceHash(tr)
 
+	resp := solveResponse{ReqID: st.id}
+	// g stays nil on /solve until admission, so a cache hit builds
+	// nothing; /edit solves its live instance.
+	var g *tmedb.Graph
+	if rt.edits {
+		// The instance lock covers reconcile, apply, and solve: a
+		// response answers exactly the graph state its edit sequence
+		// produced, never a concurrent request's later edits.
+		inst := s.instance(instanceKey{
+			traceHash:     traceHash,
+			traceN:        tr.N,
+			traceHorizon:  tr.Horizon,
+			traceContacts: len(tr.Contacts),
+			model:         req.model(),
+			eps:           req.Eps,
+		})
+		inst.mu.Lock()
+		defer inst.mu.Unlock()
+		summary, err := s.applyEdits(inst, tr, params, model, req.Edits, rec)
+		if err != nil {
+			s.proc.Counter("tmedbd.edit.rejected").Inc()
+			s.fail(st, w, http.StatusBadRequest, err)
+			return
+		}
+		if lg.Enabled() {
+			lg.Event("edit.applied",
+				tmedb.LogInt("ops", summary.Ops),
+				tmedb.LogInt("reused", summary.Reused),
+				tmedb.LogInt("applied", summary.Applied),
+				tmedb.LogInt("noops", summary.Noops))
+		}
+		g, resp.Edit = inst.g, &summary
+	}
+
+	// The edits fingerprint (0 on /solve) keeps every delta's schedule
+	// apart from the base trace's and from each other's.
 	key := cacheKey{
-		traceHash:     tmedb.TraceHash(tr),
+		traceHash:     traceHash,
 		traceN:        tr.N,
 		traceHorizon:  tr.Horizon,
 		traceContacts: len(tr.Contacts),
@@ -444,19 +552,20 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 		alg:           req.alg(),
 		level:         req.level(),
 		seed:          req.Seed,
+		edits:         editsHash(req.Edits),
 	}
-	st.cache = "miss"
+	st.cache, resp.Cache = "miss", "miss"
 	if !req.NoCache && !traceReq {
 		if e, ok := s.cache.Get(key); ok {
-			s.proc.Counter("tmedbd.cache.hits").Inc()
-			st.cache = "hit"
+			s.proc.Counter(rt.prefix + "cache.hits").Inc()
+			st.cache, resp.Cache = "hit", "hit"
 			if lg.Enabled() {
 				lg.Event("solve.cache_hit")
 			}
-			s.writeSolve(st, w, solveResponse{ReqID: st.id, Cache: "hit"}, e.sched, e.meta, e.incomplete)
+			s.writeSolve(st, w, resp, e.sched, e.meta, e.incomplete)
 			return
 		}
-		s.proc.Counter("tmedbd.cache.misses").Inc()
+		s.proc.Counter(rt.prefix + "cache.misses").Inc()
 	}
 
 	qStart := time.Now()
@@ -480,12 +589,11 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 		lg.Event("solve.shed", tmedb.LogInt("level", shed))
 	}
 
-	var rec *tmedb.Recorder
-	if req.Report || traceReq {
-		rec = tmedb.NewRecorder()
+	if g == nil {
+		g = tr.ToTVEG(0, params, model)
 	}
-	sched, outcome, shedRungs, incomplete, err := s.solve(r.Context(), &req, tr, shed, rec)
-	st.shedRungs = shedRungs
+	sched, outcome, shedRungs, incomplete, err := s.solveGraph(r.Context(), &req.solveRequest, g, shed, rec)
+	st.shedRungs, resp.ShedRungs = shedRungs, shedRungs
 	if shedRungs > 0 {
 		s.proc.Counter("tmedbd.shed.requests").Inc()
 		s.proc.Counter("tmedbd.shed.rungs").Add(int64(shedRungs))
@@ -503,7 +611,7 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 		}
 		return
 	}
-	s.proc.Counter("tmedbd.solved").Inc()
+	s.proc.Counter(rt.prefix + "solved").Inc()
 
 	meta := &tmedb.ScheduleMeta{
 		Algorithm: req.alg(),
@@ -515,8 +623,6 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 		Deadline:  req.T0 + req.Delay,
 	}
 	outcome.Annotate(meta)
-
-	resp := solveResponse{ReqID: st.id, Cache: "miss", ShedRungs: shedRungs}
 	if outcome != nil {
 		resp.Rung = outcome.Rung.String()
 		resp.DegradeReason = outcome.Reason
@@ -545,262 +651,6 @@ func (s *server) serveSolve(w http.ResponseWriter, r *http.Request, st *reqState
 	// so even a clean first-rung win (e.g. a request-supplied
 	// ladder:"rand" under the default alg) may be a degraded answer for
 	// the key's planner.
-	if !req.NoCache && outcome == nil {
-		s.cache.Put(key, cacheEntry{sched: sched, meta: meta, incomplete: incomplete})
-	}
-	if traceReq {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Request-Id", st.id)
-		if err := report.WriteTrace(w); err != nil {
-			st.err = err
-		}
-		return
-	}
-	s.writeSolve(st, w, resp, sched, meta, incomplete)
-}
-
-// handleEdit is the telemetry envelope around one solve-with-delta:
-// the same request-ID minting, flight recording, and latency accounting
-// as handleSolve, under the edit.* event names and counters.
-func (s *server) handleEdit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("POST only"))
-		return
-	}
-	s.proc.Counter("tmedbd.edit.requests").Inc()
-	start := time.Now()
-	st := &reqState{id: tmedb.NewRequestID()}
-	lg := s.log.With(tmedb.LogStr("req_id", st.id))
-	sw := &statusWriter{ResponseWriter: w}
-	sw.onFirst = func(code int) {
-		s.flight.Record(tmedb.RequestRecord{
-			ID:         st.id,
-			Start:      start,
-			DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-			Status:     code,
-			Alg:        st.alg,
-			Model:      st.model,
-			Trace:      st.trace,
-			Src:        st.src,
-			T0:         st.t0,
-			Delay:      st.delay,
-			Rung:       st.rung,
-			ShedRungs:  st.shedRungs,
-			Cache:      st.cache,
-			Err:        st.errString(),
-			PhaseMS:    st.phaseMS,
-		})
-	}
-	s.serveEdit(sw, r.WithContext(tmedb.WithLogger(r.Context(), lg)), st)
-	ms := float64(time.Since(start)) / float64(time.Millisecond)
-	s.lat.Observe(ms)
-	if st.err != nil {
-		lg.Error("edit.failed", st.err,
-			tmedb.LogInt("status", sw.code),
-			tmedb.LogStr("kind", errKind(sw.code)),
-			tmedb.LogF64("ms", ms))
-	} else if lg.Enabled() {
-		lg.Event("edit.done",
-			tmedb.LogInt("status", sw.code),
-			tmedb.LogStr("cache", st.cache),
-			tmedb.LogStr("rung", st.rung),
-			tmedb.LogInt("shed_rungs", st.shedRungs),
-			tmedb.LogF64("ms", ms))
-	}
-}
-
-// serveEdit is the solve-with-delta path: resolve the base trace,
-// reconcile the live instance with the request's edit sequence, apply
-// the missing suffix (the incremental path — each edit drops only its
-// pair's cost-set timelines, so the solve reuses the rest), and solve
-// the edited graph under the same cache, admission, and ladder
-// machinery as /solve.
-func (s *server) serveEdit(w http.ResponseWriter, r *http.Request, st *reqState) {
-	lg := tmedb.LoggerFrom(r.Context())
-	var req editRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.validate(); err != nil {
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
-	tr, traceName, err := s.resolveTrace(&req.solveRequest)
-	if err != nil {
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
-	st.alg, st.model, st.trace = req.alg(), req.model(), traceName
-	st.src, st.t0, st.delay = req.Src, req.T0, req.Delay
-	if lg.Enabled() {
-		lg.Event("edit.received",
-			tmedb.LogStr("alg", st.alg),
-			tmedb.LogStr("model", st.model),
-			tmedb.LogStr("trace", traceName),
-			tmedb.LogInt("edits", len(req.Edits)),
-			tmedb.LogInt("src", req.Src),
-			tmedb.LogF64("t0", req.T0),
-			tmedb.LogF64("delay", req.Delay))
-	}
-	if req.Src >= tr.N {
-		s.fail(st, w, http.StatusBadRequest, fmt.Errorf("src %d outside [0,%d)", req.Src, tr.N))
-		return
-	}
-	if req.T0 < 0 || req.T0+req.Delay > tr.Horizon {
-		s.fail(st, w, http.StatusBadRequest,
-			fmt.Errorf("window [%g,%g] outside trace horizon [0,%g]", req.T0, req.T0+req.Delay, tr.Horizon))
-		return
-	}
-	for k := range req.Edits {
-		if e := &req.Edits[k]; e.I >= tr.N || e.J >= tr.N {
-			s.fail(st, w, http.StatusBadRequest,
-				fmt.Errorf("edits[%d]: pair (%d,%d) outside [0,%d)", k, e.I, e.J, tr.N))
-			return
-		}
-	}
-	model, err := parseModel(req.model())
-	if err != nil {
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
-	traceReq := r.URL.Query().Get("trace") == "1"
-	var rec *tmedb.Recorder
-	if req.Report || traceReq {
-		rec = tmedb.NewRecorder()
-	}
-
-	// The instance lock covers reconcile, apply, and solve: a response
-	// answers exactly the graph state its edit sequence produced, never a
-	// concurrent request's later edits.
-	inst := s.instance(instanceKey{
-		traceHash:     tmedb.TraceHash(tr),
-		traceN:        tr.N,
-		traceHorizon:  tr.Horizon,
-		traceContacts: len(tr.Contacts),
-		model:         req.model(),
-		eps:           req.Eps,
-	})
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	summary, err := s.applyEdits(inst, tr, solveParams(&req.solveRequest), model, req.Edits, rec)
-	if err != nil {
-		s.proc.Counter("tmedbd.edit.rejected").Inc()
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
-	if lg.Enabled() {
-		lg.Event("edit.applied",
-			tmedb.LogInt("ops", summary.Ops),
-			tmedb.LogInt("reused", summary.Reused),
-			tmedb.LogInt("applied", summary.Applied),
-			tmedb.LogInt("noops", summary.Noops))
-	}
-
-	key := cacheKey{
-		traceHash:     tmedb.TraceHash(tr),
-		traceN:        tr.N,
-		traceHorizon:  tr.Horizon,
-		traceContacts: len(tr.Contacts),
-		src:           req.Src,
-		t0:            req.T0,
-		delay:         req.Delay,
-		eps:           req.Eps,
-		model:         req.model(),
-		alg:           req.alg(),
-		level:         req.level(),
-		seed:          req.Seed,
-		edits:         editsHash(req.Edits),
-	}
-	st.cache = "miss"
-	if !req.NoCache && !traceReq {
-		if e, ok := s.cache.Get(key); ok {
-			s.proc.Counter("tmedbd.edit.cache.hits").Inc()
-			st.cache = "hit"
-			if lg.Enabled() {
-				lg.Event("edit.cache_hit")
-			}
-			s.writeSolve(st, w, solveResponse{ReqID: st.id, Cache: "hit", Edit: &summary}, e.sched, e.meta, e.incomplete)
-			return
-		}
-		s.proc.Counter("tmedbd.edit.cache.misses").Inc()
-	}
-
-	qStart := time.Now()
-	release, shed, err := s.admit(r.Context())
-	s.qwait.Observe(float64(time.Since(qStart)) / float64(time.Millisecond))
-	if err != nil {
-		if errors.Is(err, errQueueFull) {
-			w.Header().Set("Retry-After", "1")
-			s.fail(st, w, http.StatusServiceUnavailable, err)
-		} else {
-			s.proc.Counter("tmedbd.cancelled").Inc()
-			st.err = err
-			writeError(w, statusClientClosedRequest, err)
-		}
-		return
-	}
-	defer release()
-	if shed > 0 && lg.Enabled() {
-		lg.Event("edit.shed", tmedb.LogInt("level", shed))
-	}
-
-	sched, outcome, shedRungs, incomplete, err := s.solveGraph(r.Context(), &req.solveRequest, inst.g, shed, rec)
-	st.shedRungs = shedRungs
-	if shedRungs > 0 {
-		s.proc.Counter("tmedbd.shed.requests").Inc()
-		s.proc.Counter("tmedbd.shed.rungs").Add(int64(shedRungs))
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, tmedb.ErrBudgetExceeded):
-			s.fail(st, w, http.StatusGatewayTimeout, err)
-		case errors.Is(err, tmedb.ErrCancelled):
-			s.proc.Counter("tmedbd.cancelled").Inc()
-			st.err = err
-			writeError(w, statusClientClosedRequest, err)
-		default:
-			s.fail(st, w, http.StatusInternalServerError, err)
-		}
-		return
-	}
-	s.proc.Counter("tmedbd.edit.solved").Inc()
-
-	meta := &tmedb.ScheduleMeta{
-		Algorithm: req.alg(),
-		Model:     req.model(),
-		Seed:      req.Seed,
-		Trace:     traceName,
-		Src:       req.Src,
-		T0:        req.T0,
-		Deadline:  req.T0 + req.Delay,
-	}
-	outcome.Annotate(meta)
-
-	resp := solveResponse{ReqID: st.id, Cache: "miss", ShedRungs: shedRungs, Edit: &summary}
-	if outcome != nil {
-		resp.Rung = outcome.Rung.String()
-		resp.DegradeReason = outcome.Reason
-		st.rung = resp.Rung
-	}
-	var report *tmedb.RunReport
-	if rec != nil {
-		rp := rec.Snapshot(map[string]string{
-			"algorithm": meta.Algorithm,
-			"model":     meta.Model,
-			"trace":     traceName,
-		})
-		report = &rp
-		meta.PhaseMS = rp.PhaseWallMS()
-		st.phaseMS = meta.PhaseMS
-		if req.Report {
-			resp.Report = report
-		}
-	}
-	// Same fill rule as /solve: only direct-path results are cached, and
-	// the key's edits fingerprint keeps every delta's schedule separate.
 	if !req.NoCache && outcome == nil {
 		s.cache.Put(key, cacheEntry{sched: sched, meta: meta, incomplete: incomplete})
 	}
@@ -880,23 +730,6 @@ func prefixOf(applied, edits []editSpec) bool {
 	return true
 }
 
-// solve runs the planner stack for one admitted request. Unshed,
-// unbudgeted requests take the direct path: the requested planner via
-// ScheduleWithContext, byte-identical to a CLI/facade solve. A positive
-// budget or a shed level engages the degradation ladder, which plans
-// model-true (the fading family on fading graphs) so every fallback
-// stays T/ε-feasible. The int result is the number of ladder rungs the
-// shed level actually removed — zero when the ladder, already bounded by
-// the requested planner, starts at or below the shed rung.
-func (s *server) solve(ctx context.Context, req *solveRequest, tr *tmedb.Trace, shed int, rec *tmedb.Recorder) (tmedb.Schedule, *tmedb.DegradeOutcome, int, []int, error) {
-	model, err := parseModel(req.model())
-	if err != nil {
-		return nil, nil, 0, nil, err
-	}
-	g := tr.ToTVEG(0, solveParams(req), model)
-	return s.solveGraph(ctx, req, g, shed, rec)
-}
-
 // solveParams derives the graph-shaping parameters of a request.
 func solveParams(req *solveRequest) tmedb.Params {
 	params := tmedb.DefaultParams()
@@ -906,10 +739,16 @@ func solveParams(req *solveRequest) tmedb.Params {
 	return params
 }
 
-// solveGraph runs the planner stack against an already-materialized
-// graph — the seam /edit uses to solve its live (incrementally edited)
-// instance with the same admission, budget, and ladder semantics as
-// /solve.
+// solveGraph runs the planner stack for one admitted request on its
+// graph: a fresh one on /solve, the live edited instance on /edit.
+// Unshed, unbudgeted requests take the direct path: the requested
+// planner via ScheduleWithContext, byte-identical to a CLI/facade
+// solve. A positive budget or a shed level engages the degradation
+// ladder, which plans model-true (the fading family on fading graphs)
+// so every fallback stays T/ε-feasible. The int result is the number of
+// ladder rungs the shed level actually removed — zero when the ladder,
+// already bounded by the requested planner, starts at or below the shed
+// rung.
 func (s *server) solveGraph(ctx context.Context, req *solveRequest, g *tmedb.Graph, shed int, rec *tmedb.Recorder) (tmedb.Schedule, *tmedb.DegradeOutcome, int, []int, error) {
 	workers := s.effectiveWorkers(req.Workers)
 	deadline := req.T0 + req.Delay

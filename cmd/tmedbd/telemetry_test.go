@@ -75,6 +75,69 @@ func TestFlightRecordsFailures(t *testing.T) {
 	}
 }
 
+// panicBody is a request body whose Read panics: it makes the request
+// path panic on the handler goroutine, as a solver would, without a
+// hook in production code.
+type panicBody struct{}
+
+func (panicBody) Read([]byte) (int, error) { panic("body read panic") }
+
+// TestPanicFailsOnlyItsRequest pins the serving boundary's panic rule
+// on both routes: the panicking request answers 500 with a JSON error,
+// leaves a flight record with status 500 and logs solve.failed with
+// kind=internal, and the daemon goes on answering valid requests.
+func TestPanicFailsOnlyItsRequest(t *testing.T) {
+	srv := newServer(defaultConfig())
+	var buf syncBuffer
+	srv.log = tmedb.NewJSONLogger(&buf)
+	h := srv.handler()
+	in := editWorkload.in
+	for _, rt := range []struct {
+		path, route string
+		valid       []byte
+	}{
+		{"/solve", "solve", solveBody(in, nil)},
+		{"/edit", "edit", editBody(in, editWorkload.edits[:1], nil)},
+	} {
+		buf.Reset()
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, rt.path, panicBody{}))
+		var er errorResponse
+		if rr.Code != http.StatusInternalServerError || json.Unmarshal(rr.Body.Bytes(), &er) != nil || er.Error == "" {
+			t.Errorf("%s: panicking request answered %d %q, want 500 with a JSON error", rt.path, rr.Code, rr.Body)
+		}
+
+		fr := httptest.NewRecorder()
+		h.ServeHTTP(fr, httptest.NewRequest(http.MethodGet, "/debug/requests", nil))
+		var page flightPageJSON
+		if err := json.Unmarshal(fr.Body.Bytes(), &page); err != nil || len(page.Requests) == 0 {
+			t.Fatalf("%s: flight page: %v: %s", rt.path, err, fr.Body)
+		}
+		if last := page.Requests[len(page.Requests)-1]; last.Status != http.StatusInternalServerError ||
+			!strings.Contains(last.Err, "body read panic") {
+			t.Errorf("%s: flight record %+v, want status 500 with the panic", rt.path, last)
+		}
+
+		logged := false
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var ev map[string]any
+			if json.Unmarshal([]byte(line), &ev) == nil && ev["msg"] == "solve.failed" &&
+				ev["kind"] == "internal" && ev["route"] == rt.route && ev["status"] == float64(500) {
+				logged = true
+			}
+		}
+		if !logged {
+			t.Errorf("%s: no solve.failed kind=internal route=%s line:\n%s", rt.path, rt.route, buf.String())
+		}
+
+		rr = httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, rt.path, bytes.NewReader(rt.valid)))
+		if rr.Code != http.StatusOK {
+			t.Errorf("%s: valid request after the panic answered %d: %s", rt.path, rr.Code, rr.Body)
+		}
+	}
+}
+
 // TestSolveTraceExport pins ?trace=1: the response is a catapult
 // trace-event array whose events mirror the solve's phase tree, with
 // the minted request ID echoed in X-Request-Id.
@@ -136,7 +199,8 @@ func TestSolveTraceExport(t *testing.T) {
 // TestRequestLogging pins the structured-log schema: with -log json,
 // one solve emits constant-message events (solve.received, the degrade
 // rung events, solve.done) all bound to the request's req_id, and that
-// req_id matches the one in the response.
+// req_id matches the one in the response. An /edit request logs the
+// same event family plus edit.applied, each line carrying route=edit.
 func TestRequestLogging(t *testing.T) {
 	cfg := defaultConfig()
 	srv := newServer(cfg)
@@ -164,8 +228,8 @@ func TestRequestLogging(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("log line is not JSON: %q: %v", line, err)
 		}
-		if ev["req_id"] != sr.ReqID {
-			t.Errorf("log line %q has req_id %v, want %s", ev["msg"], ev["req_id"], sr.ReqID)
+		if ev["req_id"] != sr.ReqID || ev["route"] != "solve" {
+			t.Errorf("log line %q has req_id %v route %v, want %s and solve", ev["msg"], ev["req_id"], ev["route"], sr.ReqID)
 		}
 		msgs = append(msgs, ev["msg"].(string))
 	}
@@ -191,6 +255,28 @@ func TestRequestLogging(t *testing.T) {
 	if !strings.Contains(buf.String(), `"msg":"solve.failed"`) ||
 		!strings.Contains(buf.String(), `"kind":"bad_request"`) {
 		t.Errorf("failed solve log missing solve.failed/bad_request: %s", buf.String())
+	}
+
+	buf.Reset()
+	code, sr, raw, err := postEdit(ts.Client(), ts.URL, editBody(editWorkload.in, editWorkload.edits[:1], nil))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("edit: code=%d err=%v: %s", code, err, raw)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not JSON: %q: %v", line, err)
+		}
+		if ev["req_id"] != sr.ReqID || ev["route"] != "edit" {
+			t.Errorf("edit log line %q has req_id %v route %v, want %s and edit", ev["msg"], ev["req_id"], ev["route"], sr.ReqID)
+		}
+		seen[ev["msg"].(string)] = true
+	}
+	for _, want := range []string{"solve.received", "edit.applied", "solve.done"} {
+		if !seen[want] {
+			t.Errorf("edit log stream missing event %q:\n%s", want, buf.String())
+		}
 	}
 }
 

@@ -8,14 +8,15 @@ import (
 )
 
 // FuzzReadAuto checks that arbitrary input never panics the trace
-// parsers, that every accepted trace is one the graph can hold (finite
-// horizon, finite Start < End, finite Dist > 0), and that anything
-// successfully parsed round-trips through the native writer.
+// parsers, that every accepted trace is one the graph can hold (N ≥ 1,
+// finite horizon, finite Start < End, finite Dist > 0), and that
+// anything successfully parsed round-trips through the native writer.
 func FuzzReadAuto(f *testing.F) {
 	f.Add("# haggle-trace v1 nodes=3 horizon=100\n0 1 10 20 5\n")
 	f.Add("0 1 10 20\n1 2 15 40 7\n")
 	f.Add("")
 	f.Add("# haggle-trace v1 nodes=0 horizon=0\n")
+	f.Add("# haggle-trace v1 nodes=-5 horizon=100\n")
 	f.Add("\x1f\x8b")
 	f.Add("0 0 1 2 3\n")
 	f.Add("9999999 1 0 1\n")
@@ -27,6 +28,9 @@ func FuzzReadAuto(f *testing.F) {
 			return
 		}
 		fin := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		if tr.N < 1 {
+			t.Fatalf("accepted a trace of %d nodes", tr.N)
+		}
 		if !fin(tr.Horizon) {
 			t.Fatalf("accepted a non-finite horizon %g", tr.Horizon)
 		}

@@ -92,9 +92,9 @@ func (t *Trace) Write(w io.Writer) error {
 
 // Read parses a trace written by Write. Lines starting with '#' other
 // than the header are ignored; a missing distance column defaults to
-// 10 m (proximity-only traces like the original Haggle dumps). A
-// non-finite horizon and any contact checkContact rejects fail the
-// parse.
+// 10 m (proximity-only traces like the original Haggle dumps). A node
+// count below 1, a non-finite horizon and any contact checkContact
+// rejects fail the parse.
 func Read(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -104,7 +104,7 @@ func Read(r io.Reader) (*Trace, error) {
 		lineNo++
 		line := sc.Text()
 		if lineNo == 1 {
-			if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 || !finite(t.Horizon) {
+			if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 || t.N < 1 || !finite(t.Horizon) {
 				return nil, fmt.Errorf("haggle: bad header %q", line)
 			}
 			continue

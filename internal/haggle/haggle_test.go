@@ -73,6 +73,7 @@ func TestReadErrors(t *testing.T) {
 		"# haggle-trace v1 nodes=2 horizon=50\n0 1 5 +Inf 3\n",  // infinite end
 		"# haggle-trace v1 nodes=2 horizon=NaN\n0 1 5 9 3\n",    // NaN horizon
 		"# haggle-trace v1 nodes=2 horizon=+Inf\n0 1 5 9 3\n",   // infinite horizon
+		"# haggle-trace v1 nodes=-5 horizon=50\n",               // negative node count
 	}
 	for _, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {

@@ -18,7 +18,9 @@
 package parallel
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +78,13 @@ func clamp(workers, tasks int) int {
 // Claimed indices run to completion (fn is never interrupted mid-task),
 // so on a nil error every index in [0, n) ran exactly once; on a non-nil
 // error the caller must discard the partial output.
+//
+// A panic in fn reaches the caller on both paths. The serial path lets
+// it unwind as usual. On the pooled path it stops the hand-out of
+// indices, the other workers finish the indices they already claimed,
+// and ForEach re-panics on the calling goroutine with a *Panic holding
+// the first value and the stack of the worker that raised it, so a
+// caller that recovers sees it instead of the process dying.
 func ForEach(p *obs.Pool, tok *cancel.Token, workers, n int, fn func(i int)) error {
 	p.Launched()
 	workers = clamp(workers, n)
@@ -99,18 +108,24 @@ func ForEach(p *obs.Pool, tok *cancel.Token, workers, n int, fn func(i int)) err
 	}
 	var next atomic.Int64
 	var firstErr atomic.Pointer[error]
+	var firstPanic atomic.Pointer[Panic]
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			defer func() {
+				if v := recover(); v != nil {
+					firstPanic.CompareAndSwap(nil, &Panic{Value: v, Stack: debug.Stack()})
+				}
+			}()
 			var start time.Time
 			if p != nil {
 				start = time.Now()
 			}
 			var done int64
 			var err error
-			for {
+			for firstPanic.Load() == nil {
 				if err = tok.Check(); err != nil {
 					firstErr.CompareAndSwap(nil, &err)
 					break
@@ -128,10 +143,25 @@ func ForEach(p *obs.Pool, tok *cancel.Token, workers, n int, fn func(i int)) err
 		}(w)
 	}
 	wg.Wait()
+	if pv := firstPanic.Load(); pv != nil {
+		panic(pv)
+	}
 	if ep := firstErr.Load(); ep != nil {
 		return *ep
 	}
 	return nil
+}
+
+// Panic is the value ForEach re-panics with when fn panicked on a pool
+// worker: the worker's panic value and its stack, which the calling
+// goroutine's own stack does not show.
+type Panic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *Panic) Error() string {
+	return fmt.Sprintf("%v [recovered from a parallel.ForEach worker]\n\n%s", p.Value, p.Stack)
 }
 
 // Range is a contiguous index block [Lo, Hi).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -367,5 +368,33 @@ func TestForEachPoolCancelAlreadyCancelled(t *testing.T) {
 		if ran.Load() != 0 {
 			t.Fatalf("workers=%d: %d tasks ran on a dead token", workers, ran.Load())
 		}
+	}
+}
+
+// TestForEachPoolPanicReachesCaller: a panic on a pool worker re-panics
+// on the calling goroutine as a *Panic carrying the value and the
+// worker's stack.
+func TestForEachPoolPanicReachesCaller(t *testing.T) {
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = ForEach(nil, nil, 3, 1000, func(i int) {
+			if i == 17 {
+				panic("boom at 17")
+			}
+		})
+		return nil
+	}()
+	p, ok := got.(*Panic)
+	if !ok {
+		t.Fatalf("caller recovered %#v, want a *Panic", got)
+	}
+	if p.Value != "boom at 17" {
+		t.Errorf("panic value %#v, want %q", p.Value, "boom at 17")
+	}
+	if !strings.Contains(string(p.Stack), "TestForEachPoolPanicReachesCaller") {
+		t.Errorf("panic stack does not show the panicking fn:\n%s", p.Stack)
+	}
+	if !strings.Contains(p.Error(), "boom at 17") {
+		t.Errorf("Error() = %q, want the panic value in it", p.Error())
 	}
 }
