@@ -208,30 +208,6 @@ func BenchmarkAblationNLPSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBroadcastAdvantage compares the power-vertex
-// expansion against independent unicast edges in the auxiliary graph.
-func BenchmarkAblationBroadcastAdvantage(b *testing.B) {
-	g := benchGraph(Static)
-	for _, unicast := range []bool{false, true} {
-		name := "advantage"
-		if unicast {
-			name = "unicast"
-		}
-		b.Run(name, func(b *testing.B) {
-			var energy float64
-			for i := 0; i < b.N; i++ {
-				alg := EEDCB{AuxOpts: auxgraph.Options{NoBroadcastAdvantage: unicast}}
-				s, err := alg.Schedule(g, 0, 9000, 11000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				energy = s.NormalizedCost(g.Params.GammaTh)
-			}
-			b.ReportMetric(energy*1e18, "attoJ/γth")
-		})
-	}
-}
-
 // --- Microbenchmarks of the substrates -----------------------------------
 
 func BenchmarkDTSBuild(b *testing.B) {

@@ -628,6 +628,62 @@ func TestCacheServesIdenticalSchedule(t *testing.T) {
 	}
 }
 
+// TestCacheHitCarriesNoPhaseTimings pins that phase timings belong to
+// the request that measured them: a "report": true solve and a ?trace=1
+// solve each fill the cache, yet a later plain hit on the same key
+// answers a schedule meta without phase_ms. The reporting request's own
+// response keeps its timings.
+func TestCacheHitCarriesNoPhaseTimings(t *testing.T) {
+	srv := newServer(defaultConfig())
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	meta := func(sr solveResponse) *tmedb.ScheduleMeta {
+		t.Helper()
+		_, m, err := tmedb.ReadScheduleJSONMeta(bytes.NewReader(sr.Schedule))
+		if err != nil {
+			t.Fatalf("response schedule: %v", err)
+		}
+		return m
+	}
+
+	reported := instance{alg: "greed", model: "static", n: 16, seed: 1, src: 0}
+	code, sr, err := postSolve(ts.Client(), ts.URL, solveBody(reported, func(q *solveRequest) { q.Report = true }))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("report solve: code=%d err=%v", code, err)
+	}
+	if sr.Cache != "miss" || len(meta(sr).PhaseMS) == 0 {
+		t.Fatalf("report solve: cache %q, phase_ms %v; want a miss with its own timings", sr.Cache, meta(sr).PhaseMS)
+	}
+	code, sr, err = postSolve(ts.Client(), ts.URL, solveBody(reported, nil))
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("plain solve after report: code=%d err=%v", code, err)
+	}
+	if sr.Cache != "hit" {
+		t.Fatalf("plain solve after report was a %q, want hit", sr.Cache)
+	}
+	if pm := meta(sr).PhaseMS; len(pm) != 0 {
+		t.Errorf("cache hit carries the report solve's phase timings: %v", pm)
+	}
+
+	traced := instance{alg: "greed", model: "static", n: 16, seed: 2, src: 0}
+	resp, err := ts.Client().Post(ts.URL+"/solve?trace=1", "application/json", bytes.NewReader(solveBody(traced, nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trace solve: status %d, want 200", resp.StatusCode)
+	}
+	code, sr, err = postSolve(ts.Client(), ts.URL, solveBody(traced, nil))
+	if err != nil || code != http.StatusOK || sr.Cache != "hit" {
+		t.Fatalf("plain solve after trace: code=%d cache=%q err=%v; want a 200 hit", code, sr.Cache, err)
+	}
+	if pm := meta(sr).PhaseMS; len(pm) != 0 {
+		t.Errorf("cache hit carries the trace solve's phase timings: %v", pm)
+	}
+}
+
 // TestLadderSolvesDoNotPoisonCache pins the cache-fill contract: a
 // budgeted solve whose request-supplied ladder pins it to the rung of
 // last resort wins its first rung cleanly, yet must not be cached —

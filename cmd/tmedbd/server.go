@@ -650,9 +650,12 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, st *reqState, rt 
 	// the request's budget and ladder, neither of which is in the key,
 	// so even a clean first-rung win (e.g. a request-supplied
 	// ladder:"rand" under the default alg) may be a degraded answer for
-	// the key's planner.
+	// the key's planner. The cached meta drops the phase timings: they
+	// belong to this request, not to every later hit.
 	if !req.NoCache && outcome == nil {
-		s.cache.Put(key, cacheEntry{sched: sched, meta: meta, incomplete: incomplete})
+		cached := *meta
+		cached.PhaseMS = nil
+		s.cache.Put(key, cacheEntry{sched: sched, meta: &cached, incomplete: incomplete})
 	}
 	if traceReq {
 		w.Header().Set("Content-Type", "application/json")

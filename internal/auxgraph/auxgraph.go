@@ -466,16 +466,3 @@ func (a *Aux) Solve(src tvg.NodeID, level int) (schedule.Schedule, error) {
 	// executor and feasibility check expects.
 	return schedule.CausalSort(a.TV, a.ScheduleFromSolution(sol), src, a.D.T0), nil
 }
-
-// FeasibleInstance reports whether every node can possibly be informed
-// within the window: each terminal must be reachable from the source in
-// the auxiliary graph. It returns the unreachable nodes.
-func (a *Aux) FeasibleInstance(src tvg.NodeID) (unreachable []tvg.NodeID) {
-	reach := a.G.Reachable(a.SourceVertex(src))
-	for i := 0; i < a.TV.N(); i++ {
-		if !reach[int(a.core.base[i])+a.D.Last(tvg.NodeID(i))] {
-			unreachable = append(unreachable, tvg.NodeID(i))
-		}
-	}
-	return unreachable
-}

@@ -69,10 +69,25 @@ func TestTerminalsOnePerNode(t *testing.T) {
 	}
 }
 
+// unreachable returns the nodes whose terminal u_{i,h_i} the source
+// cannot reach in the auxiliary graph: the nodes no schedule within the
+// window can inform.
+func unreachable(a *Aux, src tvg.NodeID) []tvg.NodeID {
+	reach := a.G.Reachable(a.SourceVertex(src))
+	var out []tvg.NodeID
+	for i := 0; i < a.TV.N(); i++ {
+		n := tvg.NodeID(i)
+		if !reach[a.Vertex(n, a.D.Last(n))] {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
 func TestFeasibleInstance(t *testing.T) {
 	g, d := chain()
 	a, _ := Build(g, d, Options{})
-	if un := a.FeasibleInstance(0); len(un) != 0 {
+	if un := unreachable(a, 0); len(un) != 0 {
 		t.Errorf("chain should be feasible from 0, unreachable: %v", un)
 	}
 	// From node 2 the reverse direction is infeasible: contact (0,1) at
@@ -83,7 +98,7 @@ func TestFeasibleInstance(t *testing.T) {
 	g2.AddContact(0, 1, iv(10, 30), 5)
 	d2, _ := dts.Build(g2.Graph, 0, 100, dts.Options{})
 	a2, _ := Build(g2, d2, Options{})
-	un := a2.FeasibleInstance(0)
+	un := unreachable(a2, 0)
 	if len(un) != 1 || un[0] != 2 {
 		t.Errorf("unreachable = %v, want [2]", un)
 	}
@@ -167,7 +182,7 @@ func TestDeadlineExcludesLateTransmissions(t *testing.T) {
 	// window ends before the contact: infeasible
 	d, _ := dts.Build(g.Graph, 0, 40, dts.Options{})
 	a, _ := Build(g, d, Options{})
-	if un := a.FeasibleInstance(0); len(un) != 1 {
+	if un := unreachable(a, 0); len(un) != 1 {
 		t.Errorf("unreachable = %v, want [1]", un)
 	}
 	if _, err := a.Solve(0, 2); err == nil {

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -127,7 +128,10 @@ type candidate struct {
 }
 
 // betterThan orders candidates: more coverage first, then earlier, then
-// cheaper, then smaller relay id for determinism.
+// cheaper, then smaller relay id for determinism. Times and costs are
+// compared exactly, not within a tolerance: a widened tie would make the
+// greedy pick depend on which candidate came first. cmp.Compare treats
+// -0 and +0 as equal, as == does; times and costs are never NaN.
 func (c *candidate) betterThan(o *candidate) bool {
 	if o == nil {
 		return true
@@ -135,13 +139,11 @@ func (c *candidate) betterThan(o *candidate) bool {
 	if len(c.newNodes) != len(o.newNodes) {
 		return len(c.newNodes) > len(o.newNodes)
 	}
-	//tmedbvet:ignore floateq total-order comparator: candidate selection must break ties bitwise or the greedy pick becomes run-dependent
-	if c.t != o.t {
-		return c.t < o.t
+	if r := cmp.Compare(c.t, o.t); r != 0 {
+		return r < 0
 	}
-	//tmedbvet:ignore floateq total-order comparator (see above): exact cost ordering is the determinism contract
-	if c.w != o.w {
-		return c.w < o.w
+	if r := cmp.Compare(c.w, o.w); r != 0 {
+		return r < 0
 	}
 	return c.relay < o.relay
 }

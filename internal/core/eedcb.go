@@ -29,10 +29,6 @@ type EEDCB struct {
 	// Schedules are byte-identical for every value; <= 1 (the zero
 	// value) runs the fully serial paths.
 	Workers int
-	// DTSOpts and AuxOpts tune the reduction (ablation hooks). Their
-	// Obs is replaced by the planner's phase scope.
-	DTSOpts dts.Options
-	AuxOpts auxgraph.Options
 	// Obs receives the phase tree (eedcb → dts/auxgraph/steiner) and the
 	// per-stage metrics. Recording is write-only — planned schedules are
 	// byte-identical with or without it. Nil records nothing.
@@ -58,10 +54,7 @@ func (e EEDCB) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (sc
 // checkpoints through every pipeline stage (DTS, auxiliary graph,
 // Steiner). A background context takes the exact uncancellable path.
 func (e EEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
-	sp := e.Obs.StartPhase("eedcb")
-	defer sp.End()
-	view := plannerView(g, false)
-	return solveViaAux(view, src, nil, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, sp.Recorder())
+	return e.MulticastCtx(ctx, g, src, nil, t0, deadline)
 }
 
 // Multicast plans a minimum-energy delay-constrained multicast: only the
@@ -78,36 +71,23 @@ func (e EEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 	sp := e.Obs.StartPhase("eedcb")
 	defer sp.End()
 	view := plannerView(g, false)
-	return solveViaAux(view, src, targets, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), e.DTSOpts, e.AuxOpts, sp.Recorder())
+	return solveViaAux(view, src, targets, t0, deadline, e.level(), e.Workers, cancel.FromContext(ctx), true, sp.Recorder())
 }
 
 // solveViaAux runs the §VI-A pipeline on the given planner view for the
 // target set (nil = broadcast to every node). It covers as many targets
 // as are reachable, reporting the rest through *IncompleteError. workers
-// bounds every stage's internal pool; explicit per-stage Workers in the
-// option structs win over the scheduler-level knob, and likewise an
-// explicit per-stage Cancel wins over tok (nil tok = uncancellable).
-// Every stage records into rec, the calling planner's phase scope.
-func solveViaAux(view *tveg.Graph, src tvg.NodeID, targets []tvg.NodeID, t0, deadline float64, level, workers int, tok *cancel.Token, dOpts dts.Options, aOpts auxgraph.Options, rec *obs.Recorder) (schedule.Schedule, error) {
-	if dOpts.Workers == 0 {
-		dOpts.Workers = workers
-	}
-	if aOpts.Workers == 0 {
-		aOpts.Workers = workers
-	}
-	dOpts.Obs = rec
-	aOpts.Obs = rec
-	if dOpts.Cancel == nil {
-		dOpts.Cancel = tok
-	}
-	if aOpts.Cancel == nil {
-		aOpts.Cancel = tok
-	}
-	d, err := dts.Build(view.Graph, t0, deadline, dOpts)
+// bounds every stage's internal pool and tok is every stage's
+// cancellation token (nil = uncancellable); every stage records into
+// rec, the calling planner's phase scope. advantage selects the
+// auxiliary graph's power-vertex expansion (Property 6.1): every planner
+// sets it, and the broadcast-advantage ablation clears it.
+func solveViaAux(view *tveg.Graph, src tvg.NodeID, targets []tvg.NodeID, t0, deadline float64, level, workers int, tok *cancel.Token, advantage bool, rec *obs.Recorder) (schedule.Schedule, error) {
+	d, err := dts.Build(view.Graph, t0, deadline, dts.Options{Workers: workers, Obs: rec, Cancel: tok})
 	if err != nil {
 		return nil, fmt.Errorf("core: EEDCB: %w", err)
 	}
-	a, err := auxgraph.Build(view, d, aOpts)
+	a, err := auxgraph.Build(view, d, auxgraph.Options{NoBroadcastAdvantage: !advantage, Workers: workers, Obs: rec, Cancel: tok})
 	if err != nil {
 		return nil, fmt.Errorf("core: EEDCB: %w", err)
 	}
@@ -152,7 +132,7 @@ func solveViaAux(view *tveg.Graph, src tvg.NodeID, targets []tvg.NodeID, t0, dea
 	stSpan.SetInt("solution_edges", sol.NumEdges())
 	stSpan.SetFloat("solution_cost", sol.Cost())
 	stSpan.End()
-	s := normalizeET(view, a.ScheduleFromSolution(sol), src, t0, !aOpts.NoBroadcastAdvantage)
+	s := normalizeET(view, a.ScheduleFromSolution(sol), src, t0, advantage)
 	if len(unreachable) > 0 {
 		sortNodeIDs(unreachable)
 		return s, &IncompleteError{Uncovered: unreachable}

@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/auxgraph"
 	"repro/internal/cancel"
-	"repro/internal/dts"
 	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -51,8 +49,6 @@ type FREEDCB struct {
 	// construction and per-node NLP constraint assembly). Schedules are
 	// byte-identical for every value; <= 1 (the zero value) is serial.
 	Workers int
-	DTSOpts dts.Options
-	AuxOpts auxgraph.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
 	// Obs receives the phase tree (fr-eedcb → dts/auxgraph/steiner/
@@ -78,16 +74,7 @@ func (f FREEDCB) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (
 // ScheduleCtx implements ContextScheduler: Schedule with cancellation
 // checkpoints through backbone selection and the NLP allocation.
 func (f FREEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
-	sp := f.Obs.StartPhase("fr-eedcb")
-	defer sp.End()
-	tok := cancel.FromContext(ctx)
-	view := plannerView(g, true)
-	rec := sp.Recorder()
-	backbone, incErr := solveViaAux(view, src, nil, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, rec)
-	if bad := onlyIncomplete(incErr); bad != nil {
-		return nil, bad
-	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
+	return f.MulticastCtx(ctx, g, src, nil, t0, deadline)
 }
 
 // Multicast plans a fading-resistant multicast to the target subset:
@@ -105,7 +92,7 @@ func (f FREEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
 	rec := sp.Recorder()
-	backbone, incErr := solveViaAux(view, src, targets, t0, deadline, f.level(), f.Workers, tok, f.DTSOpts, f.AuxOpts, rec)
+	backbone, incErr := solveViaAux(view, src, targets, t0, deadline, f.level(), f.Workers, tok, true, rec)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
@@ -115,10 +102,9 @@ func (f FREEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 // FRGreedy is FR-GREED: the coverage-greedy backbone on the fading view
 // + NLP energy allocation.
 type FRGreedy struct {
-	// Workers bounds the NLP constraint-assembly worker pool (<= 1
-	// serial; results identical for every value).
+	// Workers bounds the DTS filtering and NLP constraint-assembly
+	// worker pools (<= 1 serial; results identical for every value).
 	Workers int
-	DTSOpts dts.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
 	// Obs receives the phase tree and metrics; nil records nothing.
@@ -141,9 +127,7 @@ func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
 	rec := sp.Recorder()
-	dOpts := f.DTSOpts
-	dOpts.Obs = rec
-	backbone, incErr := greedyBackbone(view, src, t0, deadline, tok, dOpts)
+	backbone, incErr := greedyBackbone(view, src, t0, deadline, f.Workers, tok, rec)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
@@ -154,10 +138,9 @@ func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 // NLP energy allocation.
 type FRRandom struct {
 	Seed int64
-	// Workers bounds the NLP constraint-assembly worker pool (<= 1
-	// serial; results identical for every value).
+	// Workers bounds the DTS filtering and NLP constraint-assembly
+	// worker pools (<= 1 serial; results identical for every value).
 	Workers int
-	DTSOpts dts.Options
 	// Allocator selects the NLP solver (ablation hook).
 	Allocator Allocator
 	// Obs receives the phase tree and metrics; nil records nothing.
@@ -180,9 +163,7 @@ func (f FRRandom) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	tok := cancel.FromContext(ctx)
 	view := plannerView(g, true)
 	rec := sp.Recorder()
-	dOpts := f.DTSOpts
-	dOpts.Obs = rec
-	backbone, incErr := randomBackbone(view, src, t0, deadline, f.Seed, tok, dOpts)
+	backbone, incErr := randomBackbone(view, src, t0, deadline, f.Seed, f.Workers, tok, rec)
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}

@@ -18,7 +18,6 @@ import (
 // paying the minimum cost in the relay's discrete cost set sufficient for
 // that coverage. It finds local optima where EEDCB optimizes globally.
 type Greedy struct {
-	DTSOpts dts.Options
 	// Obs receives the "greed" phase span and the DTS metrics. Write-only;
 	// nil records nothing.
 	Obs *obs.Recorder
@@ -38,18 +37,15 @@ func (gr Greedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID,
 	sp := gr.Obs.StartPhase("greed")
 	defer sp.End()
 	view := plannerView(g, false)
-	dOpts := gr.DTSOpts
-	dOpts.Obs = sp.Recorder()
-	return greedyBackbone(view, src, t0, deadline, cancel.FromContext(ctx), dOpts)
+	return greedyBackbone(view, src, t0, deadline, 0, cancel.FromContext(ctx), sp.Recorder())
 }
 
 // greedyBackbone runs the coverage-greedy selection on the given view,
-// polling tok once per selection round (nil = uncancellable).
-func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, tok *cancel.Token, dOpts dts.Options) (schedule.Schedule, error) {
-	if dOpts.Cancel == nil {
-		dOpts.Cancel = tok
-	}
-	d, err := dts.Build(view.Graph, t0, deadline, dOpts)
+// polling tok once per selection round (nil = uncancellable). workers
+// bounds the DTS filter pool, and the DTS records into rec, the calling
+// planner's phase scope.
+func greedyBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, workers int, tok *cancel.Token, rec *obs.Recorder) (schedule.Schedule, error) {
+	d, err := dts.Build(view.Graph, t0, deadline, dts.Options{Workers: workers, Obs: rec, Cancel: tok})
 	if err != nil {
 		return nil, fmt.Errorf("core: GREED: %w", err)
 	}

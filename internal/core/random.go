@@ -20,8 +20,7 @@ import (
 // one uninformed node.
 type Random struct {
 	// Seed drives relay selection; runs are deterministic per seed.
-	Seed    int64
-	DTSOpts dts.Options
+	Seed int64
 	// Obs receives the "rand" phase span and the DTS metrics. Write-only;
 	// nil records nothing.
 	Obs *obs.Recorder
@@ -41,19 +40,16 @@ func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, 
 	sp := r.Obs.StartPhase("rand")
 	defer sp.End()
 	view := plannerView(g, false)
-	dOpts := r.DTSOpts
-	dOpts.Obs = sp.Recorder()
-	return randomBackbone(view, src, t0, deadline, r.Seed, cancel.FromContext(ctx), dOpts)
+	return randomBackbone(view, src, t0, deadline, r.Seed, 0, cancel.FromContext(ctx), sp.Recorder())
 }
 
 // randomBackbone runs the random-relay selection on the given view,
-// polling tok once per selection round (nil = uncancellable).
-func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, tok *cancel.Token, dOpts dts.Options) (schedule.Schedule, error) {
+// polling tok once per selection round (nil = uncancellable). workers
+// bounds the DTS filter pool, and the DTS records into rec, the calling
+// planner's phase scope.
+func randomBackbone(view *tveg.Graph, src tvg.NodeID, t0, deadline float64, seed int64, workers int, tok *cancel.Token, rec *obs.Recorder) (schedule.Schedule, error) {
 	rnd := rng.New(seed)
-	if dOpts.Cancel == nil {
-		dOpts.Cancel = tok
-	}
-	d, err := dts.Build(view.Graph, t0, deadline, dOpts)
+	d, err := dts.Build(view.Graph, t0, deadline, dts.Options{Workers: workers, Obs: rec, Cancel: tok})
 	if err != nil {
 		return nil, fmt.Errorf("core: RAND: %w", err)
 	}

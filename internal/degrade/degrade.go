@@ -13,9 +13,12 @@
 // time, mirroring the EEDCB → GREED → RAND quality ordering of §VII.
 //
 // Budget policy: the discrete time set (the cheapest artifact, needed by
-// every rung) is built once up front under the caller's context and
-// reused by every rung (dts.Options.Reuse — the DTS depends only on the
-// presence structure, never on the channel model). Each non-final rung
+// every rung) is built once up front under the caller's context, through
+// the process-wide DTS memo, so every rung finds it there (the DTS
+// depends only on the presence structure, never on the channel model).
+// Rungs share further artifacts the same way: the SPT rung reuses an
+// auxiliary-graph core that a cancelled full rung had already finished,
+// while a stage cancelled mid-build stores nothing. Each non-final rung
 // then receives half of the remaining budget; the final rung runs under
 // the caller's context alone, so the orchestrator always produces an
 // answer unless the caller's own context dies (the hard stop).
@@ -28,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/auxgraph"
 	"repro/internal/cancel"
 	"repro/internal/core"
 	"repro/internal/dts"
@@ -142,8 +144,6 @@ type Options struct {
 	Workers int
 	// Seed drives RungRand relay selection.
 	Seed int64
-	// Allocator selects the NLP solver of the fading-aware rungs.
-	Allocator core.Allocator
 	// Clock supplies wall-clock time for budget arithmetic (nil =
 	// time.Now). Injectable so tests drive the ladder deterministically.
 	Clock func() time.Time
@@ -201,15 +201,7 @@ func (o *Outcome) Annotate(m *schedule.Meta) {
 // model: fading graphs get the fading-resistant family so every rung's
 // schedule satisfies the ε-bound, static graphs the static family. The
 // scheduler records into rec, the rung's phase scope.
-func (o Options) planner(rung Rung, fading bool, d *dts.DTS, rec *obs.Recorder) core.ContextScheduler {
-	// The ladder opts out of the process-wide DTS/auxgraph memos: its
-	// budget accounting (and the fault-injection harness checking it)
-	// needs every rung to do work proportional to the instance,
-	// independent of process history, and a cancelled rung must discard
-	// its work wholesale. Deliberate artifact sharing goes through the
-	// explicit Reuse seam instead.
-	dOpts := dts.Options{Workers: o.Workers, Reuse: d, NoMemo: true}
-	aOpts := auxgraph.Options{NoMemo: true}
+func (o Options) planner(rung Rung, fading bool, rec *obs.Recorder) core.ContextScheduler {
 	level := o.Level
 	if rung == RungSPT {
 		level = 1
@@ -217,19 +209,19 @@ func (o Options) planner(rung Rung, fading bool, d *dts.DTS, rec *obs.Recorder) 
 	switch rung {
 	case RungFull, RungSPT:
 		if fading {
-			return core.FREEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Allocator: o.Allocator, Obs: rec}
+			return core.FREEDCB{Level: level, Workers: o.Workers, Obs: rec}
 		}
-		return core.EEDCB{Level: level, Workers: o.Workers, DTSOpts: dOpts, AuxOpts: aOpts, Obs: rec}
+		return core.EEDCB{Level: level, Workers: o.Workers, Obs: rec}
 	case RungGreed:
 		if fading {
-			return core.FRGreedy{Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: rec}
+			return core.FRGreedy{Workers: o.Workers, Obs: rec}
 		}
-		return core.Greedy{DTSOpts: dOpts, Obs: rec}
+		return core.Greedy{Obs: rec}
 	default:
 		if fading {
-			return core.FRRandom{Seed: o.Seed, Workers: o.Workers, DTSOpts: dOpts, Allocator: o.Allocator, Obs: rec}
+			return core.FRRandom{Seed: o.Seed, Workers: o.Workers, Obs: rec}
 		}
-		return core.Random{Seed: o.Seed, DTSOpts: dOpts, Obs: rec}
+		return core.Random{Seed: o.Seed, Obs: rec}
 	}
 }
 
@@ -256,11 +248,11 @@ func Solve(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline floa
 	fading := g.Model.Fading()
 
 	// Shared artifact: one DTS serves every rung (and both planner
-	// views — WithModel shares the underlying presence graph). Built
-	// under the caller's context: without it no rung can answer, so it
-	// gets no smaller budget of its own.
-	d, err := dts.Build(g.Graph, t0, deadline, dts.Options{
-		Workers: opts.Workers, Obs: scope, Cancel: cancel.FromContext(ctx), NoMemo: true,
+	// views — WithModel shares the underlying presence graph), which
+	// find it in the memo. Built under the caller's context: without it
+	// no rung can answer, so it gets no smaller budget of its own.
+	_, err := dts.Build(g.Graph, t0, deadline, dts.Options{
+		Workers: opts.Workers, Obs: scope, Cancel: cancel.FromContext(ctx),
 	})
 	if err != nil {
 		countCancel(opts.Obs, err)
@@ -292,7 +284,7 @@ func Solve(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline floa
 			rungCtx = opts.Inject(rung, rungCtx)
 		}
 		rs := scope.StartPhase("degrade.rung")
-		alg := opts.planner(rung, fading, d, rs.Recorder())
+		alg := opts.planner(rung, fading, rs.Recorder())
 		rs.SetStr("rung", rung.String())
 		rs.SetStr("algorithm", alg.Name())
 		s, err := alg.ScheduleCtx(rungCtx, g, src, t0, deadline)

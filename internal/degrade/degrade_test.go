@@ -265,7 +265,8 @@ func TestOutcomeAnnotate(t *testing.T) {
 
 // TestSolveObsCounters: abandoned rungs must be visible in the metrics
 // registry — one rung_transitions per fallthrough and a taxonomy counter
-// per cancellation cause.
+// per cancellation cause. The rungs share the DTS through the memo: the
+// ladder's own build misses, and the full and spt rungs both hit.
 func TestSolveObsCounters(t *testing.T) {
 	g := testTrace(10, tveg.Static, 7)
 	rec := obs.New()
@@ -288,6 +289,12 @@ func TestSolveObsCounters(t *testing.T) {
 	}
 	if n := rec.Counter("degrade.cancelled").Value(); n != 0 {
 		t.Errorf("cancelled = %d, want 0", n)
+	}
+	if n := rec.Counter("dts.memo.misses").Value(); n != 1 {
+		t.Errorf("dts.memo.misses = %d, want 1", n)
+	}
+	if n := rec.Counter("dts.memo.hits").Value(); n != 2 {
+		t.Errorf("dts.memo.hits = %d, want 2", n)
 	}
 }
 

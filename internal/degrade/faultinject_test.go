@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cancel"
 	"repro/internal/core"
-	"repro/internal/dts"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
 )
@@ -43,14 +42,13 @@ func plannerCases() []plannerCase {
 	static := testTrace(10, tveg.Static, 7)
 	fading := testTrace(8, tveg.RayleighFading, 7)
 	w := sweepWorkers
-	d := dts.Options{Workers: w}
 	return []plannerCase{
-		{"EEDCB", static, core.EEDCB{Workers: w, DTSOpts: d}},
-		{"GREED", static, core.Greedy{DTSOpts: d}},
-		{"RAND", static, core.Random{Seed: 3, DTSOpts: d}},
-		{"FR-EEDCB", fading, core.FREEDCB{Workers: w, DTSOpts: d}},
-		{"FR-GREED", fading, core.FRGreedy{Workers: w, DTSOpts: d}},
-		{"FR-RAND", fading, core.FRRandom{Seed: 3, Workers: w, DTSOpts: d}},
+		{"EEDCB", static, core.EEDCB{Workers: w}},
+		{"GREED", static, core.Greedy{}},
+		{"RAND", static, core.Random{Seed: 3}},
+		{"FR-EEDCB", fading, core.FREEDCB{Workers: w}},
+		{"FR-GREED", fading, core.FRGreedy{Workers: w}},
+		{"FR-RAND", fading, core.FRRandom{Seed: 3, Workers: w}},
 	}
 }
 
@@ -153,7 +151,7 @@ func TestCheckpointSweepAllPlanners(t *testing.T) {
 func TestCheckpointSweepMulticast(t *testing.T) {
 	g := testTrace(10, tveg.Static, 7)
 	targets := []tvg.NodeID{3, 5, 9}
-	alg := core.EEDCB{Workers: sweepWorkers, DTSOpts: dts.Options{Workers: sweepWorkers}}
+	alg := core.EEDCB{Workers: sweepWorkers}
 	base, errBase := alg.MulticastCtx(context.Background(), g, 0, targets, 0, 1000)
 	if usable(errBase) != nil {
 		t.Fatalf("baseline: %v", errBase)
@@ -176,15 +174,21 @@ func TestCheckpointSweepMulticast(t *testing.T) {
 	}
 }
 
+// freshTrace returns a new graph of the same trace on every call. The
+// DTS and auxiliary-graph memos key on graph identity, so a run on a
+// graph solved before would find those artifacts built and observe
+// fewer checkpoints; the ladder sweeps below need every run to start
+// cold.
+func freshTrace() *tveg.Graph { return testTrace(10, tveg.Static, 7) }
+
 // TestLadderInjectionEveryBoundary sweeps the orchestrator itself: the
 // first rung is cancelled at each of its early checkpoints and the
 // ladder must still deliver a usable, deterministic fallback schedule.
 func TestLadderInjectionEveryBoundary(t *testing.T) {
 	before := runtime.NumGoroutine()
-	g := testTrace(10, tveg.Static, 7)
 
 	// Reference: rung full injected away at checkpoint 0 → spt answers.
-	ref, out, err := Solve(context.Background(), g, 0, 0, 1000, Options{
+	ref, out, err := Solve(context.Background(), freshTrace(), 0, 0, 1000, Options{
 		Budget: time.Hour, Workers: sweepWorkers, Inject: tripRungs(RungFull),
 	})
 	if usable(err) != nil {
@@ -204,7 +208,7 @@ func TestLadderInjectionEveryBoundary(t *testing.T) {
 			}
 			return ctx
 		}
-		s, out, err := Solve(context.Background(), g, 0, 0, 1000, Options{
+		s, out, err := Solve(context.Background(), freshTrace(), 0, 0, 1000, Options{
 			Budget: time.Hour, Workers: sweepWorkers, Inject: inject,
 		})
 		if usable(err) != nil {
@@ -226,11 +230,10 @@ func TestLadderInjectionEveryBoundary(t *testing.T) {
 // rung — the orchestrator must return the typed error promptly instead
 // of walking the remaining rungs with a dead context.
 func TestLadderParentTripHardStop(t *testing.T) {
-	g := testTrace(10, tveg.Static, 7)
 	opts := Options{Budget: time.Hour, Workers: sweepWorkers}
 
 	counter := cancel.NewTrip(-1)
-	s, out, err := Solve(cancel.WithTrip(context.Background(), counter), g, 0, 0, 1000, opts)
+	s, out, err := Solve(cancel.WithTrip(context.Background(), counter), freshTrace(), 0, 0, 1000, opts)
 	if usable(err) != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +244,7 @@ func TestLadderParentTripHardStop(t *testing.T) {
 
 	for _, k := range sweepPoints(total) {
 		tr := cancel.NewTrip(k)
-		s, out, err := Solve(cancel.WithTrip(context.Background(), tr), g, 0, 0, 1000, opts)
+		s, out, err := Solve(cancel.WithTrip(context.Background(), tr), freshTrace(), 0, 0, 1000, opts)
 		if s != nil || out != nil {
 			t.Fatalf("k=%d/%d: hard-stopped solve returned a result (rung %v)", k, total, out.Rung)
 		}

@@ -51,16 +51,6 @@ type Options struct {
 	// zero-overhead uncancellable path; a completed Build is
 	// byte-identical for every value.
 	Cancel *cancel.Token
-	// Reuse short-circuits the construction with an already-built DTS of
-	// the same window — the degradation ladder's artifact-reuse seam
-	// (the DTS depends only on the presence structure, never on the
-	// channel model, so one DTS serves every planner view of a graph).
-	// The gate requires the reused DTS to come from Build on this exact
-	// graph at its current version: a window mismatch, a hand-constructed
-	// DTS, or a DTS predating an edit all fall through to a fresh build —
-	// a stale reused DTS handed onward to auxgraph.Build would otherwise
-	// serve pre-edit time points.
-	Reuse *DTS
 	// NoMemo bypasses the process-wide DTS memo (see memo.go) for this
 	// build: the result is always freshly constructed and not cached.
 	// The memoized and fresh DTS are identical; the flag exists for
@@ -82,10 +72,6 @@ type DTS struct {
 	// instance's cores. IDs are never reused; 0 means "hand-constructed,
 	// never memoize against".
 	id uint64
-	// gid/gver record which graph (by process-unique identity) and which
-	// version of it this DTS was built from. The Options.Reuse gate
-	// checks them so a DTS from before an edit is never reused after it.
-	gid, gver uint64
 }
 
 // nextDTSID hands out process-unique DTS identities; 0 is reserved for
@@ -110,11 +96,6 @@ const timeEps = 1e-9
 // only error Build can return is a tripped cancellation checkpoint
 // (cancel.ErrCancelled / cancel.ErrBudgetExceeded via opts.Cancel).
 func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
-	//tmedbvet:ignore floateq reuse gate wants bitwise-identical horizon arguments: a tolerant match could hand back a DTS built for a different window
-	if r := opts.Reuse; r != nil && r.T0 == t0 && r.Deadline == deadline && r.gid != 0 && r.gid == g.ID() && r.gver == g.Version() {
-		opts.Obs.Counter("dts.reused").Inc()
-		return r, nil
-	}
 	var key memoKey
 	if !opts.NoMemo {
 		key = keyFor(g, t0, deadline, opts)
@@ -151,8 +132,7 @@ func Build(g *tvg.Graph, t0, deadline float64, opts Options) (*DTS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dts: filter sweep: %w", err)
 	}
-	d := &DTS{T0: t0, Deadline: deadline, Points: pts, id: nextDTSID.Add(1),
-		gid: g.ID(), gver: g.Version()}
+	d := &DTS{T0: t0, Deadline: deadline, Points: pts, id: nextDTSID.Add(1)}
 	sp.SetInt("base_points", len(base))
 	sp.SetInt("global_points", len(global))
 	sp.SetInt("total_points", d.TotalPoints())

@@ -11,10 +11,9 @@ import (
 // window, construction options). The DTS depends only on the presence
 // structure — never on the channel model — so one memoized DTS serves
 // every planner view of a graph: the static planning view, the fading
-// view of the FR family, every algorithm of a comparison sweep, and the
-// gap certificate's second pipeline run. It generalizes Options.Reuse
-// (the caller-managed seam, still honored first) to a transparent
-// process-wide cache.
+// view of the FR family, every algorithm of a comparison sweep, the gap
+// certificate's second pipeline run and every rung of the degradation
+// ladder. It is the one way a built DTS is shared.
 //
 // Invalidation is by key, not by purge: the key carries
 // tvg.Graph.Version(), so mutating a graph simply stops matching the

@@ -102,3 +102,63 @@ func TestGraphIDsUniqueAndStable(t *testing.T) {
 		t.Fatal("AddContact changed the graph ID; invalidation must ride Version, not ID")
 	}
 }
+
+// TestEditNeverHitsParentMemoEntry is the memo-invalidation table: an
+// edited graph version must never be served the parent version's memo
+// entry, for any edit kind.
+func TestEditNeverHitsParentMemoEntry(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(g *tvg.Graph) bool
+	}{
+		{"add-contact", func(g *tvg.Graph) bool {
+			g.AddContact(0, 3, iv(60, 70))
+			return true
+		}},
+		{"remove-contact", func(g *tvg.Graph) bool {
+			return g.RemoveContact(0, 1, iv(10, 30))
+		}},
+		{"remove-partial", func(g *tvg.Graph) bool {
+			return g.RemoveContact(1, 2, iv(30, 40))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			PurgeMemo()
+			defer PurgeMemo()
+			g := lineGraph(0)
+			parent, err := Build(g, 0, 100, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.edit(g) {
+				t.Fatal("test setup: edit must change the graph")
+			}
+			hitsBefore, _ := MemoStats()
+			got, err := Build(g, 0, 100, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hitsAfter, _ := MemoStats()
+			if got == parent {
+				t.Fatal("edited graph was served the parent's memo entry")
+			}
+			if hitsAfter != hitsBefore {
+				t.Fatalf("edited version hit the memo (%d -> %d)", hitsBefore, hitsAfter)
+			}
+			want, err := Build(g, 0, 100, Options{NoMemo: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Points, want.Points) {
+				t.Fatal("post-edit memoized build differs from cold build")
+			}
+			// The parent's entry is still intact for the parent version —
+			// invalidation is by key, not purge. (Rebuilding the pre-edit
+			// graph shape would hit it; here we just check the entry count.)
+			if memo.Len() < 2 {
+				t.Fatalf("memo should hold parent and child entries, has %d", memo.Len())
+			}
+		})
+	}
+}

@@ -12,7 +12,6 @@ package exact
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/dts"
@@ -174,13 +173,4 @@ func reconstruct(prev map[state]step, end state) schedule.Schedule {
 		s[i], s[j] = s[j], s[i]
 	}
 	return s
-}
-
-// OptimalCost is a convenience wrapper returning only the optimum value.
-func OptimalCost(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (float64, error) {
-	_, c, err := Solve(g, src, t0, deadline)
-	if err != nil {
-		return math.NaN(), err
-	}
-	return c, nil
 }

@@ -108,15 +108,15 @@ func TestSolveUnreachable(t *testing.T) {
 func TestOptimalCost(t *testing.T) {
 	g := tveg.New(2, iv(0, 100), 0, tveg.DefaultParams(), tveg.Static)
 	g.AddContact(0, 1, iv(10, 30), 5)
-	c, err := OptimalCost(g, 0, 0, 100)
+	_, c, err := Solve(g, 0, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := g.Params.NoiseGamma() * 25
 	if math.Abs(c-want)/want > 1e-9 {
-		t.Errorf("OptimalCost = %g, want %g", c, want)
+		t.Errorf("optimal cost = %g, want %g", c, want)
 	}
-	if _, err := OptimalCost(g, 1, 0, 5); err == nil {
+	if _, _, err := Solve(g, 1, 0, 5); err == nil {
 		t.Error("expected error for infeasible window")
 	}
 }
@@ -146,7 +146,7 @@ func TestEEDCBWithinFactorOfOptimal(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomSmall(r, 6)
-		opt, err := OptimalCost(g, 0, 0, 300)
+		_, opt, err := Solve(g, 0, 0, 300)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -173,7 +173,7 @@ func TestGreedyAndRandomAlsoAboveOptimal(t *testing.T) {
 	for seed := int64(20); seed < 26; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomSmall(r, 6)
-		opt, err := OptimalCost(g, 0, 0, 300)
+		_, opt, err := Solve(g, 0, 0, 300)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -64,33 +64,6 @@ func (s Schedule) SortByTime() {
 	sort.SliceStable(s, func(i, j int) bool { return s[i].T < s[j].T })
 }
 
-// Relays returns the relay vector R.
-func (s Schedule) Relays() []tvg.NodeID {
-	out := make([]tvg.NodeID, len(s))
-	for i, x := range s {
-		out[i] = x.Relay
-	}
-	return out
-}
-
-// Times returns the time vector T.
-func (s Schedule) Times() []float64 {
-	out := make([]float64, len(s))
-	for i, x := range s {
-		out[i] = x.T
-	}
-	return out
-}
-
-// Costs returns the cost vector W.
-func (s Schedule) Costs() []float64 {
-	out := make([]float64, len(s))
-	for i, x := range s {
-		out[i] = x.W
-	}
-	return out
-}
-
 // TimeTol is the absolute slack (seconds) used when comparing
 // transmission times against packet arrival times. The planners schedule
 // a relay's next hop up to 1e-9 s before the packet's nominal arrival

@@ -27,15 +27,6 @@ func TestVectorsAndCost(t *testing.T) {
 	if s.NormalizedCost(2.5) != 2 {
 		t.Errorf("NormalizedCost = %g, want 2", s.NormalizedCost(2.5))
 	}
-	if r := s.Relays(); len(r) != 2 || r[0] != 0 || r[1] != 1 {
-		t.Errorf("Relays = %v", r)
-	}
-	if ts := s.Times(); ts[1] != 10 {
-		t.Errorf("Times = %v", ts)
-	}
-	if ws := s.Costs(); ws[0] != 2 {
-		t.Errorf("Costs = %v", ws)
-	}
 	if lat := s.Latency(1); lat != 11 {
 		t.Errorf("Latency = %g, want 11", lat)
 	}

@@ -105,21 +105,3 @@ func TestMergeResultsEmpty(t *testing.T) {
 		t.Errorf("merge(nil) = %+v", m)
 	}
 }
-
-func TestWorkerTrialsSplit(t *testing.T) {
-	got := WorkerTrials(10, 3)
-	want := []int{4, 3, 3}
-	if len(got) != len(want) {
-		t.Fatalf("WorkerTrials(10,3) = %v, want %v", got, want)
-	}
-	sum := 0
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("WorkerTrials(10,3) = %v, want %v", got, want)
-		}
-		sum += got[i]
-	}
-	if sum != 10 {
-		t.Fatalf("split sums to %d, want 10", sum)
-	}
-}

@@ -11,10 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
@@ -41,21 +39,13 @@ type Result struct {
 	// trials: 1 for Evaluate, and for EvaluateParallel the effective
 	// pool size after clamping (so a requested workers > trials that
 	// degraded to the serial path reports 1, not the request). The
-	// per-worker trial split is WorkerTrials(Trials, Workers).
+	// per-worker trial split is parallel.SplitCounts(Trials, Workers).
 	Workers int
 }
 
 func (r Result) String() string {
 	return fmt.Sprintf("energy=%.4g delivery=%.3f±%.3f (planned %.4g, %d trials, %d workers)",
 		r.MeanEnergy, r.MeanDelivery, r.StdDelivery, r.PlannedEnergy, r.Trials, r.Workers)
-}
-
-// WorkerTrials returns the per-worker trial counts EvaluateParallel uses
-// for the given (trials, workers) pair — the deterministic near-equal
-// split with the first trials%workers workers taking one extra. Exposed
-// so benchmark reports can attribute speedups to the actual split.
-func WorkerTrials(trials, workers int) []int {
-	return parallel.SplitCounts(trials, workers)
 }
 
 // Evaluate runs the schedule trials times from the given source and
@@ -204,23 +194,4 @@ func InformedTimes(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID) []float64
 		}
 	}
 	return times
-}
-
-// DegreeSeries samples the average node degree at the given times
-// (Fig. 7's secondary series).
-func DegreeSeries(g *tveg.Graph, at []float64) []float64 {
-	out := make([]float64, len(at))
-	for k, t := range at {
-		out[k] = g.AverageDegreeAt(t)
-	}
-	return out
-}
-
-// SortedCopy returns the schedule sorted chronologically without
-// mutating the input (helper for reporting).
-func SortedCopy(s schedule.Schedule) schedule.Schedule {
-	out := make(schedule.Schedule, len(s))
-	copy(out, s)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].T < out[j].T })
-	return out
 }

@@ -163,28 +163,6 @@ func TestInformedTimesPanicsOnFading(t *testing.T) {
 	InformedTimes(g, nil, 0)
 }
 
-func TestDegreeSeries(t *testing.T) {
-	g := chain(tveg.Static)
-	ds := DegreeSeries(g, []float64{5, 25, 60})
-	if ds[0] != 0 {
-		t.Errorf("degree(5) = %g, want 0", ds[0])
-	}
-	if ds[1] <= 0 {
-		t.Errorf("degree(25) = %g, want > 0", ds[1])
-	}
-	if ds[2] != 0 {
-		t.Errorf("degree(60) = %g, want 0", ds[2])
-	}
-}
-
-func TestSortedCopyDoesNotMutate(t *testing.T) {
-	s := schedule.Schedule{{Relay: 1, T: 30, W: 1}, {Relay: 0, T: 10, W: 1}}
-	c := SortedCopy(s)
-	if c[0].T != 10 || s[0].T != 30 {
-		t.Errorf("SortedCopy wrong: c=%v s=%v", c, s)
-	}
-}
-
 // tauChain builds 0—1—2 with always-alive contacts and the given τ.
 func tauChain(m tveg.Model, tau float64) *tveg.Graph {
 	g := tveg.New(3, iv(0, 100), tau, tveg.DefaultParams(), m)
