@@ -28,7 +28,7 @@ import (
 // is a zero-allocation no-op without one, and schedules are byte-identical
 // with or without recording (see DESIGN.md "Observability").
 type (
-	// Recorder collects counters, gauges, histograms, phase spans, and
+	// Recorder collects counters, gauges, rolling windows, phase spans, and
 	// worker-pool utilization for one run.
 	Recorder = obs.Recorder
 	// RunReport is a recorder snapshot: the stable-JSON run report.
@@ -246,10 +246,9 @@ type AuditTrace = audit.Trace
 
 // RunAudit generates `cases` seeded differential cases (static and
 // Rayleigh channels, τ ∈ {0, small, large}, random and planner-produced
-// schedules) and cross-checks sim.Evaluate, sim.InformedTimes,
-// CheckFeasible, the discrete-event executor, and an independent
-// feasibility recoding against the reference executor. Deterministic
-// per seed.
+// schedules) and cross-checks sim.Evaluate, CheckFeasible, the
+// discrete-event executor, and an independent feasibility recoding
+// against the reference executor. Deterministic per seed.
 func RunAudit(cases int, seed int64) AuditReport {
 	return audit.RunDifferential(cases, seed)
 }

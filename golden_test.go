@@ -89,50 +89,50 @@ func TestExecutorOutputsGolden(t *testing.T) {
 	golden := map[string]string{
 		"EEDCB/seed1/evaluate-w1":                  "4d09ba5599f045ac96a91bbc98b31b33611604132981f6e14cb1a9ac8a91012e",
 		"EEDCB/seed1/evaluate-w3":                  "1439887d03a6d3f0dbcc38b2833ca66bfe2e5061e556baf6750fac6bce280a38",
-		"EEDCB/seed1/des-interference=true":        "ac89c4e8c762b733b2f93c8f24246aeef75e48c7bcd9737332acc25a2461dca7",
-		"EEDCB/seed1/des-interference=false":       "9b0bd2630e0a3ed90aa86ac3209b66e16981338c6e6e1b617ade2a66d133329d",
+		"EEDCB/seed1/des-interference=true":        "94d75065d0f7ffa7666e24fb5cf2655748ad303c5649a164791ebd112cf3baf2",
+		"EEDCB/seed1/des-interference=false":       "f58c0871e65b5ee741b7c2b719de3bdc950d91d791b8abd508835a7a0d9247b8",
 		"EEDCB/seed1/interference":                 "13a5b0efc402373d6d89494e9e8ff26854ea6fdfac07c1e740105eaf08b3d06d",
 		"EEDCB/seed1/reference":                    "94ec8fc135afb16e1d8d34e766d676abad44c459da3f7bf45b5818ce1942c6e4",
 		"FR-EEDCB/seed1/evaluate-w1":               "93d04f9e76a52bfc2cee16def13fce3aebb660871acef5efcfcf1cff21dc08b5",
 		"FR-EEDCB/seed1/evaluate-w3":               "e0d56354962fdd5334110ee44187e5446f67a8f6aec321b97961478876a56647",
-		"FR-EEDCB/seed1/des-interference=true":     "987f82a6ce25379e0eb089c42eab7772fac855e99cfbd623d0f97d09986f2d9a",
+		"FR-EEDCB/seed1/des-interference=true":     "f8b55cd707f8cce4d79134293743802f713d7981cf6377f4222aea98aa7317f0",
 		"FR-EEDCB/seed1/des-interference=false":    "b6fb3b337f90b9bb3a99414968eaccac3d195f971572a234da79c822ea2bb859",
 		"FR-EEDCB/seed1/interference":              "b198472f0ad49aac7add6f75a95fcca1cf2015ff5c3ec8668d584f9cf61f6390",
 		"FR-EEDCB/seed1/reference":                 "d48ff176720c388b4547281e36d10a3a0510544f32768b8dc75d906ce537eed3",
 		"FR-GREED/seed1/evaluate-w1":               "5dc2020f44633398cb6f9908b8d175e70e8d8ace2a5579ee5715db6844cce752",
 		"FR-GREED/seed1/evaluate-w3":               "ede018bdaa0454c0bb0e0e884bae58e01e0d43bae95e747a1d57ee8ee9e6398c",
-		"FR-GREED/seed1/des-interference=true":     "9eb73581e05f30c961143a41fd467c42ea86c017235b9f0ef68ebe9d82105589",
+		"FR-GREED/seed1/des-interference=true":     "593e0f45a065807ec9347df26bb7f7f0fda2b4dc6715e2824f5803896b14f4de",
 		"FR-GREED/seed1/des-interference=false":    "f5bcc1a2b10596c815269db03b20e43a82ecdf6ff3862b7ce611a15d9a347cbe",
 		"FR-GREED/seed1/interference":              "5456188b338750dce4526f4a0b78f49fd49dd30e04c4afaeb2489c3e5790781b",
 		"FR-GREED/seed1/reference":                 "2ac6b61d3ee8c5a6659bfe1276e56391bfa7cbda8e0c01f11627936cd9d12f30",
 		"FR-RAND/seed1/evaluate-w1":                "1b2117090e72b735494991cb7ccef0125f1d7f1ccd2246997bf15d029c4bad4e",
 		"FR-RAND/seed1/evaluate-w3":                "657dd4821c891ec50e5cefc2244c990eb6ba83a74aed713f6a5ef8c10483fc61",
-		"FR-RAND/seed1/des-interference=true":      "107d6923b503875e603131b2c8d7fdac61feebba029a3dab75a2f2c3bdf1d853",
+		"FR-RAND/seed1/des-interference=true":      "2e3f38a3ed5ca7786924a131d140fe61efe277d57d476dc237afb075466f3bb5",
 		"FR-RAND/seed1/des-interference=false":     "728f957dd3030089fd4dc226a2986abc131d2301532712723f28452823f9fc87",
 		"FR-RAND/seed1/interference":               "0ff5462ea6bd8780a497924b1b38549556534dba921cf91b1819b8e8030fb776",
 		"FR-RAND/seed1/reference":                  "f21ccd7636eb7011efa1664d76e866997a2b54b4b5f7dd5f300de1a470010d43",
 		"EEDCB/seed1001/evaluate-w1":               "ee3f03e65877d23be5fa99a9796887b66b9b7931a39ad5b2141f01489b57bfb1",
 		"EEDCB/seed1001/evaluate-w3":               "87821626a2131da6f2c81785617e2e01735658ebaec5d578847c99ae6d1fd956",
-		"EEDCB/seed1001/des-interference=true":     "183108a36d332490b1f14627cb444b4bcc8e0b00d83167ff2c082c5acf165ed8",
-		"EEDCB/seed1001/des-interference=false":    "fad91eaf5483b60653853a2956a286d02739f515199a723533c73a035ec519ab",
+		"EEDCB/seed1001/des-interference=true":     "66544330a90cf461462d8043e2d7f8e0fbec333fd5e4e121a4ecd630f3fdbca7",
+		"EEDCB/seed1001/des-interference=false":    "8e133491b7959961a877ed739a22940dc82c2a39f42c6a01f9eca129c49ce79c",
 		"EEDCB/seed1001/interference":              "297ef522f9ec1f43cf760004d48ed48a4bca024d5015a327a4e750ac441e1194",
 		"EEDCB/seed1001/reference":                 "4334286002a58d34cb76755ddc54de47a69535d116078b6e34f05f58dcd57924",
 		"FR-EEDCB/seed1001/evaluate-w1":            "970cd647d851ca6b466468ca5cc091b975b579069854be69630d74c33d9cda00",
 		"FR-EEDCB/seed1001/evaluate-w3":            "4aae7674cf9d4417091a441f7fda47716bf92d8d1cb20dc7919c52654f1e4ef6",
-		"FR-EEDCB/seed1001/des-interference=true":  "63004103239add0489ae0257b36c22b514ed9c937c2af7f785a060801a1592e0",
+		"FR-EEDCB/seed1001/des-interference=true":  "581f6f5772ef5e70b4c07cb8f83d0385abc92c153f4e87c0b691d7ed6cc93ff4",
 		"FR-EEDCB/seed1001/des-interference=false": "65b93108086fcdf187f7e2d3afb2ff6d4f5653bdf70748e0aea4306de1bcd524",
 		"FR-EEDCB/seed1001/interference":           "757921a8d557dd00b355d3ee655bf6a1abe35ddb8641816476b3084f17355ce7",
 		"FR-EEDCB/seed1001/reference":              "ce681793af7f37a2eb91601d4e23b6f4ba0e39f83318db75a59c85e0f4306be8",
 		"FR-GREED/seed1001/evaluate-w1":            "a15cfc98b4f59f07854d4d0ca5441aaf60b82237cfd9cb51d841836268b69949",
 		"FR-GREED/seed1001/evaluate-w3":            "63b408580952f0a9c05820e6e8842ddeb20eb50d882851ead0d709d19125217c",
-		"FR-GREED/seed1001/des-interference=true":  "31eb5ccfc24cef63c88da02e018903b1e5f196d67c985d1adef9b413cd436b8d",
-		"FR-GREED/seed1001/des-interference=false": "5897b642452f6bd63ec878ff32df6ba252a42d46cb38277f0c1a3416df5c4973",
+		"FR-GREED/seed1001/des-interference=true":  "8138c77b313304e72b3cb0424cdddc31f9d056c8cf1f66c61d9a585defbdb878",
+		"FR-GREED/seed1001/des-interference=false": "162888ea06e619447ae5f7dddc5a1aa16fe55eb481f8a30c40ae2f498f7ff375",
 		"FR-GREED/seed1001/interference":           "0aebd7682f6377266e847e437b24d2f11fd3d667c286edee8dc948e5347621a7",
 		"FR-GREED/seed1001/reference":              "f81a8b722a82bcb25b54b09b0a5a11050942a89ccbbe4d70b5c729ec1840fe2a",
 		"FR-RAND/seed1001/evaluate-w1":             "c6fc568e420cf35834ba4319c7bdbdc9d452f49d82edef4937720cfc0963fd48",
 		"FR-RAND/seed1001/evaluate-w3":             "d55ea7859aab90a6974e61dfc9c3618cc911e31bdbaba36cc5bb37e2f11f21b7",
-		"FR-RAND/seed1001/des-interference=true":   "3f9dbf516848a2c746688ef22b4c7772bd5b3fbba43566e903f9425c4e3b5a48",
-		"FR-RAND/seed1001/des-interference=false":  "3ede1ce9651e3ca9e378d4b47c3278b259e3917ac7101882f8c4e6ba3e86ff24",
+		"FR-RAND/seed1001/des-interference=true":   "3ba86c066cdbd523a23923f70dddda29d7682ac8a8eb6242a54051dfbd9e66e7",
+		"FR-RAND/seed1001/des-interference=false":  "a21bb366e76bcb528eb14401cf39357d30b0549667926f18be2cda48db0f6f8f",
 		"FR-RAND/seed1001/interference":            "0068572827f16e7897dbb545005acfb0efb6b35810f310d86d6c786785265d03",
 		"FR-RAND/seed1001/reference":               "cb1e8fd4b836cee61284f6df837bc75dc4955d7f584c461f6c9cddc117f881bf",
 	}

@@ -32,7 +32,7 @@ type FuncNode struct {
 }
 
 // Name renders the node for diagnostics: "(*CSR).ShortestPathsInto"
-// for methods, "PathTo32" for functions.
+// for methods, "PathTo32Into" for functions.
 func (n *FuncNode) Name() string {
 	if n.Decl.Recv != nil && len(n.Decl.Recv.List) > 0 {
 		return "(" + types.ExprString(n.Decl.Recv.List[0].Type) + ")." + n.Decl.Name.Name

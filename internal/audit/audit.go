@@ -1,11 +1,10 @@
-// Package audit cross-checks the repo's four schedule-execution
+// Package audit cross-checks the repo's three schedule-execution
 // semantics against one latency-aware reference executor and against an
 // independently coded feasibility check. The executors under audit are
 //
 //   - sim.Evaluate        (Monte Carlo metrics),
-//   - sim.InformedTimes   (deterministic static execution),
 //   - schedule.CheckFeasible (closed-form Eq. 6 conditions i–iv),
-//   - des.Execute         (airtime discrete-event engine),
+//   - des.Execute         (airtime discrete-event executor),
 //
 // all of which must implement the unified τ-propagation rule
 // (schedule.Informs, DESIGN.md "Execution semantics"): a packet

@@ -76,10 +76,6 @@ func TestLegacyEvaluateCaughtByOracle(t *testing.T) {
 	if ev := sim.Evaluate(g, s, 0, 1, ForceSuccess()); int(ev.MeanDelivery*3+0.5) != 2 {
 		t.Fatalf("sim.Evaluate delivered %g nodes, want 2", ev.MeanDelivery*3)
 	}
-	it := sim.InformedTimes(g, s, 0)
-	if it[2] < 1e308 {
-		t.Fatalf("sim.InformedTimes informs v2 at %g, want never", it[2])
-	}
 	dres, err := des.Execute(g, s, 0, 0, des.ExecOptions{}, ForceSuccess())
 	if err != nil {
 		t.Fatal(err)

@@ -180,10 +180,9 @@ func plannerSchedule(rng *rand.Rand, g *tveg.Graph, src tvg.NodeID, t0, deadline
 }
 
 // CompareSchedule runs one (graph, schedule) instance through the
-// reference executor, sim.Evaluate, des.Execute, sim.InformedTimes
-// (static graphs), schedule.CheckFeasible, and the independent
-// Feasibility check, and returns one line per disagreement (nil when
-// all executors agree).
+// reference executor, sim.Evaluate, des.Execute, schedule.CheckFeasible,
+// and the independent Feasibility check, and returns one line per
+// disagreement (nil when all executors agree).
 func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, deadline, costBound float64) []string {
 	var diffs []string
 	report := func(format string, args ...any) {
@@ -210,8 +209,8 @@ func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, dea
 		report("des.Execute failed: %v", err)
 	} else {
 		for i := 0; i < n; i++ {
-			if !closeTime(desTime(dres.InformedAt[i]), ref.RecvAt[i]) {
-				report("des.Execute informs v%d at %g, reference at %g", i, desTime(dres.InformedAt[i]), ref.RecvAt[i])
+			if !closeTime(dres.InformedAt[i], ref.RecvAt[i]) {
+				report("des.Execute informs v%d at %g, reference at %g", i, dres.InformedAt[i], ref.RecvAt[i])
 			}
 		}
 		if dres.Delivered != ref.Delivered {
@@ -219,19 +218,6 @@ func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, dea
 		}
 		if !closeRel(dres.ConsumedEnergy, ref.ConsumedEnergy) {
 			report("des.Execute consumed %g J, reference %g J", dres.ConsumedEnergy, ref.ConsumedEnergy)
-		}
-	}
-
-	// sim.InformedTimes: static graphs only (it panics under fading).
-	if !g.Model.Fading() {
-		it := sim.InformedTimes(g, s, src)
-		for i := 0; i < n; i++ {
-			if tvg.NodeID(i) == src {
-				continue // InformedTimes pins the source at 0, the reference at T0
-			}
-			if !closeTime(it[i], ref.RecvAt[i]) {
-				report("sim.InformedTimes informs v%d at %g, reference at %g", i, it[i], ref.RecvAt[i])
-			}
 		}
 	}
 
@@ -344,15 +330,6 @@ func RunDifferential(cases int, baseSeed int64) Report {
 		}
 	}
 	return rep
-}
-
-// desTime maps the des engine's finite "never informed" sentinel to the
-// reference executor's +Inf.
-func desTime(t float64) float64 {
-	if t >= 1e308 {
-		return math.Inf(1)
-	}
-	return t
 }
 
 // closeTime compares two reception times: both never-informed, or equal

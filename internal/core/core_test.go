@@ -209,6 +209,23 @@ func TestIncompleteWhenNodeIsolated(t *testing.T) {
 			t.Errorf("%s: best-effort schedule leaves node 1 uninformed (p=%g)", s.Name(), p)
 		}
 	}
+
+	// Two isolated nodes through the FR planners' energy allocation:
+	// Uncovered lists them in ascending id order.
+	g = tveg.New(5, iv(0, 100), 0, tveg.DefaultParams(), tveg.RayleighFading)
+	g.AddContact(0, 3, iv(10, 30), 5)
+	g.AddContact(3, 1, iv(40, 60), 8)
+	for _, s := range []Scheduler{FREEDCB{}, FRGreedy{}, FRRandom{Seed: 3}} {
+		_, err := s.Schedule(g, 0, 0, 100)
+		var ie *IncompleteError
+		if !errors.As(err, &ie) {
+			t.Errorf("%s: want IncompleteError, got %v", s.Name(), err)
+			continue
+		}
+		if len(ie.Uncovered) != 2 || ie.Uncovered[0] != 2 || ie.Uncovered[1] != 4 {
+			t.Errorf("%s: Uncovered = %v, want [2 4]", s.Name(), ie.Uncovered)
+		}
+	}
 }
 
 func TestFRSchedulesSatisfyEpsOnRandomFadingTraces(t *testing.T) {

@@ -202,7 +202,7 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	sp := rec.StartPhase("nlp-alloc")
 	defer sp.End()
 	scope := sp.Recorder()
-	uncov := make(map[tvg.NodeID]bool)
+	uncov := make([]bool, g.N())
 	if incErr != nil {
 		var ie *IncompleteError
 		if errors.As(incErr, &ie) {
@@ -335,14 +335,14 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 		x.W = w[k]
 		out = append(out, x)
 	}
-	if len(uncov) > 0 {
-		ie := &IncompleteError{}
-		//tmedbvet:ignore detrange uncovered-node set is sorted by sortNodeIDs immediately below, a total order on ids
-		for u := range uncov {
-			ie.Uncovered = append(ie.Uncovered, u)
+	var uncovered []tvg.NodeID
+	for u, un := range uncov {
+		if un {
+			uncovered = append(uncovered, tvg.NodeID(u))
 		}
-		sortNodeIDs(ie.Uncovered)
-		return out, ie
+	}
+	if len(uncovered) > 0 {
+		return out, &IncompleteError{Uncovered: uncovered}
 	}
 	return out, nil
 }

@@ -1,7 +1,19 @@
+// Package des is the airtime-accurate broadcast executor: every
+// transmission occupies the channel for a configurable airtime,
+// receivers track the set of concurrently audible transmitters, and a
+// packet decodes only if its transmitter was the sole audible one for
+// the whole airtime (protocol interference model) — or
+// independently-with-φ when interference modelling is disabled.
+// Compared to the closed-form executor in internal/sim, this one yields
+// per-node reception timestamps and honors τ > 0 naturally. Relay
+// gating follows the unified τ-propagation rule (schedule.Informs /
+// DESIGN.md "Execution semantics"): a node may forward only once its
+// own reception has completed.
 package des
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/obs"
@@ -10,22 +22,12 @@ import (
 	"repro/internal/tvg"
 )
 
-// Airtime-accurate broadcast execution: every transmission occupies the
-// channel for a configurable airtime, receivers track the set of
-// concurrently audible transmitters, and a packet decodes only if its
-// transmitter was the sole audible one for the whole airtime (protocol
-// interference model) — or independently-with-φ when interference
-// modelling is disabled. Compared to the closed-form executor in
-// internal/sim, this one yields per-node reception timestamps and honors
-// τ > 0 naturally. Relay gating follows the unified τ-propagation rule
-// (schedule.Informs / DESIGN.md "Execution semantics"): a node may
-// forward only once its own reception has completed.
-
 // ExecOptions tunes one execution.
 type ExecOptions struct {
 	// Airtime is the channel occupancy of one packet (seconds). Zero
 	// uses the graph's τ, and if that is also zero a minimal slot is
-	// required when Interference is on.
+	// required when Interference is on. A negative or NaN airtime is an
+	// error.
 	Airtime float64
 	// Interference enables the protocol collision model.
 	Interference bool
@@ -51,10 +53,20 @@ type ExecResult struct {
 // Execute runs the schedule once on g from src, with transmissions
 // released at their scheduled times (a transmission whose relay lacks
 // the packet at its start time is skipped). Deterministic per rng.
+//
+// Two event streams are merged in time order: the transmission starts,
+// sorted up front, and the airtime ends, appended to a FIFO as
+// transmissions fire. Every end lies one constant airtime after its
+// start, so ends enter the FIFO in time order. At equal times an end
+// runs before a start, so a packet received at t can be forwarded at t;
+// events of one kind run in schedule order.
 func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, opts ExecOptions, rng *rand.Rand) (ExecResult, error) {
 	airtime := opts.Airtime
 	if airtime == 0 {
 		airtime = g.Tau()
+	}
+	if !(airtime >= 0) {
+		return ExecResult{}, fmt.Errorf("des: airtime %g is negative or NaN", airtime)
 	}
 	if airtime == 0 && opts.Interference {
 		return ExecResult{}, fmt.Errorf("des: interference model needs a positive airtime")
@@ -68,18 +80,16 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 	n := g.N()
 	res := ExecResult{InformedAt: make([]float64, n)}
 	for i := range res.InformedAt {
-		res.InformedAt[i] = inf
+		res.InformedAt[i] = math.Inf(1)
 	}
 	res.InformedAt[src] = start
 
 	// audible[j] = number of concurrently audible transmitters at j;
-	// corrupted[j] marks an ongoing candidate reception that lost to a
-	// second transmitter.
+	// current[j] is j's ongoing candidate reception, corrupted once a
+	// second transmitter is audible.
 	audible := make([]int, n)
 	type reception struct {
-		from      tvg.NodeID
-		w         float64
-		t         float64 // transmission start
+		tx        schedule.Transmission
 		corrupted bool
 	}
 	current := make([]*reception, n)
@@ -88,104 +98,99 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 	// transmission, so the end of its airtime reuses the list.
 	var rx []tvg.NodeID
 
-	sim := New()
 	ordered := make(schedule.Schedule, len(s))
 	copy(ordered, s)
 	ordered.SortByTime()
+	// ends is the FIFO of airtime ends: the end time, the row of ordered
+	// that fired, and its in-range receivers rx[lo:hi].
+	type airtimeEnd struct {
+		t      float64
+		k      int
+		lo, hi int
+	}
+	ends := make([]airtimeEnd, 0, len(ordered))
 
-	// Transmission starts run in class 1 so that reception completions
-	// (class 0) landing at the same instant are visible to them.
-	for _, x := range ordered {
-		x := x
-		sim.AtClass(x.T, 1, func(now float64) {
-			if res.InformedAt[x.Relay] > now+schedule.TimeTol {
-				txSkipped.Inc()
-				return // relay's own reception incomplete: transmission skipped
-			}
-			txFired.Inc()
-			res.ConsumedEnergy += x.W
-			if !opts.Interference {
-				// Without the collision model, receptions are independent:
-				// each in-range node that lacks the packet when this
-				// airtime ends gets its own φ draw. A concurrent
-				// transmission must not mask this one — radios here have
-				// no capture slot to fight over.
-				sim.After(airtime, func(end float64) {
-					for _, j := range g.EverNeighbors(x.Relay) {
-						if !g.RhoTau(x.Relay, j, x.T) {
-							continue
-						}
-						if res.InformedAt[j] <= end {
-							continue
-						}
-						failure := g.EDAt(x.Relay, j, x.T).FailureProb(x.W)
-						if failure <= 0 || rng.Float64() >= failure {
-							rxOK.Inc()
-							res.InformedAt[j] = end
-						} else {
-							rxFailed.Inc()
-						}
-					}
-				})
-				return
-			}
-			// mark the channel busy at every in-range node
-			lo := len(rx)
-			for _, j := range g.EverNeighbors(x.Relay) {
-				if !g.RhoTau(x.Relay, j, x.T) {
-					continue
-				}
-				rx = append(rx, j)
-				audible[j]++
-				if audible[j] > 1 {
-					// collision: corrupt any ongoing reception too
-					if cur := current[j]; cur != nil && !cur.corrupted {
-						cur.corrupted = true
-						res.Collisions++
-					}
-				}
-				if res.InformedAt[j] <= now {
-					continue // already has the packet
-				}
-				if current[j] == nil {
-					rec := &reception{from: x.Relay, w: x.W, t: x.T}
-					if audible[j] > 1 {
-						rec.corrupted = true
-						res.Collisions++
-					}
-					current[j] = rec
-				}
-			}
-			hi := len(rx)
-			// end of this transmission's airtime
-			sim.After(airtime, func(end float64) {
-				for _, j := range rx[lo:hi] {
+	for next, head := 0, 0; next < len(ordered) || head < len(ends); {
+		if head < len(ends) && (next == len(ordered) || ends[head].t <= ordered[next].T) {
+			e := ends[head]
+			head++
+			x := ordered[e.k]
+			for _, j := range rx[e.lo:e.hi] {
+				// Without the collision model, receptions are
+				// independent: each in-range node that lacks the packet
+				// when this airtime ends gets its own φ draw. A
+				// concurrent transmission must not mask this one —
+				// radios here have no capture slot to fight over.
+				tx := x
+				if opts.Interference {
 					audible[j]--
 					cur := current[j]
-					if cur == nil || cur.from != x.Relay {
+					if cur == nil || cur.tx.Relay != x.Relay {
 						continue
 					}
 					current[j] = nil
 					if cur.corrupted {
 						continue
 					}
-					if res.InformedAt[j] <= end {
-						continue
-					}
-					failure := g.EDAt(cur.from, j, cur.t).FailureProb(cur.w)
-					if failure <= 0 || rng.Float64() >= failure {
-						rxOK.Inc()
-						res.InformedAt[j] = end
-					} else {
-						rxFailed.Inc()
-					}
+					tx = cur.tx
 				}
-			})
-		})
+				if res.InformedAt[j] <= e.t {
+					continue
+				}
+				failure := g.EDAt(tx.Relay, j, tx.T).FailureProb(tx.W)
+				if failure <= 0 || rng.Float64() >= failure {
+					rxOK.Inc()
+					res.InformedAt[j] = e.t
+				} else {
+					rxFailed.Inc()
+				}
+			}
+			continue
+		}
+
+		k := next
+		next++
+		x := ordered[k]
+		if res.InformedAt[x.Relay] > x.T+schedule.TimeTol {
+			txSkipped.Inc()
+			continue // relay's own reception incomplete: transmission skipped
+		}
+		txFired.Inc()
+		res.ConsumedEnergy += x.W
+		lo := len(rx)
+		for _, j := range g.EverNeighbors(x.Relay) {
+			if !g.RhoTau(x.Relay, j, x.T) {
+				continue
+			}
+			rx = append(rx, j)
+			if !opts.Interference {
+				continue
+			}
+			// mark the channel busy at j
+			audible[j]++
+			if audible[j] > 1 {
+				// collision: corrupt any ongoing reception too
+				if cur := current[j]; cur != nil && !cur.corrupted {
+					cur.corrupted = true
+					res.Collisions++
+				}
+			}
+			if res.InformedAt[j] <= x.T {
+				continue // already has the packet
+			}
+			if current[j] == nil {
+				rec := &reception{tx: x}
+				if audible[j] > 1 {
+					rec.corrupted = true
+					res.Collisions++
+				}
+				current[j] = rec
+			}
+		}
+		ends = append(ends, airtimeEnd{t: x.T + airtime, k: k, lo: lo, hi: len(rx)})
 	}
-	sim.RunAll()
 	for _, t := range res.InformedAt {
-		if t < inf {
+		if !math.IsInf(t, 1) {
 			res.Delivered++
 		}
 	}
@@ -193,5 +198,3 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 	opts.Obs.Counter("des.delivered").Add(int64(res.Delivered))
 	return res, nil
 }
-
-const inf = 1e308

@@ -60,6 +60,27 @@ func TestExecuteSkipsUninformedRelay(t *testing.T) {
 	}
 }
 
+// TestExecuteEndBeforeStartAtEqualTimes: an airtime end runs before a
+// transmission start at the same instant, so a relay forwards the
+// packet at the very instant it decodes it — also at airtime 0, where
+// the reception completes at its transmission's instant.
+func TestExecuteEndBeforeStartAtEqualTimes(t *testing.T) {
+	g := chain()
+	for _, airtime := range []float64{0, 1} {
+		s := schedule.Schedule{
+			{Relay: 0, T: 10, W: sufficient(g, 5)},
+			{Relay: 1, T: 10 + airtime, W: sufficient(g, 8)},
+		}
+		res, err := Execute(g, s, 0, 0, ExecOptions{Airtime: airtime}, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 10 + 2*airtime; res.InformedAt[2] != want {
+			t.Errorf("airtime %g: v2 informed at %g, want %g (InformedAt=%v)", airtime, res.InformedAt[2], want, res.InformedAt)
+		}
+	}
+}
+
 func TestExecuteAirtimeBlocksSameSlotForwarding(t *testing.T) {
 	g := chain()
 	// both transmissions at t=10: with 1 s airtime, node 1 receives at
@@ -94,8 +115,8 @@ func TestExecuteCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InformedAt[2] < inf {
-		t.Errorf("node 2 informed at %g despite collision", res.InformedAt[2])
+	if !math.IsInf(res.InformedAt[2], 1) {
+		t.Errorf("node 2 informed at %g despite collision, want +Inf", res.InformedAt[2])
 	}
 	if res.Collisions == 0 {
 		t.Error("collision not counted")
@@ -105,7 +126,7 @@ func TestExecuteCollision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InformedAt[2] >= inf {
+	if math.IsInf(res.InformedAt[2], 1) {
 		t.Error("node 2 should decode without the interference model")
 	}
 }
@@ -128,8 +149,8 @@ func TestExecutePartialOverlapCorrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.InformedAt[2] < inf {
-		t.Errorf("node 2 informed at %g despite partial-overlap collision", res.InformedAt[2])
+	if !math.IsInf(res.InformedAt[2], 1) {
+		t.Errorf("node 2 informed at %g despite partial-overlap collision, want +Inf", res.InformedAt[2])
 	}
 }
 
@@ -137,6 +158,19 @@ func TestExecuteInterferenceNeedsAirtime(t *testing.T) {
 	g := chain()
 	if _, err := Execute(g, nil, 0, 0, ExecOptions{Interference: true}, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("interference with zero airtime should error")
+	}
+	// A negative or NaN airtime is an error with or without interference.
+	s := schedule.Schedule{
+		{Relay: 0, T: 10, W: sufficient(g, 5)},
+		{Relay: 1, T: 20, W: sufficient(g, 8)},
+	}
+	for _, airtime := range []float64{-1, math.NaN()} {
+		for _, interference := range []bool{false, true} {
+			opts := ExecOptions{Airtime: airtime, Interference: interference}
+			if res, err := Execute(g, s, 0, 0, opts, rand.New(rand.NewSource(1))); err == nil {
+				t.Errorf("%+v: no error, InformedAt=%v", opts, res.InformedAt)
+			}
+		}
 	}
 }
 

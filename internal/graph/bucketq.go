@@ -6,9 +6,9 @@ import "sync"
 // (a Dial-style calendar queue generalized to float keys). Edge weights
 // in the auxiliary graph are drawn from the discrete cost sets — a small
 // set of bounded power levels — so tentative distances live in a sliding
-// window of width MaxW above the last settled distance. nBuckets
-// circular buckets of width MaxW/(nBuckets-4) cover that window with
-// slack for float rounding.
+// window of width maxW (the largest edge weight) above the last settled
+// distance. nBuckets circular buckets of width maxW/(nBuckets-4) cover
+// that window with slack for float rounding.
 //
 // Each bucket is a small binary heap ordered by the (distance, vertex)
 // lexicographic key. The auxiliary graph is dominated by zero-weight
@@ -47,7 +47,7 @@ import "sync"
 // unbounded sweep's, and every other label reads Inf (prev -1).
 
 // nBuckets is the circular bucket count. The window of live keys spans
-// at most MaxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
+// at most maxW = (nBuckets-4) bucket widths; the 4 spare buckets absorb
 // the floor-rounding slack at both window edges so two distinct virtual
 // buckets never alias the same physical slot.
 const nBuckets = 132

@@ -33,13 +33,6 @@ func (g *CSR) N() int { return len(g.Off) - 1 }
 // M returns the number of edges.
 func (g *CSR) M() int { return len(g.To) }
 
-// MaxW returns the largest edge weight (0 for an edgeless graph). The
-// bucket-queue Dijkstra sizes its bucket width from it.
-func (g *CSR) MaxW() float64 { return g.maxW }
-
-// OutDegree returns the out-degree of u.
-func (g *CSR) OutDegree(u int) int { return int(g.Off[u+1] - g.Off[u]) }
-
 // EdgeList accumulates directed edges (u, v, w) before the counting sort
 // that lays them out in CSR form. The three parallel slices (rather than
 // a []struct) keep BuildCSR's sort phase free of padding and let the
@@ -170,20 +163,11 @@ func (g *CSR) ReachableInto(src int, seen []bool, stack []int32) []int32 {
 	return stack
 }
 
-// PathTo32 reconstructs the path src→dst from an int32 predecessor array
-// produced by the CSR Dijkstra. It returns nil when dst is unreachable.
-func PathTo32(prev []int32, src, dst int) []int {
-	p, ok := PathTo32Into(prev, src, dst, nil)
-	if !ok {
-		return nil
-	}
-	return p
-}
-
-// PathTo32Into is PathTo32 writing into buf (appended from buf[:0],
-// grown as needed) so hot callers can recycle one buffer across
-// reconstructions. It returns the filled buffer and whether dst is
-// reachable; on false the returned buffer is buf with undefined
+// PathTo32Into reconstructs the path src→dst from an int32 predecessor
+// array produced by the CSR Dijkstra, writing into buf (appended from
+// buf[:0], grown as needed) so hot callers can recycle one buffer
+// across reconstructions. It returns the filled buffer and whether dst
+// is reachable; on false the returned buffer is buf with undefined
 // contents, kept so its capacity survives.
 func PathTo32Into(prev []int32, src, dst int, buf []int) ([]int, bool) {
 	rev := buf[:0]

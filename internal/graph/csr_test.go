@@ -35,8 +35,8 @@ func TestCSRMatchesDigraph(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			out := d.Out(u)
-			if c.OutDegree(u) != len(out) {
-				t.Fatalf("deg(%d) = %d, want %d", u, c.OutDegree(u), len(out))
+			if deg := int(c.Off[u+1] - c.Off[u]); deg != len(out) {
+				t.Fatalf("deg(%d) = %d, want %d", u, deg, len(out))
 			}
 			for i, e := range out {
 				ei := c.Off[u] + int32(i)
@@ -188,7 +188,10 @@ func TestBucketDijkstraMatchesHeap(t *testing.T) {
 		for probe := 0; probe < 3; probe++ {
 			dst := rng.Intn(n)
 			p1 := PathTo(wantPrev, src, dst)
-			p2 := PathTo32(gotPrev, src, dst)
+			p2, ok := PathTo32Into(gotPrev, src, dst, nil)
+			if !ok {
+				p2 = nil
+			}
 			if len(p1) != len(p2) {
 				t.Fatalf("trial %d: path lengths differ: %v vs %v", trial, p1, p2)
 			}
@@ -368,7 +371,7 @@ func TestBuildCSRPayloadPermutation(t *testing.T) {
 			t.Fatalf("pos[%d] = %d, want %d", i, p, wantPos[i])
 		}
 	}
-	if g.MaxW() != 3 {
-		t.Fatalf("maxW = %g, want 3", g.MaxW())
+	if g.maxW != 3 {
+		t.Fatalf("maxW = %g, want 3", g.maxW)
 	}
 }

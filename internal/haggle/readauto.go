@@ -89,13 +89,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// WriteGzip writes the native format gzip-compressed.
-func (t *Trace) WriteGzip(w io.Writer) error {
-	gz := gzip.NewWriter(w)
-	if err := t.Write(gz); err != nil {
-		gz.Close()
-		return err
-	}
-	return gz.Close()
-}

@@ -2,6 +2,7 @@ package haggle
 
 import (
 	"bytes"
+	"compress/gzip"
 	"math/rand"
 	"strings"
 	"testing"
@@ -27,7 +28,11 @@ func TestReadAutoNativeFormat(t *testing.T) {
 func TestReadAutoGzip(t *testing.T) {
 	tr := Generate(GenOptions{N: 5, Horizon: 2000}, rand.New(rand.NewSource(2)))
 	var buf bytes.Buffer
-	if err := tr.WriteGzip(&buf); err != nil {
+	gz := gzip.NewWriter(&buf)
+	if err := tr.Write(gz); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// sanity: really compressed

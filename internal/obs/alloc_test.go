@@ -16,7 +16,6 @@ func TestAllocsPerRunDisabledHotPaths(t *testing.T) {
 	var r *Recorder
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var p *Pool
 	allocs := testing.AllocsPerRun(1000, func() {
 		sp := r.StartPhase("phase")
@@ -27,7 +26,6 @@ func TestAllocsPerRunDisabledHotPaths(t *testing.T) {
 		c.Add(3)
 		_ = c.Value()
 		g.Set(0.5)
-		h.Observe(2.5)
 		p.Observe(0, 10, time.Millisecond)
 		p.Launched()
 		r.Counter("x").Inc()
@@ -60,7 +58,6 @@ func TestAllocsPerRunDisabledTelemetry(t *testing.T) {
 		_ = LoggerFrom(ctx)
 		_ = WithLogger(ctx, nil)
 		ro.Observe(1.5)
-		_ = ro.Count()
 		f.Record(RequestRecord{Status: 200})
 		_ = f.Cap()
 	})
@@ -76,12 +73,10 @@ func TestAllocsPerRunEnabledCounterSteadyState(t *testing.T) {
 	r := New()
 	c := r.Counter("ops")
 	g := r.Gauge("ratio")
-	h := r.Histogram("sizes", []float64{1, 10})
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(2)
 		g.Set(0.5)
-		h.Observe(5)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled steady-state instrumentation allocates %.1f allocs/op, want 0", allocs)

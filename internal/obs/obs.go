@@ -1,5 +1,5 @@
 // Package obs is the solver-wide observability layer: a metrics registry
-// (counters, gauges, fixed-bucket histograms), hierarchical phase spans,
+// (counters, gauges, rolling windows), hierarchical phase spans,
 // worker-pool utilization accounting, and exporters (human summary,
 // stable JSON run report, expvar map). It depends only on the standard
 // library.
@@ -8,7 +8,7 @@
 // "Observability"):
 //
 //  1. Zero overhead when disabled — the nil *Recorder is the disabled
-//     default. Every method of Recorder, Span, Counter, Gauge, Histogram,
+//     default. Every method of Recorder, Span, Counter, Gauge, Rolling
 //     and Pool is nil-safe and allocation-free on a nil receiver, so hot
 //     paths carry instrumentation unconditionally. Guarded by the
 //     AllocsPerRun test in this package.
@@ -29,7 +29,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +51,6 @@ type run struct {
 
 	counters sync.Map // string -> *Counter
 	gauges   sync.Map // string -> *Gauge
-	hists    sync.Map // string -> *Histogram
 	pools    sync.Map // string -> *Pool
 	rollings sync.Map // string -> *Rolling
 }
@@ -154,68 +152,6 @@ func (r *Recorder) Gauge(name string) *Gauge {
 	}
 	v, _ := r.gauges.LoadOrStore(name, new(Gauge))
 	return v.(*Gauge)
-}
-
-// Histogram is a fixed-bucket histogram: bounds[i] is the inclusive
-// upper edge of bucket i, with one implicit overflow bucket. Bounds are
-// frozen at registration; concurrent Observe calls are safe.
-type Histogram struct {
-	bounds []float64
-	counts []atomic.Int64 // len(bounds)+1
-	sum    atomic.Uint64  // float64 bits, CAS-accumulated
-	n      atomic.Int64
-}
-
-// Observe records v into its bucket.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.n.Add(1)
-	for {
-		old := h.sum.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sum.CompareAndSwap(old, nw) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
-}
-
-// Sum returns the running sum of every observed value (0 on nil) — the
-// Prometheus _sum companion to the bucket counts, and what mean-latency
-// panels divide by Count.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sum.Load())
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bucket bounds on first use (later bounds are ignored; first
-// registration wins). bounds must be sorted ascending. Nil on a nil
-// recorder.
-func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if v, ok := r.hists.Load(name); ok {
-		return v.(*Histogram)
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	h.counts = make([]atomic.Int64, len(h.bounds)+1)
-	v, _ := r.hists.LoadOrStore(name, h)
-	return v.(*Histogram)
 }
 
 // RecordCache samples a cache's absolute hit/miss/size triple into the

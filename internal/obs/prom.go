@@ -10,8 +10,7 @@ import (
 )
 
 // Prometheus text-format exposition (version 0.0.4) over the recorder
-// registry. Counters and gauges map directly; Histograms render with
-// cumulative buckets plus the running _sum/_count; Rollings render as
+// registry. Counters and gauges map directly; Rollings render as
 // summaries with p50/p90/p99 quantile labels; Pools render as labeled
 // per-pool gauges. Metric names are the registry's dotted names with
 // dots folded to underscores and a family prefix ("tmedbd.requests"
@@ -46,21 +45,6 @@ func (rep Report) WritePrometheus(w io.Writer, prefix string) error {
 	for _, n := range names {
 		pw.family(n, "gauge")
 		pw.sample(n, "", rep.Gauges[n])
-	}
-
-	for _, h := range rep.Hists {
-		pw.family(h.Name, "histogram")
-		var cum int64
-		for i, c := range h.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(h.Bounds) {
-				le = formatFloat(h.Bounds[i])
-			}
-			pw.sample(h.Name+"_bucket", `le="`+escapeLabel(le)+`"`, float64(cum))
-		}
-		pw.sample(h.Name+"_sum", "", h.Sum)
-		pw.sample(h.Name+"_count", "", float64(h.Count))
 	}
 
 	for _, ro := range rep.Rollings {

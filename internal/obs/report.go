@@ -5,7 +5,6 @@ import (
 	"expvar"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +22,6 @@ type Report struct {
 	Phases   []PhaseReport      `json:"phases,omitempty"`
 	Counters map[string]int64   `json:"counters,omitempty"`
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	Hists    []HistReport       `json:"histograms,omitempty"`
 	Pools    []PoolReport       `json:"pools,omitempty"`
 	Rollings []RollingReport    `json:"rollings,omitempty"`
 }
@@ -41,18 +39,6 @@ type PhaseReport struct {
 	WallMS   float64        `json:"wall_ms"`
 	Attrs    map[string]any `json:"attrs,omitempty"`
 	Children []PhaseReport  `json:"children,omitempty"`
-}
-
-// HistReport is one histogram's buckets plus the running sum (the
-// Prometheus _sum companion; Mean = Sum/Count is kept precomputed for
-// human output).
-type HistReport struct {
-	Name   string    `json:"name"`
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"` // len(Bounds)+1, last = overflow
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-	Mean   float64   `json:"mean"`
 }
 
 // PoolReport is one worker pool's utilization.
@@ -110,27 +96,6 @@ func (r *Recorder) Snapshot(meta map[string]string) Report {
 	if len(rep.Gauges) == 0 {
 		rep.Gauges = nil
 	}
-
-	r.hists.Range(func(k, v any) bool {
-		h := v.(*Histogram)
-		hr := HistReport{Name: k.(string), Bounds: append([]float64(nil), h.bounds...)}
-		var total int64
-		var sum float64
-		hr.Counts = make([]int64, len(h.counts))
-		for i := range h.counts {
-			hr.Counts[i] = h.counts[i].Load()
-			total += hr.Counts[i]
-		}
-		sum = math.Float64frombits(h.sum.Load())
-		hr.Count = total
-		hr.Sum = sum
-		if total > 0 {
-			hr.Mean = sum / float64(total)
-		}
-		rep.Hists = append(rep.Hists, hr)
-		return true
-	})
-	sort.Slice(rep.Hists, func(i, j int) bool { return rep.Hists[i].Name < rep.Hists[j].Name })
 
 	r.rollings.Range(func(k, v any) bool {
 		n, sum, window, capacity := v.(*Rolling).snapshot()
@@ -216,8 +181,8 @@ func (rep Report) WriteJSON(w io.Writer) error {
 }
 
 // String renders the human-readable summary: the phase tree with wall
-// times, then counters, gauges (cache hit rates included), histograms,
-// and pool utilization.
+// times, then counters, gauges (cache hit rates included), rolling
+// windows, and pool utilization.
 func (rep Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run: %.2f ms wall\n", rep.WallMS)
@@ -235,9 +200,6 @@ func (rep Report) String() string {
 	walk("  ", rep.Phases, rep.WallMS)
 	writeSortedInt(&b, "counters", rep.Counters)
 	writeSortedFloat(&b, "gauges", rep.Gauges)
-	for _, h := range rep.Hists {
-		fmt.Fprintf(&b, "hist %s: n=%d sum=%.4g mean=%.4g buckets=%v\n", h.Name, h.Count, h.Sum, h.Mean, h.Counts)
-	}
 	for _, ro := range rep.Rollings {
 		fmt.Fprintf(&b, "rolling %s: n=%d p50=%.4g p90=%.4g p99=%.4g\n", ro.Name, ro.Count, ro.P50, ro.P90, ro.P99)
 	}
@@ -300,13 +262,6 @@ func fmtBusy(busy []float64) string {
 		parts[i] = fmt.Sprintf("%.2f", v)
 	}
 	return "[" + strings.Join(parts, " ") + "]"
-}
-
-// Expvar returns an expvar.Func exposing the live snapshot, so
-// `expvar.Publish("tmedb", rec.Expvar())` surfaces the run report on
-// /debug/vars next to the runtime's memstats.
-func (r *Recorder) Expvar() expvar.Func {
-	return func() any { return r.Snapshot(nil) }
 }
 
 // published maps an expvar name to the swappable slot backing the

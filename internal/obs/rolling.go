@@ -2,17 +2,15 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 )
 
 // Rolling is a rolling-window value series for SLO quantile reporting:
 // it keeps the last W observations in a ring plus a cumulative
-// count/sum, and estimates quantiles over the window on demand. Unlike
-// Histogram (fixed buckets, cumulative forever), a Rolling answers
-// "what is p99 latency *right now*" — the window forgets old load
-// regimes, which is what a latency panel wants from a long-running
-// daemon.
+// count/sum, and the snapshot estimates quantiles over the window. A
+// Rolling answers "what is p99 latency *right now*" — the window
+// forgets old load regimes, which is what a latency panel wants from a
+// long-running daemon.
 //
 // The nil Rolling (from a nil Recorder) discards writes. Observe on an
 // enabled Rolling is mutex-guarded and allocation-free after
@@ -62,40 +60,6 @@ func (ro *Rolling) Observe(v float64) {
 	ro.n++
 	ro.sum += v
 	ro.mu.Unlock()
-}
-
-// Count returns the cumulative observation count (0 on nil).
-func (ro *Rolling) Count() int64 {
-	if ro == nil {
-		return 0
-	}
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	return ro.n
-}
-
-// Quantiles estimates the given quantiles (each in [0, 1]) over the
-// current window with linear interpolation between order statistics.
-// Returns NaNs while the window is empty, nil on a nil receiver.
-func (ro *Rolling) Quantiles(qs ...float64) []float64 {
-	if ro == nil {
-		return nil
-	}
-	ro.mu.Lock()
-	window := append([]float64(nil), ro.buf...)
-	ro.mu.Unlock()
-	out := make([]float64, len(qs))
-	if len(window) == 0 {
-		for i := range out {
-			out[i] = math.NaN()
-		}
-		return out
-	}
-	sort.Float64s(window)
-	for i, q := range qs {
-		out[i] = quantileSorted(window, q)
-	}
-	return out
 }
 
 // quantileSorted reads quantile q from an ascending-sorted window using

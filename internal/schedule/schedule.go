@@ -156,15 +156,6 @@ func RelayUninformedProb(g *tveg.Graph, s Schedule, src tvg.NodeID, j int) float
 	return p
 }
 
-// UninformedProbs evaluates p_{i,t} for every node at once.
-func UninformedProbs(g *tveg.Graph, s Schedule, src tvg.NodeID, t float64) []float64 {
-	out := make([]float64, g.N())
-	for i := range out {
-		out[i] = UninformedProb(g, s, src, tvg.NodeID(i), t)
-	}
-	return out
-}
-
 // Violation describes a broken feasibility condition.
 type Violation struct {
 	Condition int // 1..4 as in §IV

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/interval"
 	"repro/internal/tveg"
+	"repro/internal/tvg"
 )
 
 func iv(a, b float64) interval.Interval { return interval.Interval{Start: a, End: b} }
@@ -98,9 +99,10 @@ func TestUninformedProbs(t *testing.T) {
 	g := chainGraph(tveg.Static)
 	w01 := g.MinCost(0, 1, 5)
 	s := Schedule{{0, 5, w01}}
-	ps := UninformedProbs(g, s, 0, 50)
-	if ps[0] != 0 || ps[1] != 0 || ps[2] != 1 {
-		t.Errorf("UninformedProbs = %v, want [0 0 1]", ps)
+	for i, want := range []float64{0, 0, 1} {
+		if p := UninformedProb(g, s, 0, tvg.NodeID(i), 50); p != want {
+			t.Errorf("UninformedProb(v%d) = %g, want %g", i, p, want)
+		}
 	}
 }
 

@@ -162,36 +162,3 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 	}
 	return res
 }
-
-// InformedTimes runs a single deterministic execution on a static graph
-// and returns each node's reception time (+Inf when never informed).
-// It panics on fading graphs, where reception is probabilistic.
-func InformedTimes(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID) []float64 {
-	if g.Model.Fading() {
-		panic("sim: InformedTimes requires a static channel model")
-	}
-	ordered := make(schedule.Schedule, len(s))
-	copy(ordered, s)
-	ordered.SortByTime()
-	times := make([]float64, g.N())
-	for i := range times {
-		times[i] = math.Inf(1)
-	}
-	times[src] = 0
-	tau := g.Tau()
-	for _, x := range ordered {
-		if times[x.Relay] > x.T+schedule.TimeTol {
-			continue // packet not yet arrived at the relay (unified τ rule)
-		}
-		for _, j := range g.EverNeighbors(x.Relay) {
-			if !g.RhoTau(x.Relay, j, x.T) {
-				continue
-			}
-			//tmedbvet:ignore floateq min-arrival relaxation, not a feasibility gate: an exact < keeps the earliest reception time
-			if g.EDAt(x.Relay, j, x.T).FailureProb(x.W) == 0 && x.T+tau < times[j] {
-				times[j] = x.T + tau
-			}
-		}
-	}
-	return times
-}

@@ -142,27 +142,6 @@ func TestFRBeatsNonFRDeliveryUnderFading(t *testing.T) {
 	}
 }
 
-func TestInformedTimes(t *testing.T) {
-	g := chain(tveg.Static)
-	w01 := g.MinCost(0, 1, 10)
-	w12 := g.MinCost(1, 2, 20)
-	s := schedule.Schedule{{Relay: 0, T: 10, W: w01}, {Relay: 1, T: 20, W: w12}}
-	times := InformedTimes(g, s, 0)
-	if times[0] != 0 || times[1] != 10 || times[2] != 20 {
-		t.Errorf("times = %v, want [0 10 20]", times)
-	}
-}
-
-func TestInformedTimesPanicsOnFading(t *testing.T) {
-	g := chain(tveg.RayleighFading)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	InformedTimes(g, nil, 0)
-}
-
 // tauChain builds 0—1—2 with always-alive contacts and the given τ.
 func tauChain(m tveg.Model, tau float64) *tveg.Graph {
 	g := tveg.New(3, iv(0, 100), tau, tveg.DefaultParams(), m)
@@ -194,26 +173,6 @@ func TestEvaluatePrematureRelayTauPositive(t *testing.T) {
 	}
 	if res := Evaluate(g, legal, 0, 1, rand.New(rand.NewSource(1))); res.MeanDelivery != 1 {
 		t.Errorf("non-stop chain: delivery %g, want 1", res.MeanDelivery)
-	}
-}
-
-// TestInformedTimesTauArrivalGate: same fixture, deterministic executor.
-func TestInformedTimesTauArrivalGate(t *testing.T) {
-	g := tauChain(tveg.Static, 5)
-	premature := schedule.Schedule{
-		{Relay: 0, T: 10, W: g.MinCost(0, 1, 10)},
-		{Relay: 1, T: 12, W: g.MinCost(1, 2, 12)},
-	}
-	times := InformedTimes(g, premature, 0)
-	if times[1] != 15 {
-		t.Errorf("v1 informed at %g, want 15", times[1])
-	}
-	if !math.IsInf(times[2], 1) {
-		t.Errorf("v2 informed at %g, want never (relay mute during flight)", times[2])
-	}
-	legal := schedule.Schedule{premature[0], {Relay: 1, T: 15, W: g.MinCost(1, 2, 15)}}
-	if times := InformedTimes(g, legal, 0); times[2] != 20 {
-		t.Errorf("v2 informed at %g, want 20", times[2])
 	}
 }
 

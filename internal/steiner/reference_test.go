@@ -157,7 +157,10 @@ func reachable(edges map[edgeID]float64, seeds []int, dir func(edgeID) (int, int
 }
 
 func (r *refGreedy) addPath(sol refSolution, u, v int) {
-	p := graph.PathTo32(r.from(u).prev, u, v)
+	p, ok := graph.PathTo32Into(r.from(u).prev, u, v, nil)
+	if !ok {
+		return
+	}
 	for i := 0; i+1 < len(p); i++ {
 		w := math.Inf(1)
 		for ei := r.g.Off[p[i]]; ei < r.g.Off[p[i]+1]; ei++ {

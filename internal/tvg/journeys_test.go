@@ -143,9 +143,6 @@ func TestReachabilityUnboundedWindow(t *testing.T) {
 	if want := []bool{true, true, false}; !slices.Equal(r, want) {
 		t.Errorf("Reachability(0, 0, +Inf) = %v, want %v", r, want)
 	}
-	if c := g.TemporalCloseness(0, math.Inf(1)); c[2] != 0 {
-		t.Errorf("TemporalCloseness(0, +Inf)[2] = %g, want 0 for the isolated node", c[2])
-	}
 }
 
 func TestReachabilityMatrix(t *testing.T) {

@@ -184,18 +184,6 @@ func (g *Graph) EverNeighbors(i NodeID) []NodeID {
 	return g.neighbors[i]
 }
 
-// NeighborsAt appends to dst the nodes adjacent to i at time t (in the
-// ρ_τ sense) and returns the extended slice, sorted.
-func (g *Graph) NeighborsAt(i NodeID, t float64, dst []NodeID) []NodeID {
-	g.checkNode(i)
-	for k, s := range g.pres[i] {
-		if s.ContainsWindow(t, g.tau) {
-			dst = append(dst, g.neighbors[i][k])
-		}
-	}
-	return dst
-}
-
 // DegreeAt returns the number of nodes adjacent to i at time t.
 func (g *Graph) DegreeAt(i NodeID, t float64) int {
 	g.checkNode(i)
