@@ -273,6 +273,46 @@ func BenchmarkMonteCarloEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkExecuteDES times one discrete-event realization with the
+// collision model on, at the 8 ms airtime of the executor goldens, on
+// the Monte Carlo benchmark's plan.
+func BenchmarkExecuteDES(b *testing.B) {
+	g := benchGraph(Rayleigh)
+	s, err := (FREEDCB{}).Schedule(g, 0, 9000, 11000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := ExecOptions{Airtime: 0.008, Interference: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var delivered, collisions int
+	for i := 0; i < b.N; i++ {
+		res, err := ExecuteDES(g, s, 0, 9000, opts, int64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered += res.Delivered
+		collisions += res.Collisions
+	}
+	b.ReportMetric(float64(delivered)/float64(b.N), "delivered/op")
+	b.ReportMetric(float64(collisions)/float64(b.N), "collisions/op")
+}
+
+// BenchmarkEvaluateWithInterference times the collision Monte Carlo
+// evaluator at 200 trials on the same plan.
+func BenchmarkEvaluateWithInterference(b *testing.B) {
+	g := benchGraph(Rayleigh)
+	s, err := (FREEDCB{}).Schedule(g, 0, 9000, 11000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		EvaluateWithInterference(g, s, 0, 0.008, 200, 1)
+	}
+}
+
 func BenchmarkRayleighEDFunction(b *testing.B) {
 	ed := channel.Rayleigh{Beta: 1e-18}
 	b.ResetTimer()

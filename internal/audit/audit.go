@@ -15,10 +15,12 @@
 // The differential oracle (oracle.go) runs randomized (graph, schedule,
 // τ) cases through every executor and fails loudly on any disagreement
 // about who is informed when, which transmissions fire, consumed energy,
-// or feasibility verdicts. Fading channels are made comparable by
-// driving the Monte Carlo executors with the ForceSuccess source, under
-// which a reception succeeds iff its failure probability is at most
-// MaxDraw — exactly the reference executor's default Decide rule.
+// or feasibility verdicts, and on any node informed before its
+// foremost-journey arrival (the delay oracle). Fading channels are made
+// comparable by driving the Monte Carlo executors with the ForceSuccess
+// source, under which a reception succeeds iff its failure probability
+// is at most MaxDraw — exactly the reference executor's default Decide
+// rule.
 package audit
 
 import (

@@ -182,7 +182,9 @@ func plannerSchedule(rng *rand.Rand, g *tveg.Graph, src tvg.NodeID, t0, deadline
 // CompareSchedule runs one (graph, schedule) instance through the
 // reference executor, sim.Evaluate, des.Execute, schedule.CheckFeasible,
 // and the independent Feasibility check, and returns one line per
-// disagreement (nil when all executors agree).
+// disagreement (nil when all executors agree). It also holds the
+// reference and des.Execute to the delay oracle: no node is informed
+// before its foremost-journey arrival.
 func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, deadline, costBound float64) []string {
 	var diffs []string
 	report := func(format string, args ...any) {
@@ -191,6 +193,21 @@ func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, dea
 	ref := Execute(g, s, src, Options{T0: t0})
 	n := g.N()
 	gamma := g.Params.GammaTh
+
+	// Delay oracle: a packet travels along a journey, so no executor can
+	// inform a node before the foremost journey from (src, t0) arrives.
+	// EarliestArrivals reaches ρ_τ through eroded presence, not through
+	// the executors' shared window test, so a ρ_τ fault they all share
+	// shows here. No slack: the bound is exact.
+	foremost := g.EarliestArrivals(src, t0)
+	early := func(executor string, informedAt []float64) {
+		for i, t := range informedAt {
+			if t < foremost[i] {
+				report("%s informs v%d at %g, before its foremost arrival %g", executor, i, t, foremost[i])
+			}
+		}
+	}
+	early("reference", ref.RecvAt)
 
 	// sim.Evaluate under forced success: delivery and consumed energy.
 	ev := sim.Evaluate(g, s, src, 1, ForceSuccess())
@@ -208,6 +225,7 @@ func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, dea
 	if err != nil {
 		report("des.Execute failed: %v", err)
 	} else {
+		early("des.Execute", dres.InformedAt)
 		for i := 0; i < n; i++ {
 			if !closeTime(dres.InformedAt[i], ref.RecvAt[i]) {
 				report("des.Execute informs v%d at %g, reference at %g", i, dres.InformedAt[i], ref.RecvAt[i])

@@ -8,7 +8,10 @@
 // per-node reception timestamps and honors τ > 0 naturally. Relay
 // gating follows the unified τ-propagation rule (schedule.Informs /
 // DESIGN.md "Execution semantics"): a node may forward only once its
-// own reception has completed.
+// own reception has completed. A fired transmission's receivers come
+// from one slot walk, tvg.InRange; a reception's failure probability is
+// computed once, when its airtime ends at a node still lacking the
+// packet.
 package des
 
 import (
@@ -85,14 +88,15 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 	res.InformedAt[src] = start
 
 	// audible[j] = number of concurrently audible transmitters at j;
-	// current[j] is j's ongoing candidate reception, corrupted once a
-	// second transmitter is audible.
+	// current[j] is j's ongoing candidate reception while active,
+	// corrupted once a second transmitter is audible.
 	audible := make([]int, n)
 	type reception struct {
 		tx        schedule.Transmission
+		active    bool
 		corrupted bool
 	}
-	current := make([]*reception, n)
+	current := make([]reception, n)
 	// rx holds each fired transmission's in-range receivers, found once
 	// when it fires: RhoTau(relay, j, T) depends only on the
 	// transmission, so the end of its airtime reuses the list.
@@ -124,11 +128,11 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 				tx := x
 				if opts.Interference {
 					audible[j]--
-					cur := current[j]
-					if cur == nil || cur.tx.Relay != x.Relay {
+					cur := &current[j]
+					if !cur.active || cur.tx.Relay != x.Relay {
 						continue
 					}
-					current[j] = nil
+					cur.active = false
 					if cur.corrupted {
 						continue
 					}
@@ -158,33 +162,24 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, start float64, 
 		txFired.Inc()
 		res.ConsumedEnergy += x.W
 		lo := len(rx)
-		for _, j := range g.EverNeighbors(x.Relay) {
-			if !g.RhoTau(x.Relay, j, x.T) {
-				continue
-			}
-			rx = append(rx, j)
-			if !opts.Interference {
-				continue
-			}
-			// mark the channel busy at j
-			audible[j]++
-			if audible[j] > 1 {
-				// collision: corrupt any ongoing reception too
-				if cur := current[j]; cur != nil && !cur.corrupted {
+		rx = g.InRange(rx, x.Relay, x.T)
+		if opts.Interference {
+			for _, j := range rx[lo:] {
+				// mark the channel busy at j
+				audible[j]++
+				cur := &current[j]
+				if audible[j] > 1 && cur.active && !cur.corrupted {
+					// collision: corrupt any ongoing reception too
 					cur.corrupted = true
 					res.Collisions++
 				}
-			}
-			if res.InformedAt[j] <= x.T {
-				continue // already has the packet
-			}
-			if current[j] == nil {
-				rec := &reception{tx: x}
-				if audible[j] > 1 {
-					rec.corrupted = true
+				if res.InformedAt[j] <= x.T || cur.active {
+					continue // already has the packet, or hears another
+				}
+				*cur = reception{tx: x, active: true, corrupted: audible[j] > 1}
+				if cur.corrupted {
 					res.Collisions++
 				}
-				current[j] = rec
 			}
 		}
 		ends = append(ends, airtimeEnd{t: x.T + airtime, k: k, lo: lo, hi: len(rx)})

@@ -6,12 +6,16 @@
 //
 // The package provides collision detection on schedules, a serializer
 // that shifts colliding transmissions apart within their ET-law
-// equivalence intervals, and a collision-aware Monte Carlo evaluator.
+// equivalence intervals, and a collision-aware Monte Carlo evaluator
+// that finds each cluster's receivers once per call (DESIGN.md §7,
+// "Link walks").
 package interference
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/schedule"
@@ -184,7 +188,14 @@ func coverageUnchanged(g *tveg.Graph, x schedule.Transmission, newT float64) boo
 // simultaneously: a transmission fires only if its relay was informed
 // before the cluster (no decode-and-forward within one airtime), and a
 // receiver in range of two or more fired transmitters of the cluster
-// decodes nothing. Deterministic per rng.
+// decodes nothing. Transmissions at the cluster's first instant always
+// join it, so at τ = 0 with no positive slot simultaneous transmissions
+// still collide, as Detect reports them. Deterministic per rng.
+//
+// Who is in range of whom, and at what failure probability, depends
+// only on (graph, schedule): each cluster's receiver table is built once
+// per call, and a trial only marks which members fire and counts them
+// at each receiver.
 func Evaluate(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, slot float64, trials int, rng *rand.Rand) (meanDelivery float64) {
 	if trials <= 0 {
 		panic(fmt.Sprintf("interference: non-positive trials %d", trials))
@@ -198,61 +209,92 @@ func Evaluate(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, slot float64, 
 		span = slot
 	}
 
-	// Cluster by transitive airtime overlap.
-	var clusters [][]int
+	// A link is one cluster member in range of receiver j: its row k of
+	// ordered and its failure probability at j.
+	type link struct {
+		j       tvg.NodeID
+		k       int
+		failure float64
+	}
+	// Cluster c is the rows ordered[lo:hi] (transitive airtime overlap)
+	// and its receivers recv[rlo:rhi], ascending; receiver r hears the
+	// members links[off[r]:off[r+1]], in cluster order.
+	type cluster struct{ lo, hi, rlo, rhi int }
+	var (
+		clusters []cluster
+		recv     []tvg.NodeID
+		off      []int
+		links    []link
+		rx       []tvg.NodeID
+	)
 	for k := 0; k < len(ordered); {
 		end := ordered[k].T + span
-		cl := []int{k}
 		l := k + 1
-		for l < len(ordered) && ordered[l].T < end {
+		for l < len(ordered) && (ordered[l].T < end || ordered[l].T == ordered[k].T) {
 			if t := ordered[l].T + span; t > end {
 				end = t
 			}
-			cl = append(cl, l)
 			l++
 		}
-		clusters = append(clusters, cl)
+		start := len(links)
+		for m := k; m < l; m++ {
+			x := ordered[m]
+			rx = g.InRange(rx[:0], x.Relay, x.T)
+			for _, j := range rx {
+				links = append(links, link{j, m, g.EDAt(x.Relay, j, x.T).FailureProb(x.W)})
+			}
+		}
+		// Members were appended in cluster order; the stable sort keeps
+		// that order within each receiver.
+		cl := links[start:]
+		slices.SortStableFunc(cl, func(a, b link) int { return cmp.Compare(a.j, b.j) })
+		c := cluster{lo: k, hi: l, rlo: len(recv)}
+		for p, x := range cl {
+			if p == 0 || x.j != cl[p-1].j {
+				recv = append(recv, x.j)
+				off = append(off, start+p)
+			}
+		}
+		c.rhi = len(recv)
+		clusters = append(clusters, c)
 		k = l
 	}
+	off = append(off, len(links))
 
 	informed := make([]bool, g.N())
+	fires := make([]bool, len(ordered))
 	var sum float64
 	for trial := 0; trial < trials; trial++ {
-		for i := range informed {
-			informed[i] = false
-		}
+		clear(informed)
 		informed[src] = true
-		for _, cl := range clusters {
+		for _, c := range clusters {
 			// Phase 1: decide who fires from the pre-cluster state.
-			fired := cl[:0:0]
-			for _, k := range cl {
-				if informed[ordered[k].Relay] {
-					fired = append(fired, k)
-				}
+			for k := c.lo; k < c.hi; k++ {
+				fires[k] = informed[ordered[k].Relay]
 			}
 			// Phase 2: deliveries with collisions.
-			for j := 0; j < g.N(); j++ {
-				nj := tvg.NodeID(j)
-				if informed[nj] {
+			for r := c.rlo; r < c.rhi; r++ {
+				j := recv[r]
+				if informed[j] {
 					continue
 				}
 				heard := -1
-				count := 0
-				for _, k := range fired {
-					x := ordered[k]
-					if x.Relay == nj || !g.RhoTau(x.Relay, nj, x.T) {
+				for h := off[r]; h < off[r+1]; h++ {
+					if !fires[links[h].k] {
 						continue
 					}
-					count++
-					heard = k
+					if heard >= 0 {
+						heard = -1 // collision
+						break
+					}
+					heard = h
 				}
-				if count != 1 {
+				if heard < 0 {
 					continue // silence or collision
 				}
-				x := ordered[heard]
-				failure := g.EDAt(x.Relay, nj, x.T).FailureProb(x.W)
+				failure := links[heard].failure
 				if failure <= 0 || rng.Float64() >= failure {
-					informed[nj] = true
+					informed[j] = true
 				}
 			}
 		}

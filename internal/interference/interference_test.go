@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/interval"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
+	"repro/internal/tvg"
 )
 
 func iv(a, b float64) interval.Interval { return interval.Interval{Start: a, End: b} }
@@ -110,6 +112,9 @@ func TestSerializeFailsAtIntervalEdge(t *testing.T) {
 	}
 }
 
+// The two gadgets below run at slot 0 as well: with τ = 0 the span is
+// then zero, and equal-time transmissions must still share a cluster.
+
 func TestEvaluateCollisionKillsSharedReceiver(t *testing.T) {
 	// Hidden-terminal gadget: 0 informs 1 through an early private
 	// contact, then 0 and 1 transmit simultaneously. Receivers 3 and 4
@@ -127,20 +132,22 @@ func TestEvaluateCollisionKillsSharedReceiver(t *testing.T) {
 		{Relay: 0, T: 10, W: w2}, // collides with next at receiver 2
 		{Relay: 1, T: 10, W: w2},
 	}
-	got := Evaluate(g2, s, 0, 1, 200, rand.New(rand.NewSource(1)))
-	// informed: 0 (src), 1 (early), 3 (hears only 0), 4 (hears only 1);
-	// 2 collides → 4/5
-	if math.Abs(got-0.8) > 1e-9 {
-		t.Errorf("delivery = %g, want 0.8 (receiver 2 collided)", got)
-	}
 	// serializing repairs it
 	fixed, err := Serialize(g2, s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = Evaluate(g2, fixed, 0, 1, 200, rand.New(rand.NewSource(1)))
-	if got != 1 {
-		t.Errorf("serialized delivery = %g, want 1", got)
+	for _, slot := range []float64{1, 0} {
+		got := Evaluate(g2, s, 0, slot, 200, rand.New(rand.NewSource(1)))
+		// informed: 0 (src), 1 (early), 3 (hears only 0), 4 (hears only 1);
+		// 2 collides → 4/5
+		if math.Abs(got-0.8) > 1e-9 {
+			t.Errorf("slot %g: delivery = %g, want 0.8 (receiver 2 collided)", slot, got)
+		}
+		got = Evaluate(g2, fixed, 0, slot, 200, rand.New(rand.NewSource(1)))
+		if got != 1 {
+			t.Errorf("slot %g: serialized delivery = %g, want 1", slot, got)
+		}
 	}
 }
 
@@ -151,19 +158,21 @@ func TestEvaluateNoIntraClusterForwarding(t *testing.T) {
 	g.AddContact(0, 1, iv(0, 100), 5)
 	g.AddContact(1, 2, iv(0, 100), 5)
 	w := sufficientW(g)
-	s := schedule.Schedule{
-		{Relay: 0, T: 10, W: w},
-		{Relay: 1, T: 10, W: w},
-	}
-	got := Evaluate(g, s, 0, 1, 100, rand.New(rand.NewSource(1)))
-	if math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("delivery = %g, want 2/3 (no same-slot forwarding)", got)
-	}
-	// separated by a slot, the chain completes
-	s[1].T = 12
-	got = Evaluate(g, s, 0, 1, 100, rand.New(rand.NewSource(1)))
-	if got != 1 {
-		t.Errorf("delivery = %g, want 1", got)
+	for _, slot := range []float64{1, 0} {
+		s := schedule.Schedule{
+			{Relay: 0, T: 10, W: w},
+			{Relay: 1, T: 10, W: w},
+		}
+		got := Evaluate(g, s, 0, slot, 100, rand.New(rand.NewSource(1)))
+		if math.Abs(got-2.0/3) > 1e-9 {
+			t.Errorf("slot %g: delivery = %g, want 2/3 (no same-slot forwarding)", slot, got)
+		}
+		// separated by a slot, the chain completes
+		s[1].T = 12
+		got = Evaluate(g, s, 0, slot, 100, rand.New(rand.NewSource(1)))
+		if got != 1 {
+			t.Errorf("slot %g: delivery = %g, want 1", slot, got)
+		}
 	}
 }
 
@@ -175,4 +184,145 @@ func TestEvaluatePanics(t *testing.T) {
 		}
 	}()
 	Evaluate(g, nil, 0, 1, 0, rand.New(rand.NewSource(1)))
+}
+
+// perTrialScan is the collision evaluator as a plain per-trial scan:
+// every trial asks RhoTau for every (fired transmission, uninformed
+// node) pair and EDAt for every node that hears exactly one. It is the
+// oracle of Evaluate's per-cluster receiver tables, with the same
+// clustering rule.
+func perTrialScan(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, slot float64, trials int, rng *rand.Rand) float64 {
+	ordered := make(schedule.Schedule, len(s))
+	copy(ordered, s)
+	ordered.SortByTime()
+	span := g.Tau()
+	if span < slot {
+		span = slot
+	}
+	var clusters [][]int
+	for k := 0; k < len(ordered); {
+		end := ordered[k].T + span
+		cl := []int{k}
+		l := k + 1
+		for l < len(ordered) && (ordered[l].T < end || ordered[l].T == ordered[k].T) {
+			if t := ordered[l].T + span; t > end {
+				end = t
+			}
+			cl = append(cl, l)
+			l++
+		}
+		clusters = append(clusters, cl)
+		k = l
+	}
+	informed := make([]bool, g.N())
+	var sum float64
+	for trial := 0; trial < trials; trial++ {
+		for i := range informed {
+			informed[i] = false
+		}
+		informed[src] = true
+		for _, cl := range clusters {
+			var fired []int
+			for _, k := range cl {
+				if informed[ordered[k].Relay] {
+					fired = append(fired, k)
+				}
+			}
+			for j := 0; j < g.N(); j++ {
+				nj := tvg.NodeID(j)
+				if informed[nj] {
+					continue
+				}
+				heard, count := -1, 0
+				for _, k := range fired {
+					x := ordered[k]
+					if x.Relay != nj && g.RhoTau(x.Relay, nj, x.T) {
+						count++
+						heard = k
+					}
+				}
+				if count != 1 {
+					continue
+				}
+				x := ordered[heard]
+				failure := g.EDAt(x.Relay, nj, x.T).FailureProb(x.W)
+				if failure <= 0 || rng.Float64() >= failure {
+					informed[nj] = true
+				}
+			}
+		}
+		delivered := 0
+		for _, ok := range informed {
+			if ok {
+				delivered++
+			}
+		}
+		sum += float64(delivered) / float64(g.N())
+	}
+	return sum / float64(trials)
+}
+
+// sameAsPerTrialScan runs Evaluate and the oracle on one audit case with
+// equally seeded streams and reports a mismatch of the mean delivery's
+// bits.
+func sameAsPerTrialScan(t *testing.T, c audit.Case, slot float64, trials int) {
+	t.Helper()
+	got := Evaluate(c.Graph, c.Schedule, c.Src, slot, trials, rand.New(rand.NewSource(c.Seed)))
+	want := perTrialScan(c.Graph, c.Schedule, c.Src, slot, trials, rand.New(rand.NewSource(c.Seed)))
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%v slot %g trials %d: Evaluate %v, per-trial scan %v", c, slot, trials, got, want)
+	}
+}
+
+// TestEvaluateMatchesPerTrialScan pins the receiver tables bit for bit
+// to the per-trial scan on the differential audit's generated cases:
+// both channel models, τ ∈ {0, 0.5, 7}, equal-time groups, and slots
+// from zero (equal-time clusters only) to ten seconds (long chains of
+// overlapping airtimes).
+func TestEvaluateMatchesPerTrialScan(t *testing.T) {
+	taus, models := map[float64]bool{}, map[tveg.Model]bool{}
+	for seed := int64(1); seed <= 300; seed++ {
+		c := audit.GenerateCase(seed)
+		taus[c.Graph.Tau()] = true
+		models[c.Graph.Model] = true
+		for _, slot := range []float64{0, 0.008, 1, 10} {
+			for _, trials := range []int{1, 37} {
+				sameAsPerTrialScan(t, c, slot, trials)
+			}
+		}
+	}
+	if len(taus) != 3 || !models[tveg.Static] || !models[tveg.RayleighFading] {
+		t.Fatalf("cases cover τ %v and models %v, want τ ∈ {0, 0.5, 7}, Static and Rayleigh", taus, models)
+	}
+}
+
+// FuzzEvaluateMatchesPerTrialScan drives the same comparison from fuzzed
+// seeds, slots (zero, negative, NaN and infinite included) and trial
+// counts. The audit generator owns the graph and the schedule, so the
+// three values reproduce any failure.
+func FuzzEvaluateMatchesPerTrialScan(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, 0.008, uint8(37))
+		f.Add(seed, 0.0, uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, slot float64, trials uint8) {
+		sameAsPerTrialScan(t, audit.GenerateCase(seed), slot, 1+int(trials)%64)
+	})
+}
+
+// TestEvaluateTrialsAllocateNothing: the receiver tables are built once
+// per call, so a call allocates as much at 200 trials as at one.
+func TestEvaluateTrialsAllocateNothing(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		c := audit.GenerateCase(seed)
+		rng := rand.New(rand.NewSource(seed))
+		allocs := func(trials int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				Evaluate(c.Graph, c.Schedule, c.Src, 0.008, trials, rng)
+			})
+		}
+		if one, many := allocs(1), allocs(200); one != many {
+			t.Fatalf("%v: %g allocations at 1 trial, %g at 200", c, one, many)
+		}
+	}
 }

@@ -95,12 +95,12 @@ func EvaluateObs(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, trials int,
 		failure float64
 	}
 	var links []link
+	rx := make([]tvg.NodeID, 0, g.N())
 	off := make([]int, len(ordered)+1)
 	for k, x := range ordered {
-		for _, j := range g.EverNeighbors(x.Relay) {
-			if g.RhoTau(x.Relay, j, x.T) {
-				links = append(links, link{j, g.EDAt(x.Relay, j, x.T).FailureProb(x.W)})
-			}
+		rx = g.InRange(rx[:0], x.Relay, x.T)
+		for _, j := range rx {
+			links = append(links, link{j, g.EDAt(x.Relay, j, x.T).FailureProb(x.W)})
 		}
 		off[k+1] = len(links)
 	}

@@ -184,6 +184,20 @@ func (g *Graph) EverNeighbors(i NodeID) []NodeID {
 	return g.neighbors[i]
 }
 
+// InRange appends to dst every j with RhoTau(i, j, t), in EverNeighbors
+// order, and returns the extended slice: the receivers of a
+// transmission by i at t. It walks i's presence slots beside its
+// neighbor list, so no pair is looked up.
+func (g *Graph) InRange(dst []NodeID, i NodeID, t float64) []NodeID {
+	g.checkNode(i)
+	for k, s := range g.pres[i] {
+		if s.ContainsWindow(t, g.tau) {
+			dst = append(dst, g.neighbors[i][k])
+		}
+	}
+	return dst
+}
+
 // DegreeAt returns the number of nodes adjacent to i at time t.
 func (g *Graph) DegreeAt(i NodeID, t float64) int {
 	g.checkNode(i)

@@ -104,6 +104,62 @@ func TestNeighborsAt(t *testing.T) {
 	}
 }
 
+// TestInRangeMatchesRhoTau checks the slot walk against the pairwise
+// ρ_τ oracle at every presence boundary, one ulp either side of it and
+// at its τ flip point End-τ, before and after seeded edits that add,
+// clip and delete presence, including removals that empty a pair and
+// drop its slot. InRange must also keep what dst already held.
+func TestInRangeMatchesRhoTau(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	slotsDropped := 0
+	for _, tau := range []float64{0, 0.5, 7} {
+		for trial := 0; trial < 10; trial++ {
+			g := randomGraph(r, 7, tau)
+			check := func(stage string) {
+				for i := NodeID(0); i < NodeID(g.N()); i++ {
+					var ts []float64
+					for _, j := range g.EverNeighbors(i) {
+						for _, p := range g.Presence(i, j).Intervals() {
+							for _, x := range []float64{p.Start, p.End, p.End - tau} {
+								ts = append(ts, math.Nextafter(x, math.Inf(-1)), x, math.Nextafter(x, math.Inf(1)))
+							}
+						}
+					}
+					for _, x := range ts {
+						got := g.InRange([]NodeID{-1}, i, x)
+						want := append([]NodeID{-1}, neighborsAt(g, i, x)...)
+						if !slices.Equal(got, want) {
+							t.Fatalf("τ=%g trial %d %s: InRange(%d, %v) = %v, want %v", tau, trial, stage, i, x, got[1:], want[1:])
+						}
+					}
+				}
+			}
+			check("built")
+			for e := 0; e < 30; e++ {
+				i, j := NodeID(r.Intn(7)), NodeID(r.Intn(7))
+				if i == j {
+					continue
+				}
+				start := r.Float64() * 900
+				switch r.Intn(3) {
+				case 0:
+					g.AddContact(i, j, iv(start, start+5+r.Float64()*60))
+				case 1:
+					g.RemoveContact(i, j, iv(start, start+5+r.Float64()*60))
+				default:
+					if g.RemoveContact(i, j, g.Span()) {
+						slotsDropped++
+					}
+				}
+			}
+			check("edited")
+		}
+	}
+	if slotsDropped == 0 {
+		t.Fatal("no edit emptied a pair")
+	}
+}
+
 func TestDegreeAndAverageDegree(t *testing.T) {
 	g := lineGraph()
 	if d := g.DegreeAt(1, 27); d != 2 {
