@@ -28,6 +28,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/tveg"
 )
 
 func main() {
@@ -89,11 +91,11 @@ func main() {
 		return
 	}
 
-	model, err := parseModel(*modelName)
+	model, err := tveg.ParseModel(strings.ToLower(*modelName))
 	if err != nil {
 		fatal(err)
 	}
-	alg, err := parseAlg(*algName, *level, *seed, *workers, rec)
+	alg, err := core.New(*algName, *level, *seed, *workers, rec)
 	if err != nil {
 		fatal(err)
 	}
@@ -327,38 +329,6 @@ func validateFlags(c flagConfig) error {
 		return fmt.Errorf("-deadline (degradation ladder) does not support -targets multicast")
 	}
 	return nil
-}
-
-func parseModel(s string) (tmedb.Model, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return tmedb.Static, nil
-	case "rayleigh":
-		return tmedb.Rayleigh, nil
-	case "rician":
-		return tmedb.Rician, nil
-	case "nakagami":
-		return tmedb.Nakagami, nil
-	}
-	return 0, fmt.Errorf("unknown model %q", s)
-}
-
-func parseAlg(s string, level int, seed int64, workers int, rec *tmedb.Recorder) (tmedb.Scheduler, error) {
-	switch strings.ToLower(s) {
-	case "eedcb":
-		return tmedb.EEDCB{Level: level, Workers: workers, Obs: rec}, nil
-	case "greed":
-		return tmedb.Greedy{Obs: rec}, nil
-	case "rand":
-		return tmedb.Random{Seed: seed, Obs: rec}, nil
-	case "fr-eedcb":
-		return tmedb.FREEDCB{Level: level, Workers: workers, Obs: rec}, nil
-	case "fr-greed":
-		return tmedb.FRGreedy{Workers: workers, Obs: rec}, nil
-	case "fr-rand":
-		return tmedb.FRRandom{Seed: seed, Workers: workers, Obs: rec}, nil
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func parseTargets(s string, n int) ([]tmedb.NodeID, error) {

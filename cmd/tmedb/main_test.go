@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro"
 )
 
 // validFlags returns a flagConfig mirroring the flag defaults, which
@@ -78,37 +76,6 @@ func TestValidateFlagsAcceptsLadderWithDeadline(t *testing.T) {
 	cfg.trials = 0  // plan-only runs skip evaluation
 	if err := validateFlags(cfg); err != nil {
 		t.Fatalf("boundary values rejected: %v", err)
-	}
-}
-
-func TestParseModel(t *testing.T) {
-	for s, want := range map[string]tmedb.Model{
-		"static": tmedb.Static, "rayleigh": tmedb.Rayleigh,
-		"RICIAN": tmedb.Rician, "Nakagami": tmedb.Nakagami,
-	} {
-		got, err := parseModel(s)
-		if err != nil || got != want {
-			t.Errorf("parseModel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := parseModel("awgn"); err == nil {
-		t.Error("parseModel(awgn) succeeded")
-	}
-}
-
-func TestParseAlg(t *testing.T) {
-	for _, s := range []string{"eedcb", "greed", "rand", "fr-eedcb", "fr-greed", "fr-rand"} {
-		alg, err := parseAlg(s, 2, 1, 1, nil)
-		if err != nil {
-			t.Errorf("parseAlg(%q): %v", s, err)
-			continue
-		}
-		if !strings.EqualFold(alg.Name(), s) {
-			t.Errorf("parseAlg(%q).Name() = %q", s, alg.Name())
-		}
-	}
-	if _, err := parseAlg("mst", 2, 1, 1, nil); err == nil {
-		t.Error("parseAlg(mst) succeeded")
 	}
 }
 

@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/tveg"
 )
 
 // editBody builds a POST /edit body for a synthetic-trace instance.
@@ -60,7 +62,7 @@ func postEdit(client *http.Client, url string, body []byte) (int, solveResponse,
 func expectedEdited(t *testing.T, in instance, edits []editSpec) tmedb.Schedule {
 	t.Helper()
 	tr := tmedb.GenerateTrace(tmedb.TraceOptions{N: in.n}, in.seed)
-	model, err := parseModel(in.model)
+	model, err := tveg.ParseModel(in.model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +72,10 @@ func expectedEdited(t *testing.T, in instance, edits []editSpec) tmedb.Schedule 
 			t.Fatalf("replay edit %d: %v", k, err)
 		}
 	}
-	req := solveRequest{Alg: in.alg, Seed: in.seed}
-	alg := (&server{cfg: defaultConfig()}).planner(&req, 1, nil)
+	alg, err := core.New(in.alg, 2, in.seed, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched, err := alg.Schedule(g, tmedb.NodeID(in.src), soakT0, soakT0+soakDelay)
 	var inc *tmedb.IncompleteError
 	if err != nil && !errors.As(err, &inc) {

@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/tveg"
 )
 
 // instance is one solve workload the soak compares against a direct
@@ -38,13 +40,15 @@ const (
 func expected(t *testing.T, in instance) tmedb.Schedule {
 	t.Helper()
 	tr := tmedb.GenerateTrace(tmedb.TraceOptions{N: in.n}, in.seed)
-	model, err := parseModel(in.model)
+	model, err := tveg.ParseModel(in.model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := tr.ToTVEG(0, tmedb.DefaultParams(), model)
-	req := solveRequest{Alg: in.alg, Seed: in.seed}
-	alg := (&server{cfg: defaultConfig()}).planner(&req, 1, nil)
+	alg, err := core.New(in.alg, 2, in.seed, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched, err := alg.Schedule(g, tmedb.NodeID(in.src), soakT0, soakT0+soakDelay)
 	var inc *tmedb.IncompleteError
 	if err != nil && !errors.As(err, &inc) {
@@ -455,7 +459,7 @@ func TestOverloadShedsInsteadOfErroring(t *testing.T) {
 				// Degraded, but still model-true feasible: every covered
 				// node is informed by T0+T with residual failure <= ε.
 				tr := tmedb.GenerateTrace(tmedb.TraceOptions{N: r.in.n}, r.in.seed)
-				model, _ := parseModel(r.in.model)
+				model, _ := tveg.ParseModel(r.in.model)
 				g := tr.ToTVEG(0, tmedb.DefaultParams(), model)
 				sched := decodeSchedule(t, r.sr)
 				uncovered := make(map[int]bool, len(r.sr.Incomplete))

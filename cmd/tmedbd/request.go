@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/tveg"
 )
 
 // solveRequest is the JSON body of POST /solve. Exactly one trace source
@@ -62,6 +64,9 @@ type solveRequest struct {
 	// NoCache bypasses the schedule cache for this request (both lookup
 	// and fill).
 	NoCache bool `json:"no_cache,omitempty"`
+
+	// channel is the parsed Model, set by validate.
+	channel tveg.Model
 }
 
 // syntheticRef names a deterministic synthetic trace: GenerateTrace with
@@ -266,10 +271,11 @@ func (r *solveRequest) validate() error {
 			return err
 		}
 	}
-	if _, err := parseModel(r.model()); err != nil {
+	var err error
+	if r.channel, err = tveg.ParseModel(r.model()); err != nil {
 		return err
 	}
-	if !validAlg[r.alg()] {
+	if _, err = core.New(r.alg(), 0, 0, 0, nil); err != nil {
 		return fmt.Errorf("unknown alg %q", r.alg())
 	}
 	return nil
@@ -298,25 +304,6 @@ func (r *solveRequest) level() int {
 
 func (r *solveRequest) budget() time.Duration {
 	return time.Duration(r.DeadlineMS) * time.Millisecond
-}
-
-var validAlg = map[string]bool{
-	"eedcb": true, "greed": true, "rand": true,
-	"fr-eedcb": true, "fr-greed": true, "fr-rand": true,
-}
-
-func parseModel(s string) (tmedb.Model, error) {
-	switch s {
-	case "static":
-		return tmedb.Static, nil
-	case "rayleigh":
-		return tmedb.Rayleigh, nil
-	case "rician":
-		return tmedb.Rician, nil
-	case "nakagami":
-		return tmedb.Nakagami, nil
-	}
-	return 0, fmt.Errorf("unknown model %q", s)
 }
 
 // maxNodes bounds the node count a request may name. A trace is read,

@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/degrade"
 	"repro/internal/lru"
 )
 
@@ -487,11 +489,7 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, st *reqState, rt 
 			return
 		}
 	}
-	model, err := parseModel(req.model())
-	if err != nil {
-		s.fail(st, w, http.StatusBadRequest, err)
-		return
-	}
+	model := req.channel
 	params := solveParams(&req.solveRequest)
 	// ?trace=1 asks for the catapult trace of this solve instead of the
 	// schedule envelope: it forces a per-request recorder and bypasses
@@ -745,10 +743,10 @@ func solveParams(req *solveRequest) tmedb.Params {
 // solveGraph runs the planner stack for one admitted request on its
 // graph: a fresh one on /solve, the live edited instance on /edit.
 // Unshed, unbudgeted requests take the direct path: the requested
-// planner via ScheduleWithContext, byte-identical to a CLI/facade
-// solve. A positive budget or a shed level engages the degradation
-// ladder, which plans model-true (the fading family on fading graphs)
-// so every fallback stays T/ε-feasible. The int result is the number of
+// planner's ScheduleCtx, byte-identical to a CLI/facade solve. A
+// positive budget or a shed level engages the degradation ladder, which
+// plans model-true (the fading family on fading graphs) so every
+// fallback stays T/ε-feasible. The int result is the number of
 // ladder rungs the shed level actually removed — zero when the ladder,
 // already bounded by the requested planner, starts at or below the shed
 // rung.
@@ -769,7 +767,7 @@ func (s *server) solveGraph(ctx context.Context, req *solveRequest, g *tmedb.Gra
 		// must not be upgraded to a full Steiner solve), then shedding
 		// lowers the start further. Only the second trim is load
 		// shedding; shedRungs reports the rungs it actually removed.
-		ladder = tmedb.ShedLadder(ladder, rungFor(req.alg()))
+		ladder = tmedb.ShedLadder(ladder, degrade.RungFor(req.alg()))
 		bounded := len(ladder)
 		ladder = tmedb.ShedLadder(ladder, tmedb.DegradeRung(shed))
 		shedRungs = bounded - len(ladder)
@@ -782,8 +780,10 @@ func (s *server) solveGraph(ctx context.Context, req *solveRequest, g *tmedb.Gra
 			Obs:     rec,
 		})
 	} else {
-		alg := s.planner(req, workers, rec)
-		sched, err = tmedb.ScheduleWithContext(ctx, alg, g, tmedb.NodeID(req.Src), req.T0, deadline)
+		var alg core.Scheduler
+		if alg, err = core.New(req.alg(), req.level(), req.Seed, workers, rec); err == nil {
+			sched, err = alg.ScheduleCtx(ctx, g, tmedb.NodeID(req.Src), req.T0, deadline)
+		}
 	}
 
 	var inc *tmedb.IncompleteError
@@ -811,36 +811,6 @@ func (s *server) effectiveWorkers(ask int) int {
 		return s.cfg.workers
 	}
 	return ask
-}
-
-func (s *server) planner(req *solveRequest, workers int, rec *tmedb.Recorder) tmedb.Scheduler {
-	switch req.alg() {
-	case "eedcb":
-		return tmedb.EEDCB{Level: req.level(), Workers: workers, Obs: rec}
-	case "greed":
-		return tmedb.Greedy{Obs: rec}
-	case "rand":
-		return tmedb.Random{Seed: req.Seed, Obs: rec}
-	case "fr-greed":
-		return tmedb.FRGreedy{Workers: workers, Obs: rec}
-	case "fr-rand":
-		return tmedb.FRRandom{Seed: req.Seed, Workers: workers, Obs: rec}
-	default:
-		return tmedb.FREEDCB{Level: req.level(), Workers: workers, Obs: rec}
-	}
-}
-
-// rungFor maps a requested planner to the best degradation rung it may
-// run at.
-func rungFor(alg string) tmedb.DegradeRung {
-	switch alg {
-	case "greed", "fr-greed":
-		return tmedb.RungGreed
-	case "rand", "fr-rand":
-		return tmedb.RungRand
-	default:
-		return tmedb.RungFull
-	}
 }
 
 // statusClientClosedRequest mirrors nginx's non-standard 499: the client

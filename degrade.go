@@ -7,7 +7,6 @@ import (
 	"context"
 
 	"repro/internal/cancel"
-	"repro/internal/core"
 	"repro/internal/degrade"
 )
 
@@ -22,11 +21,8 @@ var (
 	ErrBudgetExceeded = cancel.ErrBudgetExceeded
 )
 
-// Context-aware planning.
+// The degradation ladder.
 type (
-	// ContextScheduler is a Scheduler whose planning honors context
-	// cancellation and deadlines. All six planners implement it.
-	ContextScheduler = core.ContextScheduler
 	// DegradeOptions tunes the budget-aware degradation ladder.
 	DegradeOptions = degrade.Options
 	// DegradeOutcome reports which ladder rung produced a schedule and
@@ -56,13 +52,11 @@ func DefaultLadder() []DegradeRung { return degrade.DefaultLadder() }
 // the empty string yields the default ladder.
 func ParseLadder(s string) ([]DegradeRung, error) { return degrade.ParseLadder(s) }
 
-// ScheduleWithContext plans under ctx when the scheduler supports
-// cancellation (all six planners do), falling back to the plain
-// uncancellable Schedule otherwise. With a background context the
-// planner takes the exact pre-cancellation code path, so completed
-// solves are byte-identical to Schedule.
+// ScheduleWithContext plans under ctx: it is s.ScheduleCtx. With a
+// background context the planner takes the exact pre-cancellation code
+// path, so completed solves are byte-identical to Schedule.
 func ScheduleWithContext(ctx context.Context, s Scheduler, g *Graph, src NodeID, t0, deadline float64) (Schedule, error) {
-	return core.ScheduleWithContext(ctx, s, g, src, t0, deadline)
+	return s.ScheduleCtx(ctx, g, src, t0, deadline)
 }
 
 // SolveWithLadder plans a broadcast under a total wall-clock budget,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/rng"
@@ -121,21 +122,20 @@ func (f FigureResult) String() string {
 // workers resolves the harness worker knob to a concrete pool size.
 func (cfg ExperimentConfig) workers() int { return parallel.Resolve(cfg.Workers) }
 
-// schedulersFor returns the algorithm set of one §VII comparison family.
+// schedulersFor returns the algorithm set of one §VII comparison family
+// in core.Names order: the FR- planners on fading graphs, the rest on
+// static ones. Every planner runs at the configured Steiner level and
+// worker bound, RAND is seeded by the trace seed, and all record into
+// cfg.Obs.
 func (cfg ExperimentConfig) schedulersFor(fading bool) []Scheduler {
-	w := cfg.workers()
-	if fading {
-		return []Scheduler{
-			FREEDCB{Level: cfg.SteinerLevel, Workers: w, Obs: cfg.Obs},
-			FRGreedy{Workers: w, Obs: cfg.Obs},
-			FRRandom{Seed: cfg.TraceSeed, Workers: w, Obs: cfg.Obs},
+	var algs []Scheduler
+	for _, name := range core.Names {
+		if strings.HasPrefix(name, "FR-") == fading {
+			alg, _ := core.New(name, cfg.SteinerLevel, cfg.TraceSeed, cfg.workers(), cfg.Obs) // a core.Names entry always resolves
+			algs = append(algs, alg)
 		}
 	}
-	return []Scheduler{
-		EEDCB{Level: cfg.SteinerLevel, Workers: w, Obs: cfg.Obs},
-		Greedy{Obs: cfg.Obs},
-		Random{Seed: cfg.TraceSeed, Obs: cfg.Obs},
-	}
+	return algs
 }
 
 // allSchedulers returns all six algorithms (Fig. 6 order).
@@ -179,21 +179,24 @@ func (cfg ExperimentConfig) auditSchedule(alg Scheduler, g *Graph, s Schedule, s
 }
 
 // planSchedule plans one broadcast under the configured per-schedule
-// solve budget (cfg.Deadline; zero or negative plans uncancellable, on
-// the exact pre-cancellation code paths).
+// solve budget (cfg.Deadline; zero or negative plans under
+// context.Background(), the exact pre-cancellation code path).
 func (cfg ExperimentConfig) planSchedule(alg Scheduler, g *Graph, src NodeID, t0, deadline float64) (Schedule, error) {
-	if cfg.Deadline <= 0 {
-		return alg.Schedule(g, src, t0, deadline)
+	ctx := context.Background()
+	if cfg.Deadline > 0 {
+		var cancelFn context.CancelFunc
+		ctx, cancelFn = context.WithTimeout(ctx, cfg.Deadline)
+		defer cancelFn()
 	}
-	ctx, cancelFn := context.WithTimeout(context.Background(), cfg.Deadline)
-	defer cancelFn()
-	return ScheduleWithContext(ctx, alg, g, src, t0, deadline)
+	return alg.ScheduleCtx(ctx, g, src, t0, deadline)
 }
 
 // meanPlannedEnergy runs alg for every configured source and returns the
 // mean normalized planned energy over the sources whose broadcast the
-// planner completed. ok is false when no source completed.
-func (cfg ExperimentConfig) meanPlannedEnergy(alg Scheduler, g *Graph, t0, deadline float64) (float64, bool) {
+// planner completed, or NaN when none did. A partial coverage
+// (*IncompleteError) is not comparable on energy and counts as not
+// completed, as does any other planner error.
+func (cfg ExperimentConfig) meanPlannedEnergy(alg Scheduler, g *Graph, t0, deadline float64) float64 {
 	var energies []float64
 	for _, src := range cfg.Sources {
 		if int(src) >= g.N() {
@@ -201,19 +204,37 @@ func (cfg ExperimentConfig) meanPlannedEnergy(alg Scheduler, g *Graph, t0, deadl
 		}
 		s, err := cfg.planSchedule(alg, g, src, t0, deadline)
 		if err != nil {
-			var ie *IncompleteError
-			if errors.As(err, &ie) {
-				continue // partial coverage: not comparable on energy
-			}
 			continue
 		}
 		cfg.auditSchedule(alg, g, s, src, t0, deadline)
 		energies = append(energies, s.NormalizedCost(g.Params.GammaTh))
 	}
 	if len(energies) == 0 {
-		return math.NaN(), false
+		return math.NaN()
 	}
-	return stats.Mean(energies), true
+	return stats.Mean(energies)
+}
+
+// energySeries fans meanPlannedEnergy out over xs, planning alg on g
+// over the window that window(x) returns for each x, and collects the
+// labelled series of mean energies.
+func (cfg ExperimentConfig) energySeries(label string, alg Scheduler, g *Graph, xs []float64, window func(x float64) (t0, deadline float64)) *Series {
+	ys := make([]float64, len(xs))
+	runParallel(cfg.workers(), len(xs), func(i int) {
+		t0, deadline := window(xs[i])
+		ys[i] = cfg.meanPlannedEnergy(alg, g, t0, deadline)
+	})
+	s := &Series{Label: label}
+	for i, x := range xs {
+		s.Add(x, ys[i])
+	}
+	return s
+}
+
+// delayWindow is the window of a delay sweep's point d: released at
+// cfg.T0, due d seconds later.
+func (cfg ExperimentConfig) delayWindow(d float64) (t0, deadline float64) {
+	return cfg.T0, cfg.T0 + d
 }
 
 // Fig4 regenerates Fig. 4(a) (model == Static) or Fig. 4(b) (model ==
@@ -221,35 +242,18 @@ func (cfg ExperimentConfig) meanPlannedEnergy(alg Scheduler, g *Graph, t0, deadl
 // constraint, one series per network size N ∈ Ns (clipped to the three
 // smallest, as in the paper).
 func Fig4(cfg ExperimentConfig, model Model) FigureResult {
-	alg := Scheduler(EEDCB{Level: cfg.SteinerLevel, Workers: cfg.workers(), Obs: cfg.Obs})
-	name := "EEDCB"
-	if model.Fading() {
-		alg = FREEDCB{Level: cfg.SteinerLevel, Workers: cfg.workers(), Obs: cfg.Obs}
-		name = "FR-EEDCB"
-	}
+	alg := cfg.schedulersFor(model.Fading())[0]
 	ns := cfg.Ns
 	if len(ns) > 3 {
 		ns = ns[:3]
 	}
 	out := FigureResult{
-		Title:  fmt.Sprintf("Fig.4 %s: normalized energy vs delay constraint (%v channel)", name, model),
+		Title:  fmt.Sprintf("Fig.4 %s: normalized energy vs delay constraint (%v channel)", alg.Name(), model),
 		XLabel: "delay(s)",
 	}
 	for _, n := range ns {
 		g := cfg.graphFor(n, model)
-		s := &Series{Label: fmt.Sprintf("N=%d", n)}
-		ys := make([]float64, len(cfg.Delays))
-		runParallel(cfg.workers(), len(cfg.Delays), func(i int) {
-			if e, ok := cfg.meanPlannedEnergy(alg, g, cfg.T0, cfg.T0+cfg.Delays[i]); ok {
-				ys[i] = e
-			} else {
-				ys[i] = math.NaN()
-			}
-		})
-		for i, d := range cfg.Delays {
-			s.Add(d, ys[i])
-		}
-		out.Series = append(out.Series, s)
+		out.Series = append(out.Series, cfg.energySeries(fmt.Sprintf("N=%d", n), alg, g, cfg.Delays, cfg.delayWindow))
 	}
 	return out
 }
@@ -265,20 +269,7 @@ func Fig5(cfg ExperimentConfig, model Model) FigureResult {
 		XLabel: "delay(s)",
 	}
 	for _, alg := range cfg.schedulersFor(model.Fading()) {
-		alg := alg
-		s := &Series{Label: alg.Name()}
-		ys := make([]float64, len(cfg.Delays))
-		runParallel(cfg.workers(), len(cfg.Delays), func(i int) {
-			if e, ok := cfg.meanPlannedEnergy(alg, g, cfg.T0, cfg.T0+cfg.Delays[i]); ok {
-				ys[i] = e
-			} else {
-				ys[i] = math.NaN()
-			}
-		})
-		for i, d := range cfg.Delays {
-			s.Add(d, ys[i])
-		}
-		out.Series = append(out.Series, s)
+		out.Series = append(out.Series, cfg.energySeries(alg.Name(), alg, g, cfg.Delays, cfg.delayWindow))
 	}
 	return out
 }
@@ -347,21 +338,9 @@ func Fig7(cfg ExperimentConfig, model Model) FigureResult {
 		Title:  fmt.Sprintf("Fig.7: energy and average degree over time, N=%d (%v channel)", n, model),
 		XLabel: "t0(s)",
 	}
+	window := func(t0 float64) (float64, float64) { return t0, t0 + cfg.Fig7Delay }
 	for _, alg := range cfg.schedulersFor(model.Fading()) {
-		alg := alg
-		s := &Series{Label: alg.Name()}
-		ys := make([]float64, len(cfg.Fig7Times))
-		runParallel(cfg.workers(), len(cfg.Fig7Times), func(i int) {
-			if e, ok := cfg.meanPlannedEnergy(alg, g, cfg.Fig7Times[i], cfg.Fig7Times[i]+cfg.Fig7Delay); ok {
-				ys[i] = e
-			} else {
-				ys[i] = math.NaN()
-			}
-		})
-		for i, t0 := range cfg.Fig7Times {
-			s.Add(t0, ys[i])
-		}
-		out.Series = append(out.Series, s)
+		out.Series = append(out.Series, cfg.energySeries(alg.Name(), alg, g, cfg.Fig7Times, window))
 	}
 	deg := &Series{Label: "avg-degree"}
 	for _, t0 := range cfg.Fig7Times {

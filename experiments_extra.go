@@ -1,7 +1,6 @@
 package tmedb
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -83,12 +82,8 @@ func GapTable(cfg ExperimentConfig) FigureResult {
 				continue
 			}
 			s, err := cfg.planSchedule(EEDCB{Level: cfg.SteinerLevel}, g, src, cfg.T0, deadline)
-			var ie *IncompleteError
-			if err != nil && !errors.As(err, &ie) {
-				continue
-			}
 			if err != nil {
-				continue // partial coverage: bound and cost not comparable
+				continue // a failure or partial coverage: bound and cost not comparable
 			}
 			lb, un, err := LowerBound(g, src, cfg.T0, deadline)
 			if err != nil || len(un) > 0 || lb <= 0 {

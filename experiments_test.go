@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -112,6 +113,12 @@ func TestFig6Shapes(t *testing.T) {
 	energy, delivery := Fig6(cfg)
 	if len(energy.Series) != 6 || len(delivery.Series) != 6 {
 		t.Fatalf("want 6 algorithm series, got %d/%d", len(energy.Series), len(delivery.Series))
+	}
+	// core.Names is the Fig. 6 series order.
+	for i, name := range core.Names {
+		if energy.Series[i].Label != name || delivery.Series[i].Label != name {
+			t.Errorf("series %d = %q/%q, want %q", i, energy.Series[i].Label, delivery.Series[i].Label, name)
+		}
 	}
 	// FR variants deliver ≈ 1, non-FR clearly below (Fig. 6(b) claim)
 	for i := 0; i < 3; i++ {

@@ -8,10 +8,8 @@ import (
 	"io"
 
 	"repro/internal/audit"
-	"repro/internal/auxgraph"
 	"repro/internal/core"
 	"repro/internal/des"
-	"repro/internal/dts"
 	"repro/internal/exact"
 	"repro/internal/interference"
 	"repro/internal/ndtvg"
@@ -182,7 +180,7 @@ func ReadScheduleJSON(r io.Reader) (Schedule, error) { return schedule.ReadJSON(
 // feasible schedule costs at least this much, so
 // heuristicCost / LowerBound certifies a per-instance approximation gap.
 func LowerBound(g *Graph, src NodeID, t0, deadline float64) (bound float64, unreachable []NodeID, err error) {
-	return core.LowerBound(g, src, t0, deadline, dts.Options{}, auxgraph.Options{})
+	return core.LowerBound(g, src, t0, deadline)
 }
 
 // --- Temporal-graph queries ----------------------------------------------

@@ -24,13 +24,14 @@ func TestGenerateCaseDeterministic(t *testing.T) {
 }
 
 // TestGeneratorCoversAxes: across a modest seed range, the generator
-// must exercise every τ regime, both channel models, and at least one
-// planner-produced schedule — otherwise the differential test silently
-// stops covering the semantics it exists to pin.
+// must exercise every τ regime, both channel models, at least one
+// planner-produced schedule and one case the energy oracle applies to —
+// otherwise the differential test silently stops covering the semantics
+// it exists to pin.
 func TestGeneratorCoversAxes(t *testing.T) {
 	taus := map[float64]bool{}
 	models := map[bool]bool{}
-	planner := false
+	planner, bounded := false, false
 	for seed := int64(0); seed < 60; seed++ {
 		c := GenerateCase(seed)
 		taus[c.Graph.Tau()] = true
@@ -38,6 +39,7 @@ func TestGeneratorCoversAxes(t *testing.T) {
 		if c.Kind != "random" {
 			planner = true
 		}
+		bounded = bounded || boundApplies(c)
 	}
 	if len(taus) != 3 {
 		t.Fatalf("τ coverage %v, want {0, 0.5, 7}", taus)
@@ -47,6 +49,9 @@ func TestGeneratorCoversAxes(t *testing.T) {
 	}
 	if !planner {
 		t.Fatal("no planner-produced schedule in 60 seeds")
+	}
+	if !bounded {
+		t.Fatal("no case for the energy oracle in 60 seeds")
 	}
 }
 

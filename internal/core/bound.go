@@ -24,13 +24,13 @@ import (
 // without running the exponential exact solver. The bound uses the same
 // planner view conventions as EEDCB (static costs; pass a fading view
 // for the FR family). Unreachable nodes are skipped and returned.
-func LowerBound(g *tveg.Graph, src tvg.NodeID, t0, deadline float64, dOpts dts.Options, aOpts auxgraph.Options) (bound float64, unreachable []tvg.NodeID, err error) {
+func LowerBound(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (bound float64, unreachable []tvg.NodeID, err error) {
 	view := plannerView(g, g.Model.Fading())
-	d, err := dts.Build(view.Graph, t0, deadline, dOpts)
+	d, err := dts.Build(view.Graph, t0, deadline, dts.Options{})
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: lower bound: %w", err)
 	}
-	a, err := auxgraph.Build(view, d, aOpts)
+	a, err := auxgraph.Build(view, d, auxgraph.Options{})
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: lower bound: %w", err)
 	}

@@ -5,14 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/auxgraph"
-	"repro/internal/dts"
 	"repro/internal/tveg"
 )
 
 func TestLowerBoundStar(t *testing.T) {
 	g := star(tveg.Static)
-	lb, un, err := LowerBound(g, 0, 0, 100, dts.Options{}, auxgraph.Options{})
+	lb, un, err := LowerBound(g, 0, 0, 100)
 	if err != nil || len(un) != 0 {
 		t.Fatal(err, un)
 	}
@@ -34,7 +32,7 @@ func TestLowerBoundStar(t *testing.T) {
 func TestLowerBoundUnreachable(t *testing.T) {
 	g := tveg.New(3, iv(0, 100), 0, tveg.DefaultParams(), tveg.Static)
 	g.AddContact(0, 1, iv(10, 30), 5)
-	lb, un, err := LowerBound(g, 0, 0, 100, dts.Options{}, auxgraph.Options{})
+	lb, un, err := LowerBound(g, 0, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +48,7 @@ func TestLowerBoundBelowAllAlgorithms(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomTrace(r, 8, tveg.Static, 1000)
-		lb, _, err := LowerBound(g, 0, 0, 1000, dts.Options{}, auxgraph.Options{})
+		lb, _, err := LowerBound(g, 0, 0, 1000)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,8 +71,8 @@ func TestLowerBoundConsistentWithExactOnSmall(t *testing.T) {
 	// here check LB monotonicity: a looser deadline cannot raise the LB.
 	r := rand.New(rand.NewSource(3))
 	g := randomTrace(r, 8, tveg.Static, 1000)
-	tight, _, err1 := LowerBound(g, 0, 0, 600, dts.Options{}, auxgraph.Options{})
-	loose, _, err2 := LowerBound(g, 0, 0, 1000, dts.Options{}, auxgraph.Options{})
+	tight, _, err1 := LowerBound(g, 0, 0, 600)
+	loose, _, err2 := LowerBound(g, 0, 0, 1000)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

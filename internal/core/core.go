@@ -17,11 +17,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
+	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
-
-	"repro/internal/schedule"
 )
 
 // Scheduler plans a broadcast relay schedule on a TVEG for a broadcast
@@ -33,29 +34,40 @@ type Scheduler interface {
 	// reached within the window, implementations return the best-effort
 	// schedule covering the rest together with an *IncompleteError.
 	Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error)
-}
-
-// ContextScheduler is a Scheduler whose planning honors context
-// cancellation and deadlines: ScheduleCtx polls cancellation checkpoints
-// at phase boundaries and inside every unbounded loop, returning
-// cancel.ErrCancelled / cancel.ErrBudgetExceeded (wrapped) promptly when
-// the context dies. A completed ScheduleCtx is byte-identical to
-// Schedule — the checkpoints never influence planning decisions. All six
-// planners in this package implement it.
-type ContextScheduler interface {
-	Scheduler
+	// ScheduleCtx is Schedule under ctx: it polls cancellation
+	// checkpoints at phase boundaries and inside every unbounded loop,
+	// returning cancel.ErrCancelled / cancel.ErrBudgetExceeded (wrapped)
+	// promptly when the context dies. The checkpoints never influence
+	// planning decisions, so a completed ScheduleCtx is byte-identical
+	// to Schedule, and context.Background() takes Schedule's own path.
 	ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error)
 }
 
-// ScheduleWithContext plans under ctx when s supports cancellation and
-// falls back to the plain uncancellable Schedule otherwise. A
-// context.Background() ctx takes the exact pre-cancellation code path
-// either way.
-func ScheduleWithContext(ctx context.Context, s Scheduler, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
-	if cs, ok := s.(ContextScheduler); ok {
-		return cs.ScheduleCtx(ctx, g, src, t0, deadline)
+// Names lists the six planners of §VII by display name, in the series
+// order of Fig. 6: the static family, then its fading-resistant
+// variants.
+var Names = []string{"EEDCB", "GREED", "RAND", "FR-EEDCB", "FR-GREED", "FR-RAND"}
+
+// New returns the planner whose Name is name, matched without regard to
+// case. level is the Steiner level of (FR-)EEDCB, seed drives (FR-)RAND,
+// workers bounds the pools of EEDCB and the FR- planners, and rec
+// receives the phase tree.
+func New(name string, level int, seed int64, workers int, rec *obs.Recorder) (Scheduler, error) {
+	switch strings.ToUpper(name) {
+	case "EEDCB":
+		return EEDCB{Level: level, Workers: workers, Obs: rec}, nil
+	case "GREED":
+		return Greedy{Obs: rec}, nil
+	case "RAND":
+		return Random{Seed: seed, Obs: rec}, nil
+	case "FR-EEDCB":
+		return FREEDCB{Level: level, Workers: workers, Obs: rec}, nil
+	case "FR-GREED":
+		return FRGreedy{Workers: workers, Obs: rec}, nil
+	case "FR-RAND":
+		return FRRandom{Seed: seed, Workers: workers, Obs: rec}, nil
 	}
-	return s.Schedule(g, src, t0, deadline)
+	return nil, fmt.Errorf("unknown algorithm %q", name)
 }
 
 // IncompleteError reports nodes that the planner could not cover within

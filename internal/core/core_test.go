@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/interval"
+	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
@@ -61,12 +64,46 @@ func allSchedulers(seed int64) []Scheduler {
 	}
 }
 
+// TestNames pins Names to the planners' display names in the series
+// order of Fig. 6: the static family, then its FR- variants.
 func TestNames(t *testing.T) {
 	want := []string{"EEDCB", "GREED", "RAND", "FR-EEDCB", "FR-GREED", "FR-RAND"}
+	if !slices.Equal(Names, want) {
+		t.Errorf("Names = %v, want %v", Names, want)
+	}
 	for i, s := range allSchedulers(1) {
 		if s.Name() != want[i] {
 			t.Errorf("Name = %q, want %q", s.Name(), want[i])
 		}
+	}
+}
+
+// TestNew pins the name table: every Names entry, in any case, builds
+// the planner of that name with exactly the fields it takes.
+func TestNew(t *testing.T) {
+	rec := obs.New()
+	want := []Scheduler{
+		EEDCB{Level: 3, Workers: 4, Obs: rec},
+		Greedy{Obs: rec},
+		Random{Seed: 7, Obs: rec},
+		FREEDCB{Level: 3, Workers: 4, Obs: rec},
+		FRGreedy{Workers: 4, Obs: rec},
+		FRRandom{Seed: 7, Workers: 4, Obs: rec},
+	}
+	for i, name := range Names {
+		for _, s := range []string{name, strings.ToLower(name)} {
+			got, err := New(s, 3, 7, 4, rec)
+			if err != nil {
+				t.Errorf("New(%q): %v", s, err)
+				continue
+			}
+			if got.Name() != name || got != want[i] {
+				t.Errorf("New(%q) = %#v, want %#v", s, got, want[i])
+			}
+		}
+	}
+	if _, err := New("mst", 2, 1, 1, nil); err == nil || err.Error() != `unknown algorithm "mst"` {
+		t.Errorf("New(mst) error = %v", err)
 	}
 }
 

@@ -50,7 +50,7 @@ func (e EEDCB) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (sc
 	return e.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through every pipeline stage (DTS, auxiliary graph,
 // Steiner). A background context takes the exact uncancellable path.
 func (e EEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {

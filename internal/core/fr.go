@@ -71,7 +71,7 @@ func (f FREEDCB) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (
 	return f.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through backbone selection and the NLP allocation.
 func (f FREEDCB) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
 	return f.MulticastCtx(ctx, g, src, nil, t0, deadline)
@@ -119,7 +119,7 @@ func (f FRGreedy) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) 
 	return f.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through backbone selection and the NLP allocation.
 func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
 	sp := f.Obs.StartPhase("fr-greed")
@@ -155,7 +155,7 @@ func (f FRRandom) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) 
 	return f.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through backbone selection and the NLP allocation.
 func (f FRRandom) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
 	sp := f.Obs.StartPhase("fr-rand")

@@ -31,7 +31,7 @@ func (gr Greedy) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (
 	return gr.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through the DTS build and per greedy round.
 func (gr Greedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
 	sp := gr.Obs.StartPhase("greed")

@@ -149,6 +149,10 @@ type ladder struct{ obs *obs.Recorder }
 func (ladder) Name() string { return "degrade" }
 
 func (l ladder) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
-	s, _, err := degrade.Solve(context.Background(), g, src, t0, deadline, degrade.Options{Budget: time.Minute, Workers: 2, Obs: l.obs})
+	return l.ScheduleCtx(context.Background(), g, src, t0, deadline)
+}
+
+func (l ladder) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
+	s, _, err := degrade.Solve(ctx, g, src, t0, deadline, degrade.Options{Budget: time.Minute, Workers: 2, Obs: l.obs})
 	return s, err
 }

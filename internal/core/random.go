@@ -34,7 +34,7 @@ func (r Random) Schedule(g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (s
 	return r.ScheduleCtx(context.Background(), g, src, t0, deadline)
 }
 
-// ScheduleCtx implements ContextScheduler: Schedule with cancellation
+// ScheduleCtx implements Scheduler: Schedule with cancellation
 // checkpoints through the DTS build and per selection round.
 func (r Random) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, error) {
 	sp := r.Obs.StartPhase("rand")

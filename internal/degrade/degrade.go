@@ -197,32 +197,42 @@ func (o *Outcome) Annotate(m *schedule.Meta) {
 	m.DegradeReason = o.Reason
 }
 
+// rungAlg names each rung's planner on a static graph (core.Names); a
+// fading graph runs the "FR-" variant of the same name.
+var rungAlg = [numRungs]string{RungFull: "EEDCB", RungSPT: "EEDCB", RungGreed: "GREED", RungRand: "RAND"}
+
+// RungFor returns the best rung a request for the named planner may run
+// at, matched without regard to case or the "FR-" prefix: a GREED or
+// RAND request is never upgraded to a Steiner solve, and any other name
+// starts at RungFull.
+func RungFor(alg string) Rung {
+	base := strings.TrimPrefix(strings.ToUpper(alg), "FR-")
+	for r, name := range rungAlg {
+		if name == base {
+			return Rung(r)
+		}
+	}
+	return RungFull
+}
+
 // planner materializes the rung's scheduler for the graph's channel
 // model: fading graphs get the fading-resistant family so every rung's
 // schedule satisfies the ε-bound, static graphs the static family. The
-// scheduler records into rec, the rung's phase scope.
-func (o Options) planner(rung Rung, fading bool, rec *obs.Recorder) core.ContextScheduler {
-	level := o.Level
+// SPT rung runs at Steiner level 1, and a rung outside the ladder runs
+// RAND. The scheduler records into rec, the rung's phase scope.
+func (o Options) planner(rung Rung, fading bool, rec *obs.Recorder) core.Scheduler {
+	name, level := "RAND", o.Level
+	if rung >= 0 && int(rung) < numRungs {
+		name = rungAlg[rung]
+	}
 	if rung == RungSPT {
 		level = 1
 	}
-	switch rung {
-	case RungFull, RungSPT:
-		if fading {
-			return core.FREEDCB{Level: level, Workers: o.Workers, Obs: rec}
-		}
-		return core.EEDCB{Level: level, Workers: o.Workers, Obs: rec}
-	case RungGreed:
-		if fading {
-			return core.FRGreedy{Workers: o.Workers, Obs: rec}
-		}
-		return core.Greedy{Obs: rec}
-	default:
-		if fading {
-			return core.FRRandom{Seed: o.Seed, Workers: o.Workers, Obs: rec}
-		}
-		return core.Random{Seed: o.Seed, Obs: rec}
+	if fading {
+		name = "FR-" + name
 	}
+	alg, _ := core.New(name, level, o.Seed, o.Workers, rec) // every rungAlg name is in core.Names
+	return alg
 }
 
 // Solve plans a broadcast from src over [t0, deadline] under the

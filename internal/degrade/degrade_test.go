@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,6 +90,54 @@ func TestParseLadder(t *testing.T) {
 	}
 	if _, err := ParseLadder("full,nope"); err == nil {
 		t.Error("ParseLadder(full,nope) succeeded")
+	}
+}
+
+// TestRungFor pins the alg→rung lookup that bounds a daemon request's
+// ladder: a GREED or RAND request of either family, in any case, starts
+// at its own rung, and every other name at RungFull.
+func TestRungFor(t *testing.T) {
+	want := map[string]Rung{
+		"EEDCB": RungFull, "GREED": RungGreed, "RAND": RungRand,
+		"FR-EEDCB": RungFull, "FR-GREED": RungGreed, "FR-RAND": RungRand,
+	}
+	for _, name := range core.Names {
+		for _, s := range []string{name, strings.ToLower(name)} {
+			if got, ok := want[name]; !ok || RungFor(s) != got {
+				t.Errorf("RungFor(%q) = %v, want %v", s, RungFor(s), got)
+			}
+		}
+	}
+	for _, s := range []string{"", "mst", "fr-", "spt"} {
+		if got := RungFor(s); got != RungFull {
+			t.Errorf("RungFor(%q) = %v, want full", s, got)
+		}
+	}
+}
+
+// TestRungPlanners pins each rung's planner in both families: the
+// core.Names planner the rung names, FR- on fading graphs, at level 1
+// on the SPT rung, and RAND for a rung outside the ladder.
+func TestRungPlanners(t *testing.T) {
+	o := Options{Level: 3, Workers: 2, Seed: 5}
+	rec := obs.New()
+	for _, c := range []struct {
+		rung           Rung
+		static, fading core.Scheduler
+	}{
+		{RungFull, core.EEDCB{Level: 3, Workers: 2, Obs: rec}, core.FREEDCB{Level: 3, Workers: 2, Obs: rec}},
+		{RungSPT, core.EEDCB{Level: 1, Workers: 2, Obs: rec}, core.FREEDCB{Level: 1, Workers: 2, Obs: rec}},
+		{RungGreed, core.Greedy{Obs: rec}, core.FRGreedy{Workers: 2, Obs: rec}},
+		{RungRand, core.Random{Seed: 5, Obs: rec}, core.FRRandom{Seed: 5, Workers: 2, Obs: rec}},
+		{Rung(numRungs), core.Random{Seed: 5, Obs: rec}, core.FRRandom{Seed: 5, Workers: 2, Obs: rec}},
+		{Rung(-1), core.Random{Seed: 5, Obs: rec}, core.FRRandom{Seed: 5, Workers: 2, Obs: rec}},
+	} {
+		if got := o.planner(c.rung, false, rec); got != c.static {
+			t.Errorf("%v static planner = %#v, want %#v", c.rung, got, c.static)
+		}
+		if got := o.planner(c.rung, true, rec); got != c.fading {
+			t.Errorf("%v fading planner = %#v, want %#v", c.rung, got, c.fading)
+		}
 	}
 }
 

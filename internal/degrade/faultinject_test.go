@@ -35,7 +35,7 @@ const sweepWorkers = 2
 type plannerCase struct {
 	name string
 	g    *tveg.Graph
-	alg  core.ContextScheduler
+	alg  core.Scheduler
 }
 
 func plannerCases() []plannerCase {

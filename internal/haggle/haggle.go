@@ -93,51 +93,69 @@ func (t *Trace) Write(w io.Writer) error {
 // Read parses a trace written by Write. Lines starting with '#' other
 // than the header are ignored; a missing distance column defaults to
 // 10 m (proximity-only traces like the original Haggle dumps). A node
-// count below 1, a non-finite horizon and any contact checkContact
+// count below 1, a non-finite horizon and any contact readContacts
 // rejects fail the parse.
 func Read(r io.Reader) (*Trace, error) {
+	sc := newScanner(r)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("haggle: missing header")
+	}
+	t := &Trace{}
+	line := sc.Text()
+	if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 || t.N < 1 || !finite(t.Horizon) {
+		return nil, fmt.Errorf("haggle: bad header %q", line)
+	}
+	var err error
+	if t.Contacts, err = readContacts(sc, 1, t.N); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newScanner returns a line scanner that takes lines of up to 16 MiB.
+func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	t := &Trace{}
-	lineNo := 0
+	return sc
+}
+
+// readContacts parses the "<i> <j> <start> <end> [dist]" lines left in
+// sc, whose first lineNo lines were already read, skipping blank and '#'
+// lines. A missing distance defaults to 10 m, each contact is stored
+// with I < J, and a pair naming one node twice, a negative id, an id at
+// or above n (when n > 0) or a contact checkContact rejects fails the
+// parse.
+func readContacts(sc *bufio.Scanner, lineNo, n int) ([]Contact, error) {
+	var out []Contact
 	for sc.Scan() {
 		lineNo++
 		line := sc.Text()
-		if lineNo == 1 {
-			if n, _ := fmt.Sscanf(line, "# haggle-trace v1 nodes=%d horizon=%g", &t.N, &t.Horizon); n != 2 || t.N < 1 || !finite(t.Horizon) {
-				return nil, fmt.Errorf("haggle: bad header %q", line)
-			}
-			continue
-		}
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		var c Contact
-		n, err := fmt.Sscanf(line, "%d %d %g %g %g", &c.I, &c.J, &c.Start, &c.End, &c.Dist)
-		if err != nil && n < 4 {
+		k, err := fmt.Sscanf(line, "%d %d %g %g %g", &c.I, &c.J, &c.Start, &c.End, &c.Dist)
+		if err != nil && k < 4 {
 			return nil, fmt.Errorf("haggle: line %d: %q: %v", lineNo, line, err)
 		}
-		if n == 4 {
+		if k == 4 {
 			c.Dist = 10
 		}
-		if c.I == c.J || c.I < 0 || c.J < 0 || c.I >= t.N || c.J >= t.N {
+		if c.I == c.J || c.I < 0 || c.J < 0 || (n > 0 && (c.I >= n || c.J >= n)) {
 			return nil, fmt.Errorf("haggle: line %d: bad pair (%d,%d)", lineNo, c.I, c.J)
-		}
-		if c.I > c.J {
-			c.I, c.J = c.J, c.I
 		}
 		if err := checkContact(lineNo, c); err != nil {
 			return nil, err
 		}
-		t.Contacts = append(t.Contacts, c)
+		if c.I > c.J {
+			c.I, c.J = c.J, c.I
+		}
+		out = append(out, c)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if t.N == 0 {
-		return nil, fmt.Errorf("haggle: missing header")
-	}
-	return t, nil
+	return out, sc.Err()
 }
 
 // checkContact rejects a contact the graph cannot hold: a non-finite

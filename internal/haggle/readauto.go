@@ -39,53 +39,17 @@ const headerPrefix = "# haggle-trace"
 // readHeaderless parses "<i> <j> <start> <end> [dist]" lines, inferring
 // the node count (max id + 1) and horizon (max end).
 func readHeaderless(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	t := &Trace{}
-	lineNo := 0
-	maxID := -1
-	var maxEnd float64
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		var c Contact
-		n, err := fmt.Sscanf(line, "%d %d %g %g %g", &c.I, &c.J, &c.Start, &c.End, &c.Dist)
-		if err != nil && n < 4 {
-			return nil, fmt.Errorf("haggle: line %d: %q: %v", lineNo, line, err)
-		}
-		if n == 4 {
-			c.Dist = 10
-		}
-		if c.I == c.J || c.I < 0 || c.J < 0 {
-			return nil, fmt.Errorf("haggle: line %d: bad pair (%d,%d)", lineNo, c.I, c.J)
-		}
-		if err := checkContact(lineNo, c); err != nil {
-			return nil, err
-		}
-		if c.I > c.J {
-			c.I, c.J = c.J, c.I
-		}
-		maxID = maxInt(maxID, c.J)
-		maxEnd = math.Max(maxEnd, c.End)
-		t.Contacts = append(t.Contacts, c)
-	}
-	if err := sc.Err(); err != nil {
+	contacts, err := readContacts(newScanner(r), 0, 0)
+	if err != nil {
 		return nil, err
 	}
-	if len(t.Contacts) == 0 {
+	if len(contacts) == 0 {
 		return nil, fmt.Errorf("haggle: no contacts in headerless trace")
 	}
-	t.N = maxID + 1
-	t.Horizon = maxEnd
-	return t, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	t := &Trace{Contacts: contacts}
+	for _, c := range contacts {
+		t.N = max(t.N, c.J+1)
+		t.Horizon = math.Max(t.Horizon, c.End)
 	}
-	return b
+	return t, nil
 }

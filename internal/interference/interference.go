@@ -89,8 +89,8 @@ func Detect(g *tveg.Graph, s schedule.Schedule, slot float64) []Conflict {
 // pretend to do). It returns an error when a transmission cannot be
 // moved without leaving its interval.
 func Serialize(g *tveg.Graph, s schedule.Schedule, slot float64) (schedule.Schedule, error) {
-	if slot <= 0 {
-		return nil, fmt.Errorf("interference: non-positive slot %g", slot)
+	if !(slot > 0) { // NaN fails every comparison, so test the good case
+		return nil, fmt.Errorf("interference: slot %g is not positive", slot)
 	}
 	out := make(schedule.Schedule, len(s))
 	copy(out, s)

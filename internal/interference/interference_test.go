@@ -1,6 +1,7 @@
 package interference
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -90,10 +91,21 @@ func TestSerializeResolvesConflicts(t *testing.T) {
 	}
 }
 
+// TestSerializeBadSlot: a slot that is not positive, NaN included, is
+// rejected by name before any pass runs, even on a schedule with a
+// conflict to resolve.
 func TestSerializeBadSlot(t *testing.T) {
 	g := hiddenTerminal()
-	if _, err := Serialize(g, nil, 0); err == nil {
-		t.Error("slot 0 should error")
+	w := sufficientW(g)
+	s := schedule.Schedule{
+		{Relay: 0, T: 10, W: w},
+		{Relay: 1, T: 10, W: w},
+	}
+	for _, slot := range []float64{0, -1, math.NaN()} {
+		_, err := Serialize(g, s, slot)
+		if want := fmt.Sprintf("interference: slot %g is not positive", slot); err == nil || err.Error() != want {
+			t.Errorf("Serialize(slot %g) error = %v, want %q", slot, err, want)
+		}
 	}
 }
 

@@ -47,6 +47,17 @@ func (m Model) String() string {
 	}
 }
 
+// ParseModel is the inverse of String: it returns the model named s,
+// one of "static", "rayleigh", "rician" and "nakagami".
+func ParseModel(s string) (Model, error) {
+	for m := Static; m <= NakagamiFading; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown model %q", s)
+}
+
 // Fading reports whether transmissions under the model are probabilistic
 // (success probability < 1 at every finite cost).
 func (m Model) Fading() bool { return m != Static }

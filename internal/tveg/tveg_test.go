@@ -1,8 +1,10 @@
 package tveg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -55,6 +57,30 @@ func TestModelString(t *testing.T) {
 	}
 	if !RayleighFading.Fading() {
 		t.Error("Rayleigh must be fading")
+	}
+}
+
+// TestParseModel pins ParseModel as String's inverse. It matches case
+// exactly; tmedb lower-cases its -model flag first, so "RICIAN" works
+// there.
+func TestParseModel(t *testing.T) {
+	for _, m := range []Model{Static, RayleighFading, RicianFading, NakagamiFading} {
+		if got, err := ParseModel(m.String()); err != nil || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for s, want := range map[string]Model{"RICIAN": RicianFading, "Nakagami": NakagamiFading} {
+		if got, err := ParseModel(strings.ToLower(s)); err != nil || got != want {
+			t.Errorf("ParseModel(lower(%q)) = %v, %v; want %v", s, got, err, want)
+		}
+		if _, err := ParseModel(s); err == nil {
+			t.Errorf("ParseModel(%q) ignored case", s)
+		}
+	}
+	for _, s := range []string{"awgn", "", "model(4)"} {
+		if _, err := ParseModel(s); err == nil || err.Error() != fmt.Sprintf("unknown model %q", s) {
+			t.Errorf("ParseModel(%q) error = %v", s, err)
+		}
 	}
 }
 
