@@ -188,26 +188,6 @@ func BenchmarkAblationDTSPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNLPSolver compares the two energy allocators
-// (greedy constraint-fixing with coordinate descent, Lagrangian dual)
-// on FR-EEDCB instances.
-func BenchmarkAblationNLPSolver(b *testing.B) {
-	g := benchGraph(Rayleigh)
-	for _, alloc := range []core.Allocator{core.AllocGreedy, core.AllocDual} {
-		b.Run(alloc.String(), func(b *testing.B) {
-			var energy float64
-			for i := 0; i < b.N; i++ {
-				s, err := (FREEDCB{Allocator: alloc}).Schedule(g, 0, 9000, 11000)
-				if err != nil {
-					b.Fatal(err)
-				}
-				energy = s.NormalizedCost(g.Params.GammaTh)
-			}
-			b.ReportMetric(energy*1e18, "attoJ/γth")
-		})
-	}
-}
-
 // --- Microbenchmarks of the substrates -----------------------------------
 
 func BenchmarkDTSBuild(b *testing.B) {
@@ -478,7 +458,7 @@ func BenchmarkIncrementalEditSolve(b *testing.B) {
 	iv := Interval{Start: 9100, End: 9500}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g := tr.ToTVEG(0, DefaultParams(), Static).EnableCostCache()
+			g := tr.ToTVEG(0, DefaultParams(), Static)
 			if i%2 == 0 {
 				g.AddContact(0, 9, iv, 8)
 			}
@@ -489,7 +469,7 @@ func BenchmarkIncrementalEditSolve(b *testing.B) {
 		}
 	})
 	b.Run("incremental", func(b *testing.B) {
-		g := tr.ToTVEG(0, DefaultParams(), Static).EnableCostCache()
+		g := tr.ToTVEG(0, DefaultParams(), Static)
 		_, err := alg.Schedule(g, 0, t0, deadline)
 		if err := onlyRealErr(err); err != nil {
 			b.Fatal(err)
@@ -549,13 +529,13 @@ func TestIncrementalEditSolveReusesTimelines(t *testing.T) {
 			}
 		}
 	}
-	live := tr.ToTVEG(0, DefaultParams(), Static).EnableCostCache()
+	live := tr.ToTVEG(0, DefaultParams(), Static)
 	solve(live) // fill the timelines
 	const rounds = 6
 	for r := 0; r < rounds; r++ {
 		edit(live, r)
 		warm := solve(live)
-		replay := tr.ToTVEG(0, DefaultParams(), Static).EnableCostCache()
+		replay := tr.ToTVEG(0, DefaultParams(), Static)
 		for k := 0; k <= r; k++ {
 			edit(replay, k)
 		}

@@ -152,12 +152,7 @@ func (cfg ExperimentConfig) graphFor(n int, model Model) *Graph {
 	if n > opts.N {
 		panic(fmt.Sprintf("tmedb: n=%d exceeds trace nodes %d", n, opts.N))
 	}
-	tr := GenerateTrace(opts, cfg.TraceSeed)
-	// The cost cache is exact memoization, so every table is identical
-	// with or without it; the comparison sweeps query the same (node,
-	// time) costs once per algorithm, and the fading models repeat the
-	// same per-segment root-findings across DTS points.
-	return tr.Restrict(n).ToTVEG(cfg.Tau, cfg.Params, model).EnableCostCache()
+	return GenerateTrace(opts, cfg.TraceSeed).Restrict(n).ToTVEG(cfg.Tau, cfg.Params, model)
 }
 
 // auditSchedule cross-checks a freshly planned schedule through every

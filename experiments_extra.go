@@ -72,6 +72,7 @@ func GapTable(cfg ExperimentConfig) FigureResult {
 	bound := &Series{Label: "lower-bound"}
 	ratio := &Series{Label: "gap<="}
 	deadline := cfg.T0 + cfg.Delays[0]
+	alg := cfg.schedulersFor(false)[0]
 	type row struct{ c, b float64 }
 	rows := make([]row, len(cfg.Ns))
 	runParallel(cfg.workers(), len(cfg.Ns), func(i int) {
@@ -81,7 +82,7 @@ func GapTable(cfg ExperimentConfig) FigureResult {
 			if int(src) >= g.N() {
 				continue
 			}
-			s, err := cfg.planSchedule(EEDCB{Level: cfg.SteinerLevel}, g, src, cfg.T0, deadline)
+			s, err := cfg.planSchedule(alg, g, src, cfg.T0, deadline)
 			if err != nil {
 				continue // a failure or partial coverage: bound and cost not comparable
 			}

@@ -53,6 +53,20 @@ func TestGapTableCertifiesSmallGaps(t *testing.T) {
 	}
 }
 
+// TestGapTableRecordsPhases: the gap table plans through the planner
+// table, so its EEDCB solves record their phase tree into cfg.Obs as
+// every other panel's do.
+func TestGapTableRecordsPhases(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Ns = []int{10}
+	cfg.Obs = NewRecorder()
+	GapTable(cfg)
+	rep := cfg.Obs.Snapshot(nil)
+	if len(rep.Phases) == 0 || rep.Phases[0].Name != "eedcb" {
+		t.Fatalf("gap table recorded phases %v, want eedcb solves", rep.Phases)
+	}
+}
+
 func TestRunParallelCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 8} {
 		hits := make([]int, 100)

@@ -48,13 +48,12 @@ type CacheStats = tveg.CacheStats
 // cache.tveg.min_cost / cache.tveg.dcs / cache.channel.memo gauge
 // families (run reports derive a .hit_rate per family). The tveg.dcs
 // size is the number of cost-set pieces filled; MinCost reads those
-// pieces, so the tveg.min_cost size is 0. No-op when rec is nil or the
-// graph's cache is disabled.
+// pieces, so the tveg.min_cost size is 0. No-op when rec is nil.
 func RecordCacheStats(rec *Recorder, g *Graph) {
-	st, ok := g.CostCacheStats()
-	if !ok || rec == nil {
+	if rec == nil {
 		return
 	}
+	st, _ := g.CostCacheStats()
 	rec.RecordCache("tveg.min_cost", st.MinCostHits, st.MinCostMisses, st.MinCostSize)
 	rec.RecordCache("tveg.dcs", st.DCSHits, st.DCSMisses, st.DCSSize)
 	rec.RecordCache("channel.memo", st.EDMemo.Hits, st.EDMemo.Misses, st.EDMemo.Size)

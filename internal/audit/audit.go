@@ -19,8 +19,7 @@
 // foremost-journey arrival (the delay oracle). Fading channels are made
 // comparable by driving the Monte Carlo executors with the ForceSuccess
 // source, under which a reception succeeds iff its failure probability
-// is at most MaxDraw — exactly the reference executor's default Decide
-// rule.
+// is at most MaxDraw — exactly the reference executor's rule, Possible.
 package audit
 
 import (
@@ -28,7 +27,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/obs"
 	"repro/internal/schedule"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
@@ -57,9 +55,9 @@ func (forceSuccessSource) Seed(int64)   {}
 // into deterministic optimistic executors comparable with Execute.
 func ForceSuccess() *rand.Rand { return rand.New(forceSuccessSource{}) }
 
-// Possible is the reference executor's default Decide rule: a reception
-// is granted iff it is possible under the ForceSuccess-driven Monte
-// Carlo executors.
+// Possible is the reference executor's reception rule: a reception is
+// granted iff it is possible under the ForceSuccess-driven Monte Carlo
+// executors.
 func Possible(failure float64) bool { return failure <= MaxDraw }
 
 // EventKind labels one entry of the instrumented event trace.
@@ -147,14 +145,6 @@ type Options struct {
 	T0 float64
 	// Events enables the instrumented event trace.
 	Events bool
-	// Decide maps a reception's failure probability to success. Nil
-	// uses Possible, the optimistic rule matching ForceSuccess-driven
-	// Monte Carlo execution.
-	Decide func(failure float64) bool
-	// Obs counts audit.tx / audit.recv / audit.drop across executions.
-	// Write-only; nil records nothing and traces are identical either
-	// way.
-	Obs *obs.Recorder
 }
 
 // Execute runs the schedule once from src under the unified
@@ -162,16 +152,12 @@ type Options struct {
 // reference the differential oracle compares every other executor
 // against, so it is written for obviousness, not speed: chronological
 // sweep, per-node arrival times, the relay gate t_recv <= t_k + TimeTol,
-// and reception grants at t_k + τ.
+// and reception grants at t_k + τ under Possible.
 func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, opts Options) *Trace {
 	ordered := make(schedule.Schedule, len(s))
 	copy(ordered, s)
 	ordered.SortByTime()
 
-	decide := opts.Decide
-	if decide == nil {
-		decide = Possible
-	}
 	tau := g.Tau()
 	tr := &Trace{
 		Ordered: ordered,
@@ -183,18 +169,7 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, opts Options) *
 	}
 	tr.RecvAt[src] = opts.T0
 
-	txCount := opts.Obs.Counter("audit.tx")
-	recvCount := opts.Obs.Counter("audit.recv")
-	dropCount := opts.Obs.Counter("audit.drop")
 	emit := func(e Event) {
-		switch e.Kind {
-		case EventTx:
-			txCount.Inc()
-		case EventRecv:
-			recvCount.Inc()
-		case EventDrop:
-			dropCount.Inc()
-		}
 		if opts.Events {
 			tr.Events = append(tr.Events, e)
 		}
@@ -219,7 +194,7 @@ func Execute(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, opts Options) *
 				continue // out of range for the whole [t, t+τ] window
 			}
 			failure := g.EDAt(x.Relay, j, x.T).FailureProb(x.W)
-			if !decide(failure) {
+			if !Possible(failure) {
 				emit(Event{Kind: EventDrop, Index: k, Relay: x.Relay, Node: j, T: x.T, W: x.W,
 					Cause: fmt.Sprintf("channel failure (φ=%.4g)", failure)})
 				continue

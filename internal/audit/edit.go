@@ -118,7 +118,7 @@ func (c EditCase) BaseGraph() *tveg.Graph {
 		}, rnd)
 		return tr.ToTVEG(c.Tau, tveg.DefaultParams(), c.Model)
 	}
-	return randomTVEG(rnd, c.N, c.Tau, c.Model).EnableCostCache()
+	return randomTVEG(rnd, c.N, c.Tau, c.Model)
 }
 
 // GraphAt replays the first k ops onto a fresh base graph: the cold

@@ -101,7 +101,7 @@ func editChain() *tveg.Graph {
 	// collide with it must be rejected.
 	g.AddContact(1, 2, interval.Interval{Start: 125, End: 145}, 6)
 	g.AddContact(2, 3, interval.Interval{Start: 60, End: 110}, 9)
-	return g.EnableCostCache()
+	return g
 }
 
 // TestEditEdgeCases runs the hand-picked edge edits — no-op edits,

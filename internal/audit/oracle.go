@@ -32,6 +32,9 @@ type Case struct {
 	// Kind labels how the schedule was produced ("random" or the
 	// planner's name).
 	Kind string
+	// Complete records that the planner returned no IncompleteError,
+	// claiming that its schedule informs every node by the deadline.
+	Complete bool
 }
 
 func (c Case) String() string {
@@ -65,7 +68,7 @@ func GenerateCase(seed int64) Case {
 
 	c := Case{Seed: seed, Graph: g, Src: src, T0: t0, Deadline: deadline, CostBound: math.Inf(1)}
 	if rnd.Intn(4) == 3 {
-		c.Schedule, c.Kind = plannerSchedule(rnd, g, src, t0, deadline)
+		c.Schedule, c.Kind, c.Complete = plannerSchedule(rnd, g, src, t0, deadline)
 	}
 	if c.Schedule == nil {
 		c.Schedule, c.Kind = randomSchedule(rnd, g, src, t0, deadline), "random"
@@ -150,10 +153,11 @@ func costFor(rng *rand.Rand, g *tveg.Graph, relay tvg.NodeID, t float64) float64
 }
 
 // plannerSchedule runs one of the §VI/§VII planners appropriate for the
-// channel model. Best-effort schedules behind IncompleteError are kept
-// (they are valid and exercise partial coverage); any other failure
-// falls back to nil and the caller uses a random schedule.
-func plannerSchedule(rng *rand.Rand, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, string) {
+// channel model and reports whether it claimed full coverage.
+// Best-effort schedules behind IncompleteError are kept (they are valid
+// and exercise partial coverage); any other failure falls back to nil
+// and the caller uses a random schedule.
+func plannerSchedule(rng *rand.Rand, g *tveg.Graph, src tvg.NodeID, t0, deadline float64) (schedule.Schedule, string, bool) {
 	var alg core.Scheduler
 	if g.Model.Fading() {
 		alg = []core.Scheduler{
@@ -173,10 +177,10 @@ func plannerSchedule(rng *rand.Rand, g *tveg.Graph, src tvg.NodeID, t0, deadline
 	if err != nil {
 		var ie *core.IncompleteError
 		if !errors.As(err, &ie) {
-			return nil, ""
+			return nil, "", false
 		}
 	}
-	return s, alg.Name()
+	return s, alg.Name(), err == nil
 }
 
 // CompareSchedule runs one (graph, schedule) instance through the
@@ -274,15 +278,30 @@ func CompareSchedule(g *tveg.Graph, s schedule.Schedule, src tvg.NodeID, t0, dea
 	return diffs
 }
 
-// CompareCase audits one generated case. A planner's schedule on a
-// static graph that informs every node by the deadline is also held to
-// the energy oracle: it cannot cost less than core.LowerBound, the
-// auxiliary-graph distance to the hardest node. On fading graphs the NLP
-// may cover a node with several transmissions that each cost less than
-// the ε-cost, so the bound is not certified there.
+// CompareCase audits one generated case. A planner's schedule also
+// meets two oracles that hold it to what the planner claims:
+//   - Coverage: a planner that returned no IncompleteError claims to
+//     inform every node by the deadline, so the reference executor must
+//     do so. It applies on static graphs, and to the FR planners, which
+//     allocate energy on the true channel, on any graph.
+//   - Energy: on a static graph, a schedule that informs every node by
+//     the deadline cannot cost less than core.LowerBound, the
+//     auxiliary-graph distance to the hardest node. On fading graphs the
+//     NLP may cover a node with several transmissions that each cost
+//     less than the ε-cost, so the bound is not certified there; a
+//     partial coverage may cost less than the bound, which prices
+//     informing every node.
 func CompareCase(c Case) []string {
 	diffs := CompareSchedule(c.Graph, c.Schedule, c.Src, c.T0, c.Deadline, c.CostBound)
-	if !boundApplies(c) {
+	if c.Kind == "random" {
+		return diffs
+	}
+	late := firstLate(c)
+	fading := c.Graph.Model.Fading()
+	if c.Complete && late >= 0 && (!fading || strings.HasPrefix(c.Kind, "FR-")) {
+		diffs = append(diffs, fmt.Sprintf("%s reports full coverage, but the reference executor leaves v%d uninformed by T=%g", c.Kind, late, c.Deadline))
+	}
+	if fading || late >= 0 {
 		return diffs
 	}
 	lb, _, err := core.LowerBound(c.Graph, c.Src, c.T0, c.Deadline)
@@ -295,21 +314,15 @@ func CompareCase(c Case) []string {
 	return diffs
 }
 
-// boundApplies reports whether the energy oracle holds c to
-// core.LowerBound: c's schedule comes from a planner, its graph is
-// static, and the reference executor informs every node by the deadline
-// (the bound prices informing every node, so partial coverage may cost
-// less).
-func boundApplies(c Case) bool {
-	if c.Kind == "random" || c.Graph.Model.Fading() {
-		return false
-	}
-	for _, t := range Execute(c.Graph, c.Schedule, c.Src, Options{T0: c.T0}).RecvAt {
+// firstLate returns the first node that the reference executor leaves
+// uninformed by c's deadline, or -1 when it informs every node in time.
+func firstLate(c Case) tvg.NodeID {
+	for i, t := range Execute(c.Graph, c.Schedule, c.Src, Options{T0: c.T0}).RecvAt {
 		if t > c.Deadline+schedule.TimeTol {
-			return false
+			return tvg.NodeID(i)
 		}
 	}
-	return true
+	return -1
 }
 
 // Mismatch is one failed case of a differential run, with the reference

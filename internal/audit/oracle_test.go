@@ -1,9 +1,15 @@
 package audit
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/interval"
+	"repro/internal/schedule"
+	"repro/internal/tveg"
 )
 
 // TestGenerateCaseDeterministic: the oracle must be reproducible from
@@ -25,13 +31,14 @@ func TestGenerateCaseDeterministic(t *testing.T) {
 
 // TestGeneratorCoversAxes: across a modest seed range, the generator
 // must exercise every τ regime, both channel models, at least one
-// planner-produced schedule and one case the energy oracle applies to —
+// planner-produced schedule, one planner claiming full coverage (the
+// coverage oracle) and one case the energy oracle applies to —
 // otherwise the differential test silently stops covering the semantics
 // it exists to pin.
 func TestGeneratorCoversAxes(t *testing.T) {
 	taus := map[float64]bool{}
 	models := map[bool]bool{}
-	planner, bounded := false, false
+	planner, claimed, bounded := false, false, false
 	for seed := int64(0); seed < 60; seed++ {
 		c := GenerateCase(seed)
 		taus[c.Graph.Tau()] = true
@@ -39,7 +46,8 @@ func TestGeneratorCoversAxes(t *testing.T) {
 		if c.Kind != "random" {
 			planner = true
 		}
-		bounded = bounded || boundApplies(c)
+		claimed = claimed || c.Complete
+		bounded = bounded || (c.Kind != "random" && !c.Graph.Model.Fading() && firstLate(c) < 0)
 	}
 	if len(taus) != 3 {
 		t.Fatalf("τ coverage %v, want {0, 0.5, 7}", taus)
@@ -49,6 +57,9 @@ func TestGeneratorCoversAxes(t *testing.T) {
 	}
 	if !planner {
 		t.Fatal("no planner-produced schedule in 60 seeds")
+	}
+	if !claimed {
+		t.Fatal("no case for the coverage oracle in 60 seeds")
 	}
 	if !bounded {
 		t.Fatal("no case for the energy oracle in 60 seeds")
@@ -102,5 +113,33 @@ func TestReportStringSortsKeys(t *testing.T) {
 				rows = rows[size:]
 			}
 		}
+	}
+}
+
+// TestCoverageOracle: the pair (0, 1) has two overlapping contacts whose
+// distance drops from 10 to 2 at 50, inside one presence interval.
+// EEDCB's schedule must reach every node, as it claims; the schedule it
+// planned while the ET-law moved a transmission back across that change
+// (v0 at 10 with the cost sized for distance 2) must be flagged.
+func TestCoverageOracle(t *testing.T) {
+	g := tveg.New(3, interval.Interval{Start: 0, End: 100}, 0, tveg.DefaultParams(), tveg.Static)
+	g.AddContact(0, 1, interval.Interval{Start: 10, End: 50}, 10)
+	g.AddContact(0, 1, interval.Interval{Start: 30, End: 80}, 2)
+	g.AddContact(1, 2, interval.Interval{Start: 60, End: 90}, 5)
+	c := Case{Graph: g, Src: 0, T0: 0, Deadline: 100, CostBound: math.Inf(1), Kind: "EEDCB"}
+	s, err := core.EEDCB{}.Schedule(g, c.Src, c.T0, c.Deadline)
+	c.Schedule, c.Complete = s, err == nil
+	if !c.Complete {
+		t.Fatalf("EEDCB: %v", err)
+	}
+	if diffs := CompareCase(c); len(diffs) > 0 {
+		t.Fatalf("EEDCB schedule %v: %v", s, diffs)
+	}
+	c.Schedule = schedule.Schedule{
+		{Relay: 0, T: 10, W: g.MinCost(0, 1, 60)},
+		{Relay: 1, T: 60, W: g.MinCost(1, 2, 60)},
+	}
+	if diffs := CompareCase(c); len(diffs) != 1 || !strings.Contains(diffs[0], "reports full coverage") {
+		t.Fatalf("moved-back schedule %v: diffs %v, want one coverage report", c.Schedule, diffs)
 	}
 }

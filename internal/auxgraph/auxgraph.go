@@ -72,9 +72,8 @@ type TxMeta struct {
 
 // auxCore is the immutable, shareable part of an auxiliary graph: the
 // CSR, its (lazily built) transpose, the vertex layout, and the
-// transmission metadata. Everything candidate-independent lives here;
-// the Aux wrapper re-binds per-call plumbing (workers, obs, cancel)
-// around a core that the memo may hand to many callers concurrently.
+// transmission metadata. The memo may hand one core to many callers
+// concurrently; each gets its own Aux around it.
 type auxCore struct {
 	csr  *graph.CSR
 	base []int32 // base[i] = vertex id of u_{i,0}
@@ -97,28 +96,13 @@ func (c *auxCore) reverse() *graph.CSR {
 	return c.rev
 }
 
-// Aux is the auxiliary graph of one TMEDB instance.
+// Aux is the auxiliary graph of one TMEDB instance. The Steiner
+// terminal of node i is Vertex(i, D.Last(i)), the last DTS point of i.
 type Aux struct {
-	G  *graph.CSR
-	D  *dts.DTS
-	TV *tveg.Graph
+	G *graph.CSR
+	D *dts.DTS
 
-	core    *auxCore
-	workers int
-	obs     *obs.Recorder
-	cancel  *cancel.Token
-}
-
-func newAux(c *auxCore, g *tveg.Graph, d *dts.DTS, opts Options) *Aux {
-	return &Aux{
-		G:       c.csr,
-		D:       d,
-		TV:      g,
-		core:    c,
-		workers: opts.Workers,
-		obs:     opts.Obs,
-		cancel:  opts.Cancel,
-	}
+	core *auxCore
 }
 
 // Build constructs the auxiliary graph for the TVEG g over the DTS d.
@@ -142,7 +126,7 @@ func Build(g *tveg.Graph, d *dts.DTS, opts Options) (*Aux, error) {
 			memoHits.Add(1)
 			opts.Obs.Counter("auxgraph.memo.hits").Inc()
 			annotate(sp, c)
-			return newAux(c, g, d, opts), nil
+			return &Aux{G: c.csr, D: d, core: c}, nil
 		}
 		memoMisses.Add(1)
 		opts.Obs.Counter("auxgraph.memo.misses").Inc()
@@ -157,7 +141,7 @@ func Build(g *tveg.Graph, d *dts.DTS, opts Options) (*Aux, error) {
 		memo.Put(key, c)
 	}
 	annotate(sp, c)
-	return newAux(c, g, d, opts), nil
+	return &Aux{G: c.csr, D: d, core: c}, nil
 }
 
 func annotate(sp *obs.Span, c *auxCore) {
@@ -333,17 +317,6 @@ func (a *Aux) SourceVertex(src tvg.NodeID) int { return int(a.core.base[src]) }
 // core never recompute it.
 func (a *Aux) Reverse() *graph.CSR { return a.core.reverse() }
 
-// Terminals returns the Steiner terminal set D = {u_{i,h_i}}: the last
-// DTS point of every node. The source's terminal is reachable through
-// its own wait edges at zero cost, so including it is harmless.
-func (a *Aux) Terminals() []int {
-	out := make([]int, a.TV.N())
-	for i := range out {
-		out[i] = int(a.core.base[i]) + a.D.Last(tvg.NodeID(i))
-	}
-	return out
-}
-
 // MetaFor returns the transmission behind a paying edge, if any. It
 // scans u's CSR row — out-degrees are small (wait edge + per-level
 // fan-out), so the scan beats a hash lookup on the hot path.
@@ -432,37 +405,4 @@ func (a *Aux) Stats() Stats {
 
 func (s Stats) String() string {
 	return fmt.Sprintf("aux{V=%d E=%d power=%d}", s.Vertices, s.Edges, s.PowerVertices)
-}
-
-// Solve runs the level-ℓ recursive greedy Steiner approximation on the
-// auxiliary graph for a broadcast from src and maps the result back to a
-// schedule. level <= 1 selects the shortest-path-tree heuristic.
-func (a *Aux) Solve(src tvg.NodeID, level int) (schedule.Schedule, error) {
-	solver := steiner.NewSolver(a.G).
-		WithReverse(a.Reverse()).
-		SetWorkers(a.workers).
-		SetObs(a.obs).
-		SetCancel(a.cancel)
-	defer solver.Release()
-	root := a.SourceVertex(src)
-	terms := a.Terminals()
-	var (
-		sol steiner.Solution
-		err error
-	)
-	if level <= 1 {
-		sol, err = solver.ShortestPathTree(root, terms)
-	} else {
-		sol, err = solver.RecursiveGreedy(root, terms, level)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("auxgraph: %w", err)
-	}
-	// ScheduleFromSolution's order is deterministic but not causal:
-	// equal-time rows come in relay order (with the broadcast
-	// advantage) or solution-edge order (without), and τ = 0 non-stop
-	// chains share one timestamp, so a relay can sort ahead of the
-	// transmission that informs it. Establish the causal order every
-	// executor and feasibility check expects.
-	return schedule.CausalSort(a.TV, a.ScheduleFromSolution(sol), src, a.D.T0), nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dts"
 	"repro/internal/interval"
 	"repro/internal/schedule"
+	"repro/internal/steiner"
 	"repro/internal/tveg"
 	"repro/internal/tvg"
 )
@@ -53,20 +54,30 @@ func TestBuildStats(t *testing.T) {
 	}
 }
 
-func TestTerminalsOnePerNode(t *testing.T) {
-	g, d := chain()
-	a, _ := Build(g, d, Options{})
-	terms := a.Terminals()
-	if len(terms) != g.N() {
-		t.Fatalf("Terminals = %v, want %d entries", terms, g.N())
+// solve plans a broadcast from src on a as the planners do: the
+// shortest-path-tree heuristic at level 1, the level-ℓ recursive greedy
+// Steiner approximation above, over every node's terminal, with the
+// solution mapped back to a schedule in causal order.
+func solve(g *tveg.Graph, a *Aux, src tvg.NodeID, level int) (schedule.Schedule, error) {
+	solver := steiner.NewSolver(a.G).WithReverse(a.Reverse())
+	defer solver.Release()
+	terms := make([]int, g.N())
+	for i := range terms {
+		terms[i] = a.Vertex(tvg.NodeID(i), a.D.Last(tvg.NodeID(i)))
 	}
-	seen := map[int]bool{}
-	for _, x := range terms {
-		if seen[x] {
-			t.Error("duplicate terminal vertex")
-		}
-		seen[x] = true
+	var (
+		sol steiner.Solution
+		err error
+	)
+	if level <= 1 {
+		sol, err = solver.ShortestPathTree(a.SourceVertex(src), terms)
+	} else {
+		sol, err = solver.RecursiveGreedy(a.SourceVertex(src), terms, level)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return schedule.CausalSort(g, a.ScheduleFromSolution(sol), src, a.D.T0), nil
 }
 
 // unreachable returns the nodes whose terminal u_{i,h_i} the source
@@ -75,7 +86,7 @@ func TestTerminalsOnePerNode(t *testing.T) {
 func unreachable(a *Aux, src tvg.NodeID) []tvg.NodeID {
 	reach := a.G.Reachable(a.SourceVertex(src))
 	var out []tvg.NodeID
-	for i := 0; i < a.TV.N(); i++ {
+	for i := range a.D.Points {
 		n := tvg.NodeID(i)
 		if !reach[a.Vertex(n, a.D.Last(n))] {
 			out = append(out, n)
@@ -108,7 +119,7 @@ func TestSolveChainProducesFeasibleSchedule(t *testing.T) {
 	g, d := chain()
 	a, _ := Build(g, d, Options{})
 	for _, level := range []int{1, 2} {
-		s, err := a.Solve(0, level)
+		s, err := solve(g, a, 0, level)
 		if err != nil {
 			t.Fatalf("level %d: %v", level, err)
 		}
@@ -125,7 +136,7 @@ func TestSolveChainProducesFeasibleSchedule(t *testing.T) {
 func TestSolveStarUsesBroadcastAdvantage(t *testing.T) {
 	g, d := star()
 	a, _ := Build(g, d, Options{})
-	s, err := a.Solve(0, 2)
+	s, err := solve(g, a, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +158,8 @@ func TestNoBroadcastAdvantageCostsMore(t *testing.T) {
 	g, d := star()
 	withAdv, _ := Build(g, d, Options{})
 	noAdv, _ := Build(g, d, Options{NoBroadcastAdvantage: true})
-	s1, err1 := withAdv.Solve(0, 2)
-	s2, err2 := noAdv.Solve(0, 2)
+	s1, err1 := solve(g, withAdv, 0, 2)
+	s2, err2 := solve(g, noAdv, 0, 2)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -161,7 +172,7 @@ func TestNoBroadcastAdvantageCostsMore(t *testing.T) {
 func TestScheduleCollapsesPowerLevels(t *testing.T) {
 	g, d := star()
 	a, _ := Build(g, d, Options{})
-	s, err := a.Solve(0, 1) // SPT picks each terminal's own path
+	s, err := solve(g, a, 0, 1) // SPT picks each terminal's own path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestDeadlineExcludesLateTransmissions(t *testing.T) {
 	if un := unreachable(a, 0); len(un) != 1 {
 		t.Errorf("unreachable = %v, want [1]", un)
 	}
-	if _, err := a.Solve(0, 2); err == nil {
+	if _, err := solve(g, a, 0, 2); err == nil {
 		t.Error("Solve should fail when a node is unreachable")
 	}
 }
@@ -195,7 +206,7 @@ func TestTauShiftsReception(t *testing.T) {
 	g.AddContact(0, 1, iv(10, 30), 5)
 	d, _ := dts.Build(g.Graph, 0, 100, dts.Options{})
 	a, _ := Build(g, d, Options{})
-	s, err := a.Solve(0, 2)
+	s, err := solve(g, a, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +236,7 @@ func TestQuickSolvedSchedulesFeasible(t *testing.T) {
 		}
 		d, _ := dts.Build(g.Graph, 0, 300, dts.Options{})
 		a, _ := Build(g, d, Options{})
-		sch, err := a.Solve(0, 2)
+		sch, err := solve(g, a, 0, 2)
 		if err != nil {
 			return false
 		}
@@ -248,8 +259,8 @@ func TestQuickAdvantageNeverWorse(t *testing.T) {
 		d, _ := dts.Build(g.Graph, 0, 200, dts.Options{})
 		advA, _ := Build(g, d, Options{})
 		uniA, _ := Build(g, d, Options{NoBroadcastAdvantage: true})
-		adv, err1 := advA.Solve(0, 2)
-		uni, err2 := uniA.Solve(0, 2)
+		adv, err1 := solve(g, advA, 0, 2)
+		uni, err2 := solve(g, uniA, 0, 2)
 		if err1 != nil || err2 != nil {
 			return false
 		}

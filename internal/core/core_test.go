@@ -121,6 +121,29 @@ func TestAllSchedulersFeasibleOnStaticChain(t *testing.T) {
 	}
 }
 
+// TestAllSchedulersFeasibleAcrossContactChange: the pair (0, 1) has two
+// overlapping contacts, so its presence is one interval [10, 80) while
+// its distance drops from 10 to 2 inside it, at 50. A planner that
+// transmits on the cheap contact at 60 must not be moved back across
+// that change by the ET-law and keep the cheap cost at 10, where the
+// cost sized for distance 2 cannot reach v1.
+func TestAllSchedulersFeasibleAcrossContactChange(t *testing.T) {
+	g := tveg.New(3, iv(0, 100), 0, tveg.DefaultParams(), tveg.Static)
+	g.AddContact(0, 1, iv(10, 50), 10)
+	g.AddContact(0, 1, iv(30, 80), 2)
+	g.AddContact(1, 2, iv(60, 90), 5)
+	for _, s := range allSchedulers(1) {
+		sch, err := s.Schedule(g, 0, 0, 100)
+		if err != nil {
+			t.Errorf("%s: %v", s.Name(), err)
+			continue
+		}
+		if err := schedule.CheckFeasible(g, sch, 0, 100, math.Inf(1)); err != nil {
+			t.Errorf("%s: infeasible: %v (%v)", s.Name(), err, sch)
+		}
+	}
+}
+
 func TestAllSchedulersFeasibleOnFadingChain(t *testing.T) {
 	g := chain(tveg.RayleighFading)
 	// Only FR variants must satisfy the fading ε; non-FR plan assuming a

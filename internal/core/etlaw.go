@@ -14,8 +14,9 @@ import (
 // planner view: each transmission moves to its earliest equivalent time —
 // max(relay's informed time, start of the adjacency interval containing
 // the original time). Within one adjacency interval the relay's neighbor
-// set and every edge's channel segment are constant, so coverage and
-// sufficiency are preserved. When collapse is true (the wireless
+// set and every link's contact are constant (P_i^ad breaks at contact
+// changes too, tvg.Graph.ChangePoints), so coverage and sufficiency are
+// preserved. When collapse is true (the wireless
 // broadcast advantage holds), transmissions that land on the same
 // (relay, time) merge into one at the maximum cost.
 //

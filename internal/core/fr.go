@@ -19,29 +19,6 @@ import (
 // with fading-aware edge weights w0 such that φ(w0) = ε) and optimal
 // energy allocation (the NLP of Eq. 14–17).
 
-// Allocator selects the NLP solver for the energy allocation step.
-type Allocator int
-
-const (
-	// AllocGreedy is the greedy constraint-fixing pass with coordinate
-	// descent (the default).
-	AllocGreedy Allocator = iota
-	// AllocDual is the Lagrangian dual decomposition with subgradient
-	// ascent.
-	AllocDual
-)
-
-func (a Allocator) String() string {
-	switch a {
-	case AllocGreedy:
-		return "greedy"
-	case AllocDual:
-		return "dual"
-	default:
-		return "allocator(?)"
-	}
-}
-
 // FREEDCB is FR-EEDCB: EEDCB backbone on the fading view + NLP.
 type FREEDCB struct {
 	Level int
@@ -49,8 +26,6 @@ type FREEDCB struct {
 	// construction and per-node NLP constraint assembly). Schedules are
 	// byte-identical for every value; <= 1 (the zero value) is serial.
 	Workers int
-	// Allocator selects the NLP solver (ablation hook).
-	Allocator Allocator
 	// Obs receives the phase tree (fr-eedcb → dts/auxgraph/steiner/
 	// nlp-alloc) and per-stage metrics. Write-only; nil records nothing.
 	Obs *obs.Recorder
@@ -96,7 +71,7 @@ func (f FREEDCB) MulticastCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, targets, incErr, f.Allocator, f.Workers, tok, rec)
+	return allocateEnergy(g, backbone, src, targets, incErr, false, f.Workers, tok, rec)
 }
 
 // FRGreedy is FR-GREED: the coverage-greedy backbone on the fading view
@@ -105,8 +80,6 @@ type FRGreedy struct {
 	// Workers bounds the DTS filtering and NLP constraint-assembly
 	// worker pools (<= 1 serial; results identical for every value).
 	Workers int
-	// Allocator selects the NLP solver (ablation hook).
-	Allocator Allocator
 	// Obs receives the phase tree and metrics; nil records nothing.
 	Obs *obs.Recorder
 }
@@ -131,7 +104,7 @@ func (f FRGreedy) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
+	return allocateEnergy(g, backbone, src, nil, incErr, false, f.Workers, tok, rec)
 }
 
 // FRRandom is FR-RAND: the random-relay backbone on the fading view +
@@ -141,8 +114,6 @@ type FRRandom struct {
 	// Workers bounds the DTS filtering and NLP constraint-assembly
 	// worker pools (<= 1 serial; results identical for every value).
 	Workers int
-	// Allocator selects the NLP solver (ablation hook).
-	Allocator Allocator
 	// Obs receives the phase tree and metrics; nil records nothing.
 	Obs *obs.Recorder
 }
@@ -167,7 +138,7 @@ func (f FRRandom) ScheduleCtx(ctx context.Context, g *tveg.Graph, src tvg.NodeID
 	if bad := onlyIncomplete(incErr); bad != nil {
 		return nil, bad
 	}
-	return allocateEnergy(g, backbone, src, nil, incErr, f.Allocator, f.Workers, tok, rec)
+	return allocateEnergy(g, backbone, src, nil, incErr, false, f.Workers, tok, rec)
 }
 
 // onlyIncomplete passes through nil and *IncompleteError, returning any
@@ -189,13 +160,16 @@ func onlyIncomplete(err error) error {
 // (Eq. 15) apply to targets (nil = every node); relay-informed
 // constraints (Eq. 16) always apply to every backbone relay. The
 // incoming incomplete error (uncovered nodes, if any) is propagated:
-// uncovered nodes get no coverage constraint.
+// uncovered nodes get no coverage constraint. The NLP is solved by the
+// greedy constraint-fixing pass with coordinate descent, or by the
+// Lagrangian dual decomposition when dual is set (the allocator
+// ablation; every planner passes false).
 //
 // Per-node constraint assembly — the ψ-heavy part, one ED query per
 // (backbone entry, node) pair — fans out across the worker pool; terms
 // are then added to the problem in the original node order, so the NLP
 // instance is identical for every worker count.
-func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, targets []tvg.NodeID, incErr error, alloc Allocator, workers int, tok *cancel.Token, rec *obs.Recorder) (schedule.Schedule, error) {
+func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, targets []tvg.NodeID, incErr error, dual bool, workers int, tok *cancel.Token, rec *obs.Recorder) (schedule.Schedule, error) {
 	if len(backbone) == 0 {
 		return backbone, incErr
 	}
@@ -307,17 +281,17 @@ func allocateEnergy(g *tveg.Graph, backbone schedule.Schedule, src tvg.NodeID, t
 	asmSpan.End()
 
 	solveSpan := scope.StartPhase("solve")
-	solveSpan.SetStr("allocator", alloc.String())
 	p.Obs = rec
 	p.Cancel = tok
 	var (
 		w   []float64
 		err error
 	)
-	switch alloc {
-	case AllocDual:
-		w, err = nlp.SolveDual(p, nlp.DualOptions{})
-	default:
+	if dual {
+		solveSpan.SetStr("allocator", "dual")
+		w, err = nlp.SolveDual(p)
+	} else {
+		solveSpan.SetStr("allocator", "greedy")
 		w, err = nlp.SolveGreedy(p)
 	}
 	solveSpan.End()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/schedule"
@@ -101,23 +102,30 @@ func TestMulticastToSourceOnlyIsFree(t *testing.T) {
 	}
 }
 
+// TestFRAllocatorsAllFeasible: both energy allocators yield feasible
+// FR-EEDCB schedules, and frEEDCB's greedy plan is FREEDCB's.
 func TestFRAllocatorsAllFeasible(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := randomTrace(r, 7, tveg.RayleighFading, 1000)
-	costs := map[Allocator]float64{}
-	for _, alloc := range []Allocator{AllocGreedy, AllocDual} {
-		sch, err := FREEDCB{Allocator: alloc}.Schedule(g, 0, 0, 1000)
+	costs := map[bool]float64{}
+	for _, dual := range []bool{false, true} {
+		sch, err := frEEDCB(g, 0, 0, 1000, dual)
 		if err != nil {
-			t.Fatalf("%v: %v", alloc, err)
+			t.Fatalf("dual=%v: %v", dual, err)
 		}
 		if ferr := schedule.CheckFeasible(g, sch, 0, 1000, math.Inf(1)); ferr != nil {
-			t.Errorf("%v: %v", alloc, ferr)
+			t.Errorf("dual=%v: %v", dual, ferr)
 		}
-		costs[alloc] = sch.TotalCost()
+		costs[dual] = sch.TotalCost()
+		if !dual {
+			if want, err := (FREEDCB{}).Schedule(g, 0, 0, 1000); err != nil || !slices.Equal(sch, want) {
+				t.Errorf("frEEDCB greedy plan %v, FREEDCB plan %v (%v)", sch, want, err)
+			}
+		}
 	}
 	// dual falls back to the greedy solution, so it may not end up more
 	// expensive
-	if costs[AllocDual] > costs[AllocGreedy]*(1+1e-9) {
-		t.Errorf("dual %g worse than greedy %g", costs[AllocDual], costs[AllocGreedy])
+	if costs[true] > costs[false]*(1+1e-9) {
+		t.Errorf("dual %g worse than greedy %g", costs[true], costs[false])
 	}
 }

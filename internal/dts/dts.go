@@ -6,11 +6,13 @@
 // schedule can be normalized so each relay transmits either at the start
 // of one of its adjacency intervals or at the moment it became informed.
 // Adjacency-interval starts are breakpoints of the adjacent partitions
-// P_i^ad; informed-times are arrivals of earlier transmissions, i.e.
-// earlier DTS points shifted by the traversal time τ. The closure of the
-// adjacency breakpoints under "+kτ" (up to the non-stop journey length,
-// at most N hops) therefore contains every time an optimal schedule needs
-// — O(N³L) points in general and O(N²L) when τ ≈ 0, matching §V.
+// P_i^ad, the points where a pair's ρ_τ or contact changes
+// (tvg.Graph.ChangePoints); informed-times are arrivals of earlier
+// transmissions, i.e. earlier DTS points shifted by the traversal time
+// τ. The closure of the adjacency breakpoints under "+kτ" (up to the
+// non-stop journey length, at most N hops) therefore contains every
+// time an optimal schedule needs — O(N³L) points in general and O(N²L)
+// when τ ≈ 0, matching §V.
 //
 // Build additionally prunes, per node, the points at which the node has
 // no neighbor: it can neither transmit nor receive there, and the
@@ -149,8 +151,10 @@ func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.T
 	n := g.N()
 	tau := g.Tau()
 
-	// 1. Adjacency breakpoints of every pair, clipped to the window.
+	// 1. Adjacency breakpoints of every pair (ρ_τ flips and contact
+	// changes inside an adjacency interval), clipped to the window.
 	base = []float64{t0}
+	var pts []float64
 	for i := 0; i < n; i++ {
 		if err := tok.Check(); err != nil {
 			return nil, nil, fmt.Errorf("dts: breakpoints: %w", err)
@@ -159,12 +163,10 @@ func globalPoints(g *tvg.Graph, t0, deadline float64, maxHops int, tok *cancel.T
 			if tvg.NodeID(i) > j {
 				continue // each pair once
 			}
-			eroded := g.Presence(tvg.NodeID(i), j).Erode(tau)
-			for _, iv := range eroded.Intervals() {
-				for _, p := range []float64{iv.Start, iv.End} {
-					if p >= t0 && p <= deadline {
-						base = append(base, p)
-					}
+			pts = g.ChangePoints(tvg.NodeID(i), j, pts[:0])
+			for _, p := range pts {
+				if p >= t0 && p <= deadline {
+					base = append(base, p)
 				}
 			}
 		}

@@ -17,9 +17,9 @@ func iv(a, b float64) interval.Interval { return interval.Interval{Start: a, End
 
 func lineGraph(tau float64) *tvg.Graph {
 	g := tvg.New(4, iv(0, 100), tau)
-	g.AddContact(0, 1, iv(10, 30))
-	g.AddContact(1, 2, iv(25, 45))
-	g.AddContact(2, 3, iv(40, 55))
+	g.AddContact(0, 1, iv(10, 30), 1)
+	g.AddContact(1, 2, iv(25, 45), 1)
+	g.AddContact(2, 3, iv(40, 55), 1)
 	return g
 }
 
@@ -34,7 +34,7 @@ func randomGraph(r *rand.Rand, n int, tau float64) *tvg.Graph {
 			continue
 		}
 		start := r.Float64() * 150
-		g.AddContact(i, j, iv(start, start+5+r.Float64()*40))
+		g.AddContact(i, j, iv(start, start+5+r.Float64()*40), 1)
 	}
 	return g
 }
@@ -192,7 +192,7 @@ func TestTotalPointsBoundTauZero(t *testing.T) {
 			continue
 		}
 		s := r.Float64() * 900
-		g.AddContact(i, j, iv(s, s+50))
+		g.AddContact(i, j, iv(s, s+50), 1)
 		contacts++
 	}
 	d, _ := Build(g, 0, 1000, Options{NoPrune: true})
@@ -215,7 +215,7 @@ func TestQuickPointsSortedAndInWindow(t *testing.T) {
 				continue
 			}
 			s := r.Float64() * 450
-			g.AddContact(i, j, iv(s, s+5+r.Float64()*40))
+			g.AddContact(i, j, iv(s, s+5+r.Float64()*40), 1)
 		}
 		d, _ := Build(g, 0, 500, Options{})
 		for _, pts := range d.Points {
@@ -249,7 +249,7 @@ func TestQuickPrunedSubsetOfUnpruned(t *testing.T) {
 				continue
 			}
 			s := r.Float64() * 180
-			g.AddContact(i, j, iv(s, s+5+r.Float64()*15))
+			g.AddContact(i, j, iv(s, s+5+r.Float64()*15), 1)
 		}
 		pruned, _ := Build(g, 0, 200, Options{})
 		full, _ := Build(g, 0, 200, Options{NoPrune: true})
@@ -310,7 +310,7 @@ func TestMemoReturnsSharedIdenticalDTS(t *testing.T) {
 		t.Fatal("NoPrune build must not share the pruned entry")
 	}
 	// Mutating the topology bumps the version: no stale hit.
-	g.AddContact(0, 2, interval.Interval{Start: 1, End: 2})
+	g.AddContact(0, 2, interval.Interval{Start: 1, End: 2}, 1)
 	d5, err := Build(g, 0, 10, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -408,9 +408,9 @@ func TestFilterMatchesDegreeOracle(t *testing.T) {
 					label := fmt.Sprintf("crafted τ=%g s=%g end%+d start%+d", tau, s, dEnd, dStart)
 					end := nudge(q+tau, dEnd)
 					g := tvg.New(4, iv(0, 200), tau)
-					g.AddContact(0, 1, iv(s, end))
-					g.AddContact(0, 2, iv(nudge(q, dStart), q+50))
-					g.AddContact(2, 3, iv(q+tau, q+60))
+					g.AddContact(0, 1, iv(s, end), 1)
+					g.AddContact(0, 2, iv(nudge(q, dStart), q+50), 1)
+					g.AddContact(2, 3, iv(q+tau, q+60), 1)
 					d, err := Build(g, 0, 200, Options{NoMemo: true})
 					if err != nil {
 						t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 // different topology, hence a different DTS.
 func otherLineGraph(tau float64) *tvg.Graph {
 	g := tvg.New(4, iv(0, 100), tau)
-	g.AddContact(0, 2, iv(5, 20))
-	g.AddContact(2, 1, iv(15, 60))
-	g.AddContact(1, 3, iv(50, 80))
+	g.AddContact(0, 2, iv(5, 20), 1)
+	g.AddContact(2, 1, iv(15, 60), 1)
+	g.AddContact(1, 3, iv(50, 80), 1)
 	return g
 }
 
@@ -97,7 +97,7 @@ func TestGraphIDsUniqueAndStable(t *testing.T) {
 		t.Fatal("two graphs share an ID")
 	}
 	before := a.ID()
-	a.AddContact(0, 3, iv(1, 2))
+	a.AddContact(0, 3, iv(1, 2), 1)
 	if a.ID() != before {
 		t.Fatal("AddContact changed the graph ID; invalidation must ride Version, not ID")
 	}
@@ -112,7 +112,7 @@ func TestEditNeverHitsParentMemoEntry(t *testing.T) {
 		edit func(g *tvg.Graph) bool
 	}{
 		{"add-contact", func(g *tvg.Graph) bool {
-			g.AddContact(0, 3, iv(60, 70))
+			g.AddContact(0, 3, iv(60, 70), 1)
 			return true
 		}},
 		{"remove-contact", func(g *tvg.Graph) bool {

@@ -302,9 +302,7 @@ func (t *Trace) ToTVEG(tau float64, params tveg.Params, model tveg.Model) *tveg.
 		g.AddContact(tvg.NodeID(c.I), tvg.NodeID(c.J),
 			interval.Interval{Start: c.Start, End: c.End}, c.Dist)
 	}
-	// Trace-built graphs feed the planners, which re-query identical ψ
-	// costs across DTS points; memoization changes no returned bit.
-	return g.EnableCostCache()
+	return g
 }
 
 // Restrict returns a copy of the trace containing only the first n nodes

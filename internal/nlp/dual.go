@@ -7,6 +7,13 @@ import (
 	"repro/internal/channel"
 )
 
+// The subgradient ascent runs dualIters iterations; iteration k steps
+// by dualStep0/√(k+1).
+const (
+	dualIters = 60
+	dualStep0 = 1.0
+)
+
 // SolveDual solves the energy allocation by Lagrangian dual
 // decomposition. The Lagrangian of Eq. 14–17,
 //
@@ -21,25 +28,9 @@ import (
 // The result is always feasible; on instances where the duality gap is
 // small it matches SolveGreedy, and occasionally beats it by splitting
 // load across transmissions serving several constraints at once.
-type DualOptions struct {
-	// Iters is the number of subgradient iterations (default 60).
-	Iters int
-	// Step0 is the initial subgradient step (default 1).
-	Step0 float64
-}
-
-func (o *DualOptions) fill() {
-	if o.Iters == 0 {
-		o.Iters = 60
-	}
-	if o.Step0 == 0 {
-		o.Step0 = 1
-	}
-}
-
+//
 // SolveDual returns a feasible allocation or ErrInfeasible.
-func SolveDual(p *Problem, opts DualOptions) ([]float64, error) {
-	opts.fill()
+func SolveDual(p *Problem) ([]float64, error) {
 	// Feasibility reference (and fallback): the greedy solution.
 	best, err := SolveGreedy(p)
 	if err != nil {
@@ -72,7 +63,7 @@ func SolveDual(p *Problem, opts DualOptions) ([]float64, error) {
 
 	lambda := make([]float64, len(p.Constraints))
 	w := make([]float64, p.NumVars)
-	for iter := 0; iter < opts.Iters; iter++ {
+	for iter := 0; iter < dualIters; iter++ {
 		if err := p.Cancel.Check(); err != nil {
 			return nil, fmt.Errorf("nlp: dual ascent: %w", err)
 		}
@@ -92,7 +83,7 @@ func SolveDual(p *Problem, opts DualOptions) ([]float64, error) {
 			}
 		}
 		// subgradient ascent on the residuals
-		step := opts.Step0 / math.Sqrt(float64(iter+1))
+		step := dualStep0 / math.Sqrt(float64(iter+1))
 		for ci, c := range p.Constraints {
 			g := c.Residual(w)
 			if math.IsInf(g, -1) {

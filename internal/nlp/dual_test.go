@@ -14,7 +14,7 @@ func TestDualSingleHopMatchesMinCost(t *testing.T) {
 	ed := channel.Rayleigh{Beta: 3}
 	p := NewProblem(1, 0, math.Inf(1))
 	p.AddConstraint(0.01, Term{0, ed})
-	w, err := SolveDual(p, DualOptions{})
+	w, err := SolveDual(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDualFeasibleAndNotWorseThanGreedy(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
 		p := randomProblem(r, 2+r.Intn(5), 1+r.Intn(8))
-		wd, errD := SolveDual(p, DualOptions{})
+		wd, errD := SolveDual(p)
 		wg, errG := SolveGreedy(p)
 		if (errD == nil) != (errG == nil) {
 			t.Fatalf("trial %d: solvers disagree: %v vs %v", trial, errD, errG)
@@ -50,7 +50,7 @@ func TestDualInfeasible(t *testing.T) {
 	ed := channel.Rayleigh{Beta: 100}
 	p := NewProblem(1, 0, ed.MinCost(0.01)/2)
 	p.AddConstraint(0.01, Term{0, ed})
-	if _, err := SolveDual(p, DualOptions{}); !errors.Is(err, ErrInfeasible) {
+	if _, err := SolveDual(p); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("want ErrInfeasible, got %v", err)
 	}
 }
@@ -64,7 +64,7 @@ func TestDualSharedVariableSplitsLoad(t *testing.T) {
 	p := NewProblem(2, 0, math.Inf(1))
 	p.AddConstraint(0.01, Term{0, near}, Term{1, far})
 	p.AddConstraint(0.01, Term{0, far}, Term{1, near})
-	w, err := SolveDual(p, DualOptions{})
+	w, err := SolveDual(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestQuickDualAlwaysFeasible(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomProblem(r, 2+r.Intn(4), 1+r.Intn(6))
-		w, err := SolveDual(p, DualOptions{Iters: 20})
+		w, err := SolveDual(p)
 		return err == nil && p.Feasible(w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

@@ -10,12 +10,13 @@ import (
 )
 
 // costCache answers DCS and MinCost from one cost-set timeline per
-// node. Node i's discrete cost set W_{i,t}^di is piecewise constant in
-// t: it changes only where one of i's links appears, disappears or
-// changes its channel segment. A timeline holds those piece starts and
-// one slot per piece and channel model, which the first query landing
-// in the piece fills by CompareAndSwap; every later query in the piece
-// is a binary search plus an atomic load, with no lock and no hash.
+// node; New attaches one to every graph. Node i's discrete cost set
+// W_{i,t}^di is piecewise constant in t: it changes only where one of
+// i's links appears, disappears or changes its contact. A timeline
+// holds those piece starts and one slot per piece and channel model,
+// which the first query landing in the piece fills by CompareAndSwap;
+// every later query in the piece is a binary search plus an atomic
+// load, with no lock and no hash.
 // MinCost(i, j, t) reads j's entry of the same cost set. Timelines are
 // built on their node's first query and filled lazily (DESIGN.md §6).
 //
@@ -23,8 +24,7 @@ import (
 //   - An edit to the pair (a, b) drops the timelines of a and b; a
 //     node's cost sets depend only on its own incident links. The
 //     ED-function memo keys on channel parameters (β, ε) and survives.
-//   - WithModel views created after EnableCostCache share the cache;
-//     each slot belongs to one model.
+//   - WithModel views share the cache; each slot belongs to one model.
 //   - A timeline records the Params it was built under. A query through
 //     a graph or view with other Params is answered uncached.
 type costCache struct {
@@ -53,10 +53,9 @@ type timeline struct {
 }
 
 // newTimeline collects node i's piece starts: the points where ρ_τ or
-// the channel segment of one of its links can change. ρ_τ over a
-// presence interval [S, E) holds iff S <= t and t+τ < E, so it flips at
-// S and at windowEnd(E, τ); SegmentAt flips at each segment's Start and
-// End.
+// the contact of one of its links can change. ρ_τ over a presence
+// interval [S, E) holds iff S <= t and t+τ < E, so it flips at S and at
+// windowEnd(E, τ); SegmentAt flips at each contact's Start and End.
 func (g *Graph) newTimeline(i tvg.NodeID) *timeline {
 	tau := g.Tau()
 	var starts []float64
@@ -64,7 +63,7 @@ func (g *Graph) newTimeline(i tvg.NodeID) *timeline {
 		for _, iv := range g.Presence(i, j).Intervals() {
 			starts = append(starts, iv.Start, windowEnd(iv.End, tau))
 		}
-		for _, s := range g.segs[tvg.MakeEdgeKey(i, j)] {
+		for _, s := range g.Contacts(i, j) {
 			starts = append(starts, s.Iv.Start, s.Iv.End)
 		}
 	}
@@ -166,14 +165,12 @@ type CacheStats struct {
 	EDMemo channel.MemoStats
 }
 
-// CostCacheStats returns the cache counters; ok is false when the cache
-// is disabled. The numbers are individually atomic but not mutually
-// consistent under concurrent queries — metrics-grade, by design.
+// CostCacheStats returns the cache counters; ok is always true, since
+// every graph has the cache. The numbers are individually atomic but
+// not mutually consistent under concurrent queries — metrics-grade, by
+// design.
 func (g *Graph) CostCacheStats() (CacheStats, bool) {
 	c := g.cache
-	if c == nil {
-		return CacheStats{}, false
-	}
 	st := CacheStats{
 		MinCostHits:   c.minCostHits.Load(),
 		MinCostMisses: c.minCostMisses.Load(),
@@ -193,12 +190,7 @@ func (g *Graph) CostCacheStats() (CacheStats, bool) {
 	return st, true
 }
 
-// EnableCostCache attaches the cost-set timelines to the graph and
-// returns the graph for chaining. Views created by WithModel afterwards
-// share them. Safe for concurrent readers; idempotent.
-func (g *Graph) EnableCostCache() *Graph {
-	if g.cache == nil {
-		g.cache = &costCache{nodes: make([]atomic.Pointer[timeline], g.N())}
-	}
-	return g
-}
+// EnableCostCache returns g unchanged: every graph carries its cost-set
+// timelines from New. It remains for the repository benchmark
+// (bench/), which calls it.
+func (g *Graph) EnableCostCache() *Graph { return g }

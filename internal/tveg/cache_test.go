@@ -13,65 +13,27 @@ import (
 	"repro/internal/tvg"
 )
 
-// randomGraphPair builds two identical TVEGs, one with the cost cache
-// enabled, from the same seeded contact process.
-func randomGraphPair(model Model) (cached, plain *Graph) {
-	build := func() *Graph {
-		g := New(8, interval.Interval{Start: 0, End: 1000}, 0, DefaultParams(), model)
-		rng := rand.New(rand.NewSource(7))
-		for c := 0; c < 40; c++ {
-			i := tvg.NodeID(rng.Intn(8))
-			j := tvg.NodeID(rng.Intn(8))
-			if i == j {
-				continue
-			}
-			start := rng.Float64() * 900
-			g.AddContact(i, j, interval.Interval{Start: start, End: start + 50 + rng.Float64()*100},
-				1+rng.Float64()*20)
+// randomGraph builds a TVEG from a seeded contact process.
+func randomGraph(model Model) *Graph {
+	g := New(8, interval.Interval{Start: 0, End: 1000}, 0, DefaultParams(), model)
+	rng := rand.New(rand.NewSource(7))
+	for c := 0; c < 40; c++ {
+		i := tvg.NodeID(rng.Intn(8))
+		j := tvg.NodeID(rng.Intn(8))
+		if i == j {
+			continue
 		}
-		return g
+		start := rng.Float64() * 900
+		g.AddContact(i, j, interval.Interval{Start: start, End: start + 50 + rng.Float64()*100},
+			1+rng.Float64()*20)
 	}
-	return build().EnableCostCache(), build()
-}
-
-func TestCostCacheAgreesWithUncached(t *testing.T) {
-	for _, model := range []Model{Static, RayleighFading, RicianFading, NakagamiFading} {
-		cached, plain := randomGraphPair(model)
-		for i := 0; i < 8; i++ {
-			for _, tt := range []float64{0, 100, 250.5, 499, 777, 950} {
-				// Query twice: the second cached call must serve the memo.
-				for pass := 0; pass < 2; pass++ {
-					a := cached.DCS(tvg.NodeID(i), tt)
-					b := plain.DCS(tvg.NodeID(i), tt)
-					if len(a) != len(b) {
-						t.Fatalf("%v: DCS(%d,%g) lengths %d vs %d", model, i, tt, len(a), len(b))
-					}
-					for k := range a {
-						if a[k] != b[k] {
-							t.Fatalf("%v: DCS(%d,%g)[%d] = %+v cached vs %+v plain", model, i, tt, k, a[k], b[k])
-						}
-					}
-					for j := 0; j < 8; j++ {
-						if i == j {
-							continue
-						}
-						wa := cached.MinCost(tvg.NodeID(i), tvg.NodeID(j), tt)
-						wb := plain.MinCost(tvg.NodeID(i), tvg.NodeID(j), tt)
-						if wa != wb && !(isInf(wa) && isInf(wb)) {
-							t.Fatalf("%v: MinCost(%d,%d,%g) = %g cached vs %g plain", model, i, j, tt, wa, wb)
-						}
-					}
-				}
-			}
-		}
-	}
+	return g
 }
 
 func isInf(x float64) bool { return x > 1e300 }
 
 func TestCostCacheInvalidatedByAddContact(t *testing.T) {
 	g := New(2, interval.Interval{Start: 0, End: 100}, 0, DefaultParams(), Static)
-	g.EnableCostCache()
 	if w := g.MinCost(0, 1, 10); !isInf(w) {
 		t.Fatalf("expected absent edge, got %g", w)
 	}
@@ -84,9 +46,8 @@ func TestCostCacheInvalidatedByAddContact(t *testing.T) {
 func TestCostCacheSharedAcrossModelViews(t *testing.T) {
 	g := New(2, interval.Interval{Start: 0, End: 100}, 0, DefaultParams(), RayleighFading)
 	g.AddContact(0, 1, interval.Interval{Start: 0, End: 100}, 5)
-	g.EnableCostCache()
 	view := g.WithModel(Static)
-	if _, ok := view.CostCacheStats(); !ok {
+	if view.cache != g.cache {
 		t.Fatal("WithModel view lost the cache")
 	}
 	wf := g.MinCost(0, 1, 10)
@@ -94,10 +55,8 @@ func TestCostCacheSharedAcrossModelViews(t *testing.T) {
 	if wf == ws {
 		t.Fatalf("fading and static views returned the same cost %g — model missing from cache key?", wf)
 	}
-	// Static threshold equals β; compare against an uncached twin.
-	plain := New(2, interval.Interval{Start: 0, End: 100}, 0, DefaultParams(), Static)
-	plain.AddContact(0, 1, interval.Interval{Start: 0, End: 100}, 5)
-	if want := plain.MinCost(0, 1, 10); ws != want {
+	// Static threshold equals β.
+	if want := view.minCostUncached(0, 1, 10); ws != want {
 		t.Fatalf("static view cost %g, want %g", ws, want)
 	}
 }
@@ -130,12 +89,12 @@ func TestChannelMemoMatchesDirect(t *testing.T) {
 // TestCostCacheConcurrentQueries runs DCS and MinCost over every
 // (node, point) pair from four workers at once, on a Static and a
 // Rayleigh view sharing one cache, twice over. Every answer must equal
-// the uncached twin's, every query must count as exactly one hit or one
-// miss, and the cache must hold one filled piece per distinct (model,
+// the uncached computation's, every query must count as exactly one hit
+// or one miss, and the cache must hold one filled piece per distinct (model,
 // node, piece) the queries landed in. Run it under -race: the timelines
 // are built and their slots filled while other workers read them.
 func TestCostCacheConcurrentQueries(t *testing.T) {
-	cached, plain := randomGraphPair(RayleighFading)
+	cached := randomGraph(RayleighFading)
 	var points []float64
 	for p := 0.0; p < 1000; p += 12.5 {
 		points = append(points, p)
@@ -154,22 +113,19 @@ func TestCostCacheConcurrentQueries(t *testing.T) {
 			}
 		}
 	}
-	views := map[Model][2]*Graph{
-		Static:         {cached.WithModel(Static), plain.WithModel(Static)},
-		RayleighFading: {cached, plain},
-	}
+	views := map[Model]*Graph{Static: cached.WithModel(Static), RayleighFading: cached}
 	for pass := 0; pass < 2; pass++ {
 		err := parallel.ForEach(nil, nil, 4, len(qs), func(k int) {
 			q := qs[k]
-			c, u := views[q.model][0], views[q.model][1]
-			if a, b := c.DCS(q.i, q.t), u.DCS(q.i, q.t); !slices.Equal(a, b) {
+			c := views[q.model]
+			if a, b := c.DCS(q.i, q.t), c.dcsUncached(q.i, q.t); !slices.Equal(a, b) {
 				t.Errorf("%v: DCS(%d,%g) = %v cached, %v uncached", q.model, q.i, q.t, a, b)
 			}
 			for j := 0; j < n; j++ {
 				if tvg.NodeID(j) == q.i {
 					continue
 				}
-				a, b := c.MinCost(q.i, tvg.NodeID(j), q.t), u.MinCost(q.i, tvg.NodeID(j), q.t)
+				a, b := c.MinCost(q.i, tvg.NodeID(j), q.t), c.minCostUncached(q.i, tvg.NodeID(j), q.t)
 				if math.Float64bits(a) != math.Float64bits(b) {
 					t.Errorf("%v: MinCost(%d,%d,%g) = %g cached, %g uncached", q.model, q.i, j, q.t, a, b)
 				}
@@ -268,7 +224,7 @@ func TestTimelineMatchesUncached(t *testing.T) {
 	for ti, tau := range []float64{0, 0.3, 1.1} {
 		for _, model := range allModels {
 			rng := rand.New(rand.NewSource(int64(31*ti + int(model) + 1)))
-			g := New(n, interval.Interval{Start: 0, End: 1000}, tau, DefaultParams(), model).EnableCostCache()
+			g := New(n, interval.Interval{Start: 0, End: 1000}, tau, DefaultParams(), model)
 			for c := 0; c < 40; c++ {
 				randomEdit(rng, g)
 			}
@@ -324,7 +280,7 @@ func checkCostSetAt(t *testing.T, g *Graph, i tvg.NodeID, x float64) {
 // uncached answer under its own ε, not a piece filled under the
 // graph's, and it fills no piece.
 func TestTimelineAnswersOtherParamsUncached(t *testing.T) {
-	cached, _ := randomGraphPair(RayleighFading)
+	cached := randomGraph(RayleighFading)
 	own := make([][]CostLevel, cached.N())
 	for i := range own {
 		own[i] = cached.DCS(tvg.NodeID(i), 500)
@@ -369,7 +325,7 @@ func TestTimelineAnswersOtherParamsUncached(t *testing.T) {
 // and MinCost in it are a binary search and an atomic load.
 func TestTimelineWarmQueriesAllocateNothing(t *testing.T) {
 	for _, model := range allModels {
-		cached, _ := randomGraphPair(model)
+		cached := randomGraph(model)
 		var i tvg.NodeID
 		var at float64
 		var j tvg.NodeID

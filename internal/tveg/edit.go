@@ -7,67 +7,25 @@ import (
 	"repro/internal/tvg"
 )
 
-// RemoveContact deletes every point of iv from the presence and channel
-// segments of the edge (i, j). Segments partially covered by iv are
-// clipped (keeping their distance); a segment strictly containing iv
-// splits in two. It reports whether the graph actually changed: no-op
-// removals (absent edge, interval disjoint from all contacts) leave the
-// version and every cached artifact untouched.
+// RemoveContact deletes every point of iv from the presence and the
+// contacts of the edge (i, j) (tvg.Graph.RemoveContact). It reports
+// whether the graph actually changed: no-op removals (absent edge,
+// interval disjoint from all contacts) leave the version and every
+// cost-set timeline untouched.
 func (g *Graph) RemoveContact(i, j tvg.NodeID, iv interval.Interval) bool {
-	if iv.Empty() {
-		return false
-	}
 	if !g.Graph.RemoveContact(i, j, iv) {
-		// Presence is the union of the segment intervals, so an
-		// unchanged presence means no segment overlaps iv either.
 		return false
 	}
-	k := tvg.MakeEdgeKey(i, j)
-	old := g.segs[k]
-	out := make([]Segment, 0, len(old)+1)
-	for _, s := range old {
-		if s.Iv.End <= iv.Start || s.Iv.Start >= iv.End {
-			out = append(out, s)
-			continue
-		}
-		if left := (interval.Interval{Start: s.Iv.Start, End: iv.Start}); !left.Empty() {
-			out = append(out, Segment{left, s.Dist})
-		}
-		if right := (interval.Interval{Start: iv.End, End: s.Iv.End}); !right.Empty() {
-			out = append(out, Segment{right, s.Dist})
-		}
-	}
-	if len(out) == 0 {
-		delete(g.segs, k)
-	} else {
-		g.segs[k] = out // clipping preserves the sorted order
-	}
-	if g.cache != nil {
-		g.cache.invalidatePair(i, j)
-	}
+	g.cache.invalidatePair(i, j)
 	return true
 }
 
-// Segments returns a copy of the channel segments of edge (i, j) in
-// start order (nil when the pair has none). Edit generators use it to
-// aim removals and retimes at real contacts.
-func (g *Graph) Segments(i, j tvg.NodeID) []Segment {
-	segs := g.segs[tvg.MakeEdgeKey(i, j)]
-	if len(segs) == 0 {
-		return nil
-	}
-	out := make([]Segment, len(segs))
-	copy(out, segs)
-	return out
-}
-
-// RetimeChannel moves the contact of (i, j) whose segment exactly spans
-// from to the window to, keeping its distance. Retiming to the identical
-// window is a no-op that leaves the version untouched. It fails when no
-// segment spans exactly from, when from or to overlaps another segment
-// of the pair (segments of a pair must stay disjoint so presence and
-// channel state remain aligned), or when to is empty. The reported bool
-// is whether the graph changed.
+// RetimeChannel moves the contact of (i, j) that exactly spans from to
+// the window to, keeping its distance. Retiming to the identical window
+// is a no-op that leaves the version untouched. It fails when no contact
+// spans exactly from, when from or to overlaps another contact of the
+// pair (removing from's presence would cut into that contact), or when
+// to is empty. The reported bool is whether the graph changed.
 func (g *Graph) RetimeChannel(i, j tvg.NodeID, from, to interval.Interval) (bool, error) {
 	if from == to {
 		return false, nil
@@ -75,10 +33,9 @@ func (g *Graph) RetimeChannel(i, j tvg.NodeID, from, to interval.Interval) (bool
 	if to.Empty() {
 		return false, fmt.Errorf("tveg: retime (%d,%d) to empty interval %v", i, j, to)
 	}
-	k := tvg.MakeEdgeKey(i, j)
 	dist := 0.0
 	found := false
-	for _, s := range g.segs[k] {
+	for _, s := range g.Contacts(i, j) {
 		if s.Iv == from {
 			dist = s.Dist
 			found = true
@@ -96,7 +53,7 @@ func (g *Graph) RetimeChannel(i, j tvg.NodeID, from, to interval.Interval) (bool
 	}
 	// Remove-then-add runs the same mutation code an explicit
 	// RemoveContact/AddContact pair would, so a cold replay of the edit
-	// sequence reconstructs byte-identical channel state.
+	// sequence reconstructs byte-identical contacts.
 	g.RemoveContact(i, j, from)
 	g.AddContact(i, j, to, dist)
 	return true, nil

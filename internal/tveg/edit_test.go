@@ -130,7 +130,6 @@ func TestRetimeOverlappingFromRejected(t *testing.T) {
 // of a and b and nothing else.
 func TestEditInvalidatesOnlyAffectedCacheEntries(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 200}, 0, DefaultParams(), Static)
-	g.EnableCostCache()
 	g.AddContact(0, 1, interval.Interval{Start: 10, End: 60}, 5)
 	g.AddContact(2, 3, interval.Interval{Start: 10, End: 60}, 7)
 

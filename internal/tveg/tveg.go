@@ -1,10 +1,9 @@
 // Package tveg implements time-varying energy-demand graphs
 // (Definition 3.2): a deterministic TVG whose every edge carries a
-// time-indexed energy-demand function. Channel state is stored as
-// piecewise-constant segments aligned with contact intervals — each
-// contact knows the sender-receiver distance during the contact, from
-// which the cost function ψ derives either a step ED-function (static
-// channel, Eq. 2, with gain h = d^{-α}) or a fading ED-function
+// time-indexed energy-demand function. The TVG stores each contact
+// with the sender-receiver distance during it (tvg.Segment); from that
+// distance the cost function ψ derives either a step ED-function
+// (static channel, Eq. 2, with gain h = d^{-α}) or a fading ED-function
 // (Rayleigh Eq. 5, or the Rician/Nakagami extensions).
 package tveg
 
@@ -12,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/channel"
 	"repro/internal/interval"
@@ -98,23 +98,20 @@ func DefaultParams() Params {
 // NoiseGamma returns N0·γth, the numerator of every minimum-cost formula.
 func (p Params) NoiseGamma() float64 { return p.N0 * p.GammaTh }
 
-// Segment is one piecewise-constant stretch of channel state on an edge:
-// during Iv, the sender-receiver distance is Dist.
-type Segment struct {
-	Iv   interval.Interval
-	Dist float64
-}
+// Segment is one contact of a pair with its distance; the TVG stores
+// them (tvg.Segment).
+type Segment = tvg.Segment
 
-// Graph is a TVEG: a TVG plus per-edge channel segments and a channel
-// model. It embeds the underlying TVG, so all topology queries (ρ, ρ_τ,
-// partitions, journeys) are available directly.
+// Graph is a TVEG: a TVG plus the channel parameters and model that ψ
+// derives its ED-functions under. It embeds the underlying TVG, so all
+// topology and contact queries (ρ, ρ_τ, partitions, journeys,
+// SegmentAt) are available directly.
 type Graph struct {
 	*tvg.Graph
 	Params Params
 	Model  Model
-	segs   map[tvg.EdgeKey][]Segment
-	// cache holds the cost-set timelines; nil = disabled. Shared (by
-	// pointer) with every WithModel view. See EnableCostCache.
+	// cache holds the cost-set timelines that answer DCS and MinCost.
+	// Shared (by pointer) with every WithModel view.
 	cache *costCache
 }
 
@@ -124,12 +121,12 @@ func New(n int, span interval.Interval, tau float64, params Params, model Model)
 		Graph:  tvg.New(n, span, tau),
 		Params: params,
 		Model:  model,
-		segs:   make(map[tvg.EdgeKey][]Segment),
+		cache:  &costCache{nodes: make([]atomic.Pointer[timeline], n)},
 	}
 }
 
 // WithModel returns a read-only view of the graph under a different
-// channel model, sharing all topology and channel segments. The
+// channel model, sharing all contacts and the cost-set timelines. The
 // non-fading-aware algorithms plan on a Static view of a fading graph —
 // exactly the mismatch §VII's Fig. 6 measures.
 func (g *Graph) WithModel(m Model) *Graph {
@@ -139,36 +136,14 @@ func (g *Graph) WithModel(m Model) *Graph {
 }
 
 // AddContact records a contact between i and j during iv at distance
-// dist. The presence function and the channel segments are updated
-// together; ψ is piecewise constant over each contact.
+// dist (tvg.Graph.AddContact); ψ is piecewise constant over each
+// contact. A new contact only changes ρ_τ, contacts and cost sets at
+// its own endpoints, so every other timeline stays valid.
 func (g *Graph) AddContact(i, j tvg.NodeID, iv interval.Interval, dist float64) {
-	if !(dist > 0) {
-		panic(fmt.Sprintf("tveg: distance %g is not positive", dist))
-	}
-	if iv.Empty() {
-		return
-	}
-	g.Graph.AddContact(i, j, iv)
-	k := tvg.MakeEdgeKey(i, j)
-	g.segs[k] = append(g.segs[k], Segment{iv, dist})
-	// Stable: equal-start segments keep insertion order, so replaying an
-	// edit sequence on a fresh graph reconstructs identical channel state.
-	sort.SliceStable(g.segs[k], func(a, b int) bool { return g.segs[k][a].Iv.Start < g.segs[k][b].Iv.Start })
-	if g.cache != nil {
-		// A new contact only changes ρ_τ, segments, and cost sets at its
-		// own endpoints; every other timeline stays valid.
+	g.Graph.AddContact(i, j, iv, dist)
+	if !iv.Empty() {
 		g.cache.invalidatePair(i, j)
 	}
-}
-
-// SegmentAt returns the channel segment of edge (i, j) covering time t.
-func (g *Graph) SegmentAt(i, j tvg.NodeID, t float64) (Segment, bool) {
-	for _, s := range g.segs[tvg.MakeEdgeKey(i, j)] {
-		if s.Iv.Contains(t) {
-			return s, true
-		}
-	}
-	return Segment{}, false
 }
 
 // Beta returns β_{i,j,t} = N0·γth·d^α (Eq. 5's constant) for the contact
@@ -209,27 +184,26 @@ func (g *Graph) EDAt(i, j tvg.NodeID, t float64) channel.EDFunction {
 // MinCost returns the smallest cost at which a transmission i→j at time t
 // satisfies the per-hop error rate ε: the step threshold for static
 // channels, or the w0 of §VI-B (φ(w0) = ε) for fading channels. +Inf
-// when the edge is absent. With the cost cache enabled it reads j's
-// entry of i's cost set at t.
+// when the edge is absent. It reads j's entry of i's cost set at t.
 func (g *Graph) MinCost(i, j tvg.NodeID, t float64) float64 {
-	if c := g.cache; c != nil {
-		for _, lvl := range c.costSet(g, i, t, &c.minCostHits, &c.minCostMisses) {
-			if lvl.Node == j {
-				return lvl.W
-			}
+	c := g.cache
+	for _, lvl := range c.costSet(g, i, t, &c.minCostHits, &c.minCostMisses) {
+		if lvl.Node == j {
+			return lvl.W
 		}
-		return math.Inf(1)
 	}
-	return g.minCostUncached(i, j, t)
+	return math.Inf(1)
 }
 
+// minCostUncached computes MinCost from ψ directly; it fills the
+// cost-set timelines' pieces.
 func (g *Graph) minCostUncached(i, j tvg.NodeID, t float64) float64 {
 	ed := g.EDAt(i, j, t)
 	if _, absent := ed.(channel.Absent); absent {
 		return math.Inf(1)
 	}
 	var w float64
-	if g.cache != nil && (g.Model == RicianFading || g.Model == NakagamiFading) {
+	if g.Model == RicianFading || g.Model == NakagamiFading {
 		// Only these two invert by bisection; Step and Rayleigh are
 		// closed forms.
 		w = g.cache.edMemo.MinCost(ed, g.Params.Eps)
@@ -256,15 +230,15 @@ type CostLevel struct {
 // DCS returns the discrete cost set W_{i,t}^di of §VI-A: the minimum
 // costs to each node adjacent to i at time t, sorted ascending.
 // Transmitting at level k's cost informs the nodes of levels 1..k.
-// When the cost cache is enabled the returned slice may be shared with
-// other callers and must not be modified.
+// The returned slice may be shared with other callers and must not be
+// modified.
 func (g *Graph) DCS(i tvg.NodeID, t float64) []CostLevel {
-	if c := g.cache; c != nil {
-		return c.costSet(g, i, t, &c.dcsHits, &c.dcsMisses)
-	}
-	return g.dcsUncached(i, t)
+	c := g.cache
+	return c.costSet(g, i, t, &c.dcsHits, &c.dcsMisses)
 }
 
+// dcsUncached computes DCS from ψ directly; it fills the cost-set
+// timelines' pieces.
 func (g *Graph) dcsUncached(i tvg.NodeID, t float64) []CostLevel {
 	var out []CostLevel
 	for _, j := range g.EverNeighbors(i) {

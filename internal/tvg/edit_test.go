@@ -10,7 +10,7 @@ import (
 
 func TestRemoveContactClipsPresence(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 100}, 1)
-	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40})
+	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40}, 1)
 	v := g.Version()
 
 	if !g.RemoveContact(0, 1, interval.Interval{Start: 20, End: 30}) {
@@ -31,7 +31,7 @@ func TestRemoveContactClipsPresence(t *testing.T) {
 
 func TestRemoveContactNoOps(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 100}, 1)
-	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40})
+	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40}, 1)
 	v := g.Version()
 
 	cases := []struct {
@@ -56,8 +56,8 @@ func TestRemoveContactNoOps(t *testing.T) {
 
 func TestRemoveContactEmptiesPairDropsNeighbors(t *testing.T) {
 	g := New(4, interval.Interval{Start: 0, End: 100}, 1)
-	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40})
-	g.AddContact(0, 2, interval.Interval{Start: 5, End: 15})
+	g.AddContact(0, 1, interval.Interval{Start: 10, End: 40}, 1)
+	g.AddContact(0, 2, interval.Interval{Start: 5, End: 15}, 1)
 
 	if !g.RemoveContact(1, 0, interval.Interval{Start: 0, End: 100}) {
 		t.Fatal("RemoveContact must report the change")
@@ -72,7 +72,7 @@ func TestRemoveContactEmptiesPairDropsNeighbors(t *testing.T) {
 		t.Errorf("EverNeighbors(1) = %v, want []", got)
 	}
 	// Re-adding resurrects the pair in sorted order.
-	g.AddContact(0, 1, interval.Interval{Start: 50, End: 60})
+	g.AddContact(0, 1, interval.Interval{Start: 50, End: 60}, 1)
 	if got := g.EverNeighbors(0); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("EverNeighbors(0) after re-add = %v, want [1 2]", got)
 	}
@@ -83,21 +83,26 @@ func TestRemoveContactEmptiesPairDropsNeighbors(t *testing.T) {
 // the graph stored presence before the slots.
 type presenceModel struct {
 	n       int
-	sets    map[EdgeKey]interval.Set
+	sets    map[[2]NodeID]interval.Set
 	version uint64
+}
+
+// pairKey returns the canonical model key of the pair (i, j).
+func pairKey(i, j NodeID) [2]NodeID {
+	return [2]NodeID{min(i, j), max(i, j)}
 }
 
 func (m *presenceModel) add(i, j NodeID, iv interval.Interval) {
 	if iv.Empty() {
 		return
 	}
-	k := MakeEdgeKey(i, j)
+	k := pairKey(i, j)
 	m.sets[k] = m.sets[k].Add(iv)
 	m.version++
 }
 
 func (m *presenceModel) remove(i, j NodeID, iv interval.Interval) bool {
-	k := MakeEdgeKey(i, j)
+	k := pairKey(i, j)
 	old, ok := m.sets[k]
 	if !ok || iv.Empty() {
 		return false
@@ -119,7 +124,7 @@ func (m *presenceModel) remove(i, j NodeID, iv interval.Interval) bool {
 func (m *presenceModel) neighbors(i NodeID) []NodeID {
 	var out []NodeID
 	for j := NodeID(0); int(j) < m.n; j++ {
-		if _, ok := m.sets[MakeEdgeKey(i, j)]; ok && j != i {
+		if _, ok := m.sets[pairKey(i, j)]; ok && j != i {
 			out = append(out, j)
 		}
 	}
@@ -129,16 +134,18 @@ func (m *presenceModel) neighbors(i NodeID) []NodeID {
 // TestPresenceSlotsMatchMapModel applies seeded random AddContact and
 // RemoveContact sequences, including removals that empty a pair, and
 // checks after every operation that both halves of every pair's
-// presence slot agree with each other and with the map model, that the
-// ever-neighbor lists are the model's sorted neighbor sets, and that
-// the version and RemoveContact's change report match.
+// presence and contact slots agree with each other and the presence
+// with the map model, that the presence is the union of the pair's
+// contacts, that the ever-neighbor lists are the model's sorted
+// neighbor sets, and that the version and RemoveContact's change
+// report match.
 func TestPresenceSlotsMatchMapModel(t *testing.T) {
 	span := interval.Interval{Start: 0, End: 100}
 	for seed := int64(1); seed <= 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		n := 2 + r.Intn(7)
 		g := New(n, span, 0.5)
-		m := &presenceModel{n: n, sets: make(map[EdgeKey]interval.Set)}
+		m := &presenceModel{n: n, sets: make(map[[2]NodeID]interval.Set)}
 		for op := 0; op < 200; op++ {
 			i := NodeID(r.Intn(n))
 			j := NodeID((int(i) + 1 + r.Intn(n-1)) % n)
@@ -146,7 +153,7 @@ func TestPresenceSlotsMatchMapModel(t *testing.T) {
 			iv := interval.Interval{Start: start, End: start + r.Float64()*20}
 			switch r.Intn(3) {
 			case 0:
-				g.AddContact(i, j, iv)
+				g.AddContact(i, j, iv, 1+r.Float64()*10)
 				m.add(i, j, iv)
 			case 1:
 				if got, want := g.RemoveContact(i, j, iv), m.remove(i, j, iv); got != want {
@@ -169,10 +176,22 @@ func TestPresenceSlotsMatchMapModel(t *testing.T) {
 					if a == b {
 						continue
 					}
-					want := m.sets[MakeEdgeKey(a, b)]
+					want := m.sets[pairKey(a, b)]
 					if got := g.Presence(a, b); !got.Equal(want) || !got.Equal(g.Presence(b, a)) {
 						t.Fatalf("seed %d op %d: Presence(%d,%d) = %v, Presence(%d,%d) = %v, want %v",
 							seed, op, a, b, got, b, a, g.Presence(b, a), want)
+					}
+					segs := g.Segments(a, b)
+					if !slices.Equal(segs, g.Segments(b, a)) {
+						t.Fatalf("seed %d op %d: Segments(%d,%d) = %v, Segments(%d,%d) = %v",
+							seed, op, a, b, segs, b, a, g.Segments(b, a))
+					}
+					var union interval.Set
+					for _, s := range segs {
+						union = union.Add(s.Iv)
+					}
+					if !union.Equal(want) {
+						t.Fatalf("seed %d op %d: contacts of (%d,%d) cover %v, presence %v", seed, op, a, b, union, want)
 					}
 				}
 			}

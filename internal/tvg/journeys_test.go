@@ -12,10 +12,10 @@ import (
 // 1-hop direct contact available late.
 func journeyGraph() *Graph {
 	g := New(4, iv(0, 200), 1)
-	g.AddContact(0, 1, iv(10, 20))
-	g.AddContact(1, 2, iv(30, 40))
-	g.AddContact(2, 3, iv(50, 60))
-	g.AddContact(0, 3, iv(100, 120))
+	g.AddContact(0, 1, iv(10, 20), 1)
+	g.AddContact(1, 2, iv(30, 40), 1)
+	g.AddContact(2, 3, iv(50, 60), 1)
+	g.AddContact(0, 3, iv(100, 120), 1)
 	return g
 }
 
@@ -84,7 +84,7 @@ func TestShortestJourneyUnreachable(t *testing.T) {
 		t.Errorf("want nil, got %v", j)
 	}
 	g2 := New(3, iv(0, 10), 0)
-	g2.AddContact(0, 1, iv(0, 10))
+	g2.AddContact(0, 1, iv(0, 10), 1)
 	if j := g2.ShortestJourney(0, 2, 0); j != nil {
 		t.Errorf("disconnected node reachable: %v", j)
 	}
@@ -138,7 +138,7 @@ func TestReachability(t *testing.T) {
 // +Inf, not a finite sentinel that t2 = +Inf would admit.
 func TestReachabilityUnboundedWindow(t *testing.T) {
 	g := New(3, iv(0, 10), 0)
-	g.AddContact(0, 1, iv(0, 10))
+	g.AddContact(0, 1, iv(0, 10), 1)
 	r := g.Reachability(0, 0, math.Inf(1))
 	if want := []bool{true, true, false}; !slices.Equal(r, want) {
 		t.Errorf("Reachability(0, 0, +Inf) = %v, want %v", r, want)

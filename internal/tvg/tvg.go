@@ -21,17 +21,12 @@ import (
 // NodeID identifies a node; nodes are numbered 0..N-1.
 type NodeID int
 
-// EdgeKey identifies an undirected edge; the canonical form has A < B.
-type EdgeKey struct {
-	A, B NodeID
-}
-
-// MakeEdgeKey returns the canonical key for the pair (i, j).
-func MakeEdgeKey(i, j NodeID) EdgeKey {
-	if i > j {
-		i, j = j, i
-	}
-	return EdgeKey{i, j}
+// Segment is one contact of a pair: during Iv the two nodes are in
+// range at distance Dist. A pair's presence is the union of its
+// contacts' intervals.
+type Segment struct {
+	Iv   interval.Interval
+	Dist float64
 }
 
 // Graph is a deterministic continuous-time TVG. Edges are undirected:
@@ -42,15 +37,17 @@ type Graph struct {
 	span interval.Interval
 	tau  float64
 	// neighbors[i] lists the nodes that share at least one presence
-	// interval with i, kept sorted for determinism. pres[i] runs
-	// parallel to it: pres[i][k] is the presence of the pair
-	// (i, neighbors[i][k]), and both endpoints hold the same Set, so
-	// every presence query is a slot read or a binary search, never a
-	// hash.
+	// interval with i, kept sorted for determinism. pres[i] and segs[i]
+	// run parallel to it: pres[i][k] is the presence of the pair
+	// (i, neighbors[i][k]) and segs[i][k] its contacts (Segment).
+	// Both endpoints hold the same Set and the same slice, so every
+	// presence or contact query is a slot read or a binary search,
+	// never a hash.
 	neighbors [][]NodeID
 	pres      [][]interval.Set
+	segs      [][][]Segment
 	// version counts topology mutations (AddContact, RemoveContact and
-	// RetimeChannel calls that change presence). Memo caches downstream
+	// RetimeChannel calls that change contacts). Memo caches downstream
 	// (dts, auxgraph) key on the (graph ID, version) pair, so a mutated
 	// graph never serves a stale cached artifact.
 	version uint64
@@ -81,6 +78,7 @@ func New(n int, span interval.Interval, tau float64) *Graph {
 		tau:       tau,
 		neighbors: make([][]NodeID, n),
 		pres:      make([][]interval.Set, n),
+		segs:      make([][][]Segment, n),
 		id:        nextGraphID.Add(1),
 	}
 }
@@ -94,25 +92,34 @@ func (g *Graph) Span() interval.Interval { return g.span }
 // Tau returns the uniform edge traversal time τ.
 func (g *Graph) Tau() float64 { return g.tau }
 
-// AddContact records that the edge (i, j) is present during iv, unioning
-// with any previously recorded presence.
-func (g *Graph) AddContact(i, j NodeID, iv interval.Interval) {
+// AddContact records a contact between i and j during iv at distance
+// dist: iv joins the pair's presence, and the pair's contacts are
+// sorted by start again. The sort is stable, so equal starts keep
+// insertion order and replaying an edit sequence on a fresh graph
+// rebuilds identical contacts. An empty iv changes nothing.
+func (g *Graph) AddContact(i, j NodeID, iv interval.Interval, dist float64) {
+	if !(dist > 0) {
+		panic(fmt.Sprintf("tvg: distance %g is not positive", dist))
+	}
+	if iv.Empty() {
+		return
+	}
 	if i == j {
 		panic("tvg: self-loop contact")
 	}
 	g.checkNode(i)
 	g.checkNode(j)
-	if iv.Empty() {
-		return
-	}
 	a, ok := g.slot(i, j)
 	b, _ := g.slot(j, i)
 	if !ok {
 		g.insertSlot(i, j, a)
 		g.insertSlot(j, i, b)
 	}
-	s := g.pres[i][a].Add(iv)
-	g.pres[i][a], g.pres[j][b] = s, s
+	p := g.pres[i][a].Add(iv)
+	segs := append(g.segs[i][a], Segment{iv, dist})
+	sort.SliceStable(segs, func(x, y int) bool { return segs[x].Iv.Start < segs[y].Iv.Start })
+	g.pres[i][a], g.pres[j][b] = p, p
+	g.segs[i][a], g.segs[j][b] = segs, segs
 	g.version++
 }
 
@@ -126,10 +133,11 @@ func (g *Graph) slot(i, j NodeID) (int, bool) {
 	return slices.BinarySearch(g.neighbors[i], j)
 }
 
-// insertSlot makes j the k-th neighbor of i, with empty presence.
+// insertSlot makes j the k-th neighbor of i, with no contact.
 func (g *Graph) insertSlot(i, j NodeID, k int) {
 	g.neighbors[i] = slices.Insert(g.neighbors[i], k, j)
 	g.pres[i] = slices.Insert(g.pres[i], k, interval.Set{})
+	g.segs[i] = slices.Insert(g.segs[i], k, nil)
 }
 
 // Version returns the topology mutation counter: it changes whenever a
@@ -163,6 +171,36 @@ func (g *Graph) Presence(i, j NodeID) interval.Set {
 		return g.pres[i][k]
 	}
 	return interval.Set{}
+}
+
+// Contacts returns the contacts of the pair (i, j), nil when there are
+// none. AddContact sorts them by start; RemoveContact puts a clipped
+// contact's pieces in its place. The slice is the graph's own: it must
+// not be modified, and an edit of the pair may change it; Segments
+// returns a copy.
+func (g *Graph) Contacts(i, j NodeID) []Segment {
+	if k, ok := g.slot(i, j); ok {
+		return g.segs[i][k]
+	}
+	return nil
+}
+
+// Segments returns a copy of Contacts(i, j) (nil when the pair has
+// none). Edit generators use it to aim removals and retimes at real
+// contacts.
+func (g *Graph) Segments(i, j NodeID) []Segment {
+	return slices.Clone(g.Contacts(i, j))
+}
+
+// SegmentAt returns the first contact of the pair (i, j), in Contacts
+// order, whose interval covers t.
+func (g *Graph) SegmentAt(i, j NodeID, t float64) (Segment, bool) {
+	for _, s := range g.Contacts(i, j) {
+		if s.Iv.Contains(t) {
+			return s, true
+		}
+	}
+	return Segment{}, false
 }
 
 // Rho evaluates the presence function ρ(e_{i,j}, t).
@@ -279,23 +317,60 @@ func (g *Graph) AverageDegreeOver(start, end float64, samples int) float64 {
 	return total / float64(samples)
 }
 
+// ChangePoints appends to dst the points where a transmission over the
+// pair (i, j) can change what it sees, and returns the extended slice:
+// the starts and ends of the pair's eroded presence (where ρ_τ flips)
+// and every contact boundary strictly inside an eroded interval (where
+// ρ_τ holds on both sides but the distance can change). The points are
+// neither clipped nor sorted. When no contact of the pair overlaps or
+// abuts another, every contact boundary is a presence boundary, and the
+// result is the eroded presence's starts and ends alone.
+func (g *Graph) ChangePoints(i, j NodeID, dst []float64) []float64 {
+	if k, ok := g.slot(i, j); ok {
+		return g.changePoints(i, k, dst)
+	}
+	return dst
+}
+
+// changePoints is ChangePoints for the pair in i's k-th slot.
+func (g *Graph) changePoints(i NodeID, k int, dst []float64) []float64 {
+	eroded := g.pres[i][k].Erode(g.tau).Intervals()
+	for _, iv := range eroded {
+		dst = append(dst, iv.Start, iv.End)
+	}
+	inside := func(b float64) bool {
+		// The last eroded interval starting before b holds b or none does.
+		p := sort.Search(len(eroded), func(m int) bool { return eroded[m].Start >= b })
+		return p > 0 && b < eroded[p-1].End
+	}
+	for _, s := range g.segs[i][k] {
+		if inside(s.Iv.Start) {
+			dst = append(dst, s.Iv.Start)
+		}
+		if inside(s.Iv.End) {
+			dst = append(dst, s.Iv.End)
+		}
+	}
+	return dst
+}
+
 // PairAdjacentPartition returns P_{i,j}^ad: the partition of the span
 // into adjacent and non-adjacent intervals of the pair (i, j), in the
-// ρ_τ sense.
+// ρ_τ sense, with each adjacent interval split where the pair's contact
+// changes (ChangePoints), so ψ is constant on every interval.
 func (g *Graph) PairAdjacentPartition(i, j NodeID) partition.Partition {
-	eroded := g.Presence(i, j).Erode(g.tau)
-	pts := eroded.Breakpoints(g.span, nil)
-	return partition.New(g.span.Start, g.span.End, pts...)
+	return partition.New(g.span.Start, g.span.End, g.ChangePoints(i, j, nil)...)
 }
 
 // AdjacentPartition returns P_i^ad (Eq. 9): the combination of
 // P_{i,j}^ad over all other nodes j. Within each interval of the result,
-// the set of nodes adjacent to i is unchanged.
+// the set of nodes adjacent to i and the contact of each of i's links
+// are unchanged.
 func (g *Graph) AdjacentPartition(i NodeID) partition.Partition {
 	g.checkNode(i)
 	var pts []float64
-	for _, s := range g.pres[i] {
-		pts = s.Erode(g.tau).Breakpoints(g.span, pts)
+	for k := range g.pres[i] {
+		pts = g.changePoints(i, k, pts)
 	}
 	return partition.New(g.span.Start, g.span.End, pts...)
 }

@@ -16,11 +16,11 @@ func iv(a, b float64) interval.Interval { return interval.Interval{Start: a, End
 // hand-placed contacts over [0, 100], τ = 1.
 func lineGraph() *Graph {
 	g := New(4, iv(0, 100), 1)
-	g.AddContact(0, 1, iv(10, 30))
-	g.AddContact(0, 1, iv(60, 70))
-	g.AddContact(1, 2, iv(25, 45))
-	g.AddContact(2, 3, iv(40, 55))
-	g.AddContact(0, 3, iv(80, 90))
+	g.AddContact(0, 1, iv(10, 30), 1)
+	g.AddContact(0, 1, iv(60, 70), 1)
+	g.AddContact(1, 2, iv(25, 45), 1)
+	g.AddContact(2, 3, iv(40, 55), 1)
+	g.AddContact(0, 3, iv(80, 90), 1)
 	return g
 }
 
@@ -47,7 +47,7 @@ func TestAddContactSelfLoopPanics(t *testing.T) {
 			t.Error("expected panic for self loop")
 		}
 	}()
-	g.AddContact(1, 1, iv(0, 5))
+	g.AddContact(1, 1, iv(0, 5), 1)
 }
 
 func TestRho(t *testing.T) {
@@ -143,7 +143,7 @@ func TestInRangeMatchesRhoTau(t *testing.T) {
 				start := r.Float64() * 900
 				switch r.Intn(3) {
 				case 0:
-					g.AddContact(i, j, iv(start, start+5+r.Float64()*60))
+					g.AddContact(i, j, iv(start, start+5+r.Float64()*60), 1)
 				case 1:
 					g.RemoveContact(i, j, iv(start, start+5+r.Float64()*60))
 				default:
@@ -211,6 +211,35 @@ func TestAdjacentPartitionCombines(t *testing.T) {
 	}
 }
 
+// TestChangePoints: overlapping contacts of one pair merge into one
+// presence interval, but the distance changes at their boundaries
+// inside it; those boundaries split P^ad. Boundaries outside the eroded
+// presence add nothing, so a pair whose contacts neither overlap nor
+// abut yields only the eroded presence's starts and ends.
+func TestChangePoints(t *testing.T) {
+	g := New(3, iv(0, 100), 1)
+	g.AddContact(0, 1, iv(10, 50), 10)
+	g.AddContact(0, 1, iv(30, 80), 2)
+	g.AddContact(1, 2, iv(20, 40), 5)
+	g.AddContact(1, 2, iv(60, 70), 7)
+	for _, c := range []struct {
+		i, j NodeID
+		want []float64
+	}{
+		{0, 1, []float64{10, 79, 50, 30}}, // eroded [10,79), then contact bounds inside it
+		{1, 0, []float64{10, 79, 50, 30}},
+		{1, 2, []float64{20, 39, 60, 69}}, // contact ends 40 and 70 lie outside the eroded set
+		{0, 2, nil},
+	} {
+		if got := g.ChangePoints(c.i, c.j, nil); !slices.Equal(got, c.want) {
+			t.Errorf("ChangePoints(%d,%d) = %v, want %v", c.i, c.j, got, c.want)
+		}
+	}
+	if got, want := g.AdjacentPartition(1).Points(), []float64{0, 10, 20, 30, 39, 50, 60, 69, 79, 100}; !slices.Equal(got, want) {
+		t.Errorf("AdjacentPartition(1) = %v, want %v", got, want)
+	}
+}
+
 func TestAdjacentPartitionsAll(t *testing.T) {
 	g := lineGraph()
 	all := g.AdjacentPartitions()
@@ -262,7 +291,7 @@ func TestEarliestArrivalsLateStart(t *testing.T) {
 
 func TestEarliestArrivalsDisconnected(t *testing.T) {
 	g := New(3, iv(0, 10), 0)
-	g.AddContact(0, 1, iv(0, 10))
+	g.AddContact(0, 1, iv(0, 10), 1)
 	arr := g.EarliestArrivals(0, 0)
 	if !math.IsInf(arr[2], 1) {
 		t.Errorf("arr[2] = %g, want +Inf (unreachable)", arr[2])
@@ -334,7 +363,7 @@ func randomGraph(r *rand.Rand, n int, tau float64) *Graph {
 			continue
 		}
 		start := r.Float64() * 900
-		g.AddContact(i, j, iv(start, start+10+r.Float64()*80))
+		g.AddContact(i, j, iv(start, start+10+r.Float64()*80), 1)
 	}
 	return g
 }
@@ -427,7 +456,7 @@ func TestActivePointsMatchesDegreeAt(t *testing.T) {
 				}
 				start := r.Float64() * 380
 				end := start + 1 + r.Float64()*30
-				g.AddContact(i, j, interval.Interval{Start: start, End: end})
+				g.AddContact(i, j, interval.Interval{Start: start, End: end}, 1)
 				edges = append(edges, start, end, end-tau)
 			}
 			lo, hi := r.Float64()*200, 200+r.Float64()*200

@@ -186,16 +186,3 @@ func UninformedProb(g *Graph, s Schedule, src, node NodeID, t float64) float64 {
 
 // Summarize computes aggregate statistics of a sample.
 func Summarize(xs []float64) Summary { return stats.Summarize(xs) }
-
-// Allocator selects the NLP solver used by the FR schedulers' energy
-// allocation step (Eq. 14-17).
-type Allocator = core.Allocator
-
-// Energy allocator choices.
-const (
-	// AllocGreedy is the greedy constraint-fixing pass + coordinate
-	// descent (the default).
-	AllocGreedy = core.AllocGreedy
-	// AllocDual is the Lagrangian dual decomposition.
-	AllocDual = core.AllocDual
-)
